@@ -1,49 +1,9 @@
-"""Kernel backend selection.
+"""Name of the array backend the geometry kernels run on.
 
-Hot per-node kernels are written once as plain Python over numpy scalars
-and arrays.  When numba is available they are compiled with ``@njit``;
-otherwise (or when ``DSRIGIDITY_BACKEND=numpy`` is set) the same function
-objects run interpreted.  Both paths produce identical results; see
-``benchmarks/bench_kernels.py`` for the speed comparison.
+The kernels in ``kernels`` are whole-array numpy; run reports and
+benchmark environment records carry this name.
 """
-
-import os
-
-ENV_FLAG = "DSRIGIDITY_BACKEND"
-
-_requested = os.environ.get(ENV_FLAG, "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"{ENV_FLAG}={_requested!r} not understood; use 'numba' or 'numpy'"
-    )
-
-try:
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
-    NUMBA_AVAILABLE = False
-
-if _requested == "numba" and not NUMBA_AVAILABLE:
-    raise RuntimeError(f"{ENV_FLAG}=numba requested but numba is not importable")
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and _requested != "numpy"
-
-
-def njit_compile(func):
-    """Return the njit-compiled twin of ``func``, or None without numba."""
-    if not NUMBA_AVAILABLE:
-        return None
-    return _njit(cache=True)(func)
-
-
-def select(py_func, jit_func):
-    """Pick the active implementation for the current backend."""
-    if NUMBA_ENABLED and jit_func is not None:
-        return jit_func
-    return py_func
 
 
 def active_backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"

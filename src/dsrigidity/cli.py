@@ -115,8 +115,11 @@ def _parse_surface(section) -> object:
             raise ConfigError(f"bad resolution {res!r}") from exc
         if "samples" in section:
             path = section.get("samples")
-            values = np.load(path) if path.endswith(".npy") else np.loadtxt(path)
-            return SampledGridSurface(values, n_theta, n_phi)
+            try:
+                values = np.load(path) if path.endswith(".npy") else np.loadtxt(path)
+                return SampledGridSurface(values, n_theta, n_phi)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"samples file {path}: {exc}") from exc
         base = AnalyticSurface(
             section.getfloat("rho0"), _parse_modes(section.get("modes", ""))
         )
@@ -159,6 +162,13 @@ class ExperimentConfig:
         self.iso = (
             _parse_isometry(parser["isometry"]) if "isometry" in parser else None
         )
+        if (self.surface2 is not None or self.iso is not None) and any(
+            isinstance(s, SampledGridSurface) for s in (self.surface, self.surface2)
+        ):
+            raise ConfigError(
+                "pair suites need analytic surfaces (kind = slice or "
+                "perturbed_slice); a sampled surface has no jets off its grid"
+            )
         if self.surface2 is not None and self.iso is not None:
             if self.iso.kind is not ambient.IsometryKind.COMPOSITE:
                 raise ConfigError(
@@ -188,6 +198,12 @@ class ExperimentConfig:
 
         suite = parser["suite"] if "suite" in parser else {}
         self.checks = tuple(suite.get("checks", " ".join(GEOMETRY_CHECKS)).split())
+        unknown = [name for name in self.checks if name not in GEOMETRY_CHECKS]
+        if unknown:
+            raise ConfigError(
+                f"unknown check {unknown[0]!r} in [suite] checks; "
+                f"known: {' '.join(GEOMETRY_CHECKS)}"
+            )
         self.seed = seed if seed is not None else int(suite.get("seed", 0))
 
     def make_pair(self):
@@ -447,7 +463,8 @@ def cmd_rigidity(args) -> int:
         "int (phi~' <V,nu> + phi' <V~,nu~>) (sigma2(W) - sigma11(W,W~)) = 0",
         result.integral_rel,
         tol["rigidity_integral_rel"],
-        passed=result.verdict != "Rigid" or result.integral_rel <= tol["rigidity_integral_rel"],
+        passed=result.verdict == "NotIsometric"
+        or result.integral_rel <= tol["rigidity_integral_rel"],
         note=f"area {result.area:.12g}",
     )
     report.add(
@@ -455,14 +472,13 @@ def cmd_rigidity(args) -> int:
         "W = W~ under the correspondence",
         result.max_w_mismatch,
         tol["w_mismatch"],
-        passed=result.verdict != "Rigid" or result.max_w_mismatch <= tol["w_mismatch"],
+        passed=result.verdict == "NotIsometric" or result.max_w_mismatch <= tol["w_mismatch"],
     )
     report.add(
         "metric_pullback",
         "g = f* g~ (local isometry)",
         result.max_metric_residual,
         tol["metric_pullback"],
-        passed=result.verdict == "Rigid",
     )
     report.add(
         "support_combination_sign",
@@ -477,7 +493,7 @@ def cmd_rigidity(args) -> int:
         "sigma11(W, W~) - sigma2(W) >= 0 for matched sigma2",
         max(0.0, -result.gap_min),
         1e-10,
-        passed=result.verdict != "Rigid" or result.gap_min >= -1e-10,
+        passed=result.verdict == "NotIsometric" or result.gap_min >= -1e-10,
         note=f"gap range [{result.gap_min:.3e}, {result.gap_max:.3e}]",
     )
     _emit(report, args.report)

@@ -1,6 +1,6 @@
 """Pointwise surface geometry: fields, invariant checks, curvature gate.
 
-This layer feeds height jets into the per-node kernels and exposes the
+This layer feeds height jets into the geometry kernels and exposes the
 results as arrays over a node set, plus single-node convenience wrappers.
 """
 
@@ -84,32 +84,8 @@ def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
     y, dy, d2y, d3y = node_jets
-    n = theta.shape[0]
-
-    margin = np.empty(n)
-    g = np.empty((n, 2, 2))
-    ginv = np.empty((n, 2, 2))
-    detg = np.empty(n)
-    nu = np.empty((n, 3))
-    support = np.empty(n)
-    h = np.empty((n, 2, 2))
-    wch = np.empty((n, 2, 2))
-    frame = np.empty((n, 2, 2))
-    wfr = np.empty((n, 2, 2))
-    hessfr = np.empty((n, 2, 2))
-    sigma1 = np.empty(n)
-    sigma2 = np.empty(n)
-    preint = np.empty(n)
-    gamma = np.empty((n, 2, 2, 2))
-    dg = np.empty((n, 2, 2, 2))
-    nu_norm = np.empty(n)
-    nu_tan = np.empty((n, 2))
-
-    kernels.surface_core(
-        theta, y, dy, d2y,
-        margin, g, ginv, detg, nu, support, h, wch, frame, wfr, hessfr,
-        sigma1, sigma2, preint, gamma, dg, nu_norm, nu_tan,
-    )
+    core = kernels.surface_core(theta, y, dy, d2y)
+    margin = core["margin"]
     if np.any(margin <= 0.0):
         worst = int(np.argmin(margin))
         raise NonSpacelike(
@@ -117,22 +93,13 @@ def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
             f"(theta={theta[worst]:.4f}, phi={phi[worst]:.4f}, "
             f"margin={margin[worst]:.3e})"
         )
-
-    k_norm = np.empty(n)
-    gauss = np.empty(n)
-    newton = np.empty(n)
-    kernels.curvature_fields(
-        theta, y, dy, d2y, d3y, ginv, detg, h, wch, gamma, dg, sigma2,
-        k_norm, gauss, newton,
+    k_norm, gauss, newton = kernels.curvature_fields(
+        theta, y, dy, d2y, d3y, core["g"], core["g_inv"], core["det_g"],
+        core["w_chart"], core["gamma"], core.pop("dg"), core["sigma2"],
     )
-
     return SurfaceFields(
-        theta=theta, phi=phi, y=y, margin=margin, g=g, g_inv=ginv, det_g=detg,
-        nu=nu, support=support, h=h, w_chart=wch, frame=frame, w_frame=wfr,
-        hess_phi_frame=hessfr, sigma1=sigma1, sigma2=sigma2,
-        pre_integral_residual=preint, gamma=gamma, k_norm=k_norm,
-        gauss_residual=gauss, newton_residual=newton,
-        nu_norm_residual=nu_norm, nu_tangency_residual=nu_tan,
+        theta=theta, phi=phi, y=y, k_norm=k_norm, gauss_residual=gauss,
+        newton_residual=newton, **core,
     )
 
 

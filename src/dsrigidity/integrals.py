@@ -228,6 +228,10 @@ def rigidity_experiment(
     the curvature gate.  The integrand couples the (negative) support
     combination with the (nonnegative) cone gap, so the vanishing of the
     integral forces pointwise equality of the shape operators.
+
+    The verdict is ``NotIsometric`` when the metric pullback misses
+    ``metric_tol``, ``Rigid`` when the integral and the shape-operator
+    mismatch meet their tolerances, and ``ThresholdsMissed`` otherwise.
     """
     data = pair.node_data(rule)
     if np.any(data.base.y <= 0.0) or np.any(data.tilde.y <= 0.0):
@@ -258,10 +262,9 @@ def rigidity_experiment(
         area=area,
     )
     if metric_res > metric_tol:
-        return RigidityReport(verdict="NotIsometric", **report)
-    if abs(integral) / area <= integral_rel_tol and mismatch <= w_tol:
-        return RigidityReport(verdict="Rigid", **report)
-    raise RuntimeError(
-        "isometric pair failed the rigidity thresholds; "
-        f"integral_rel={abs(integral) / area:.3e}, mismatch={mismatch:.3e}"
-    )
+        verdict = "NotIsometric"
+    elif abs(integral) / area <= integral_rel_tol and mismatch <= w_tol:
+        verdict = "Rigid"
+    else:
+        verdict = "ThresholdsMissed"
+    return RigidityReport(verdict=verdict, **report)

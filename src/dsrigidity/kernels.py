@@ -1,9 +1,11 @@
-"""Hot per-node kernels: surface geometry assembly and cone batch sweeps.
+"""Hot geometry kernels: surface assembly and cone batch sweeps.
 
-Each kernel is written once as a plain Python loop over nodes with scalar
-math, then compiled with numba when the active backend allows it (see
-``backend``).  The interpreted twin is the pure-numpy fallback path; both
-are exposed for the benchmark and the agreement tests.
+``surface_core`` and ``curvature_fields`` are whole-array numpy over
+node-major arrays: node k's value of a field sits at index k of the
+leading axis, tensor indices follow it, ``(n, 2, 2[, 2[, 2]])``.  Each
+formula is evaluated one tensor component at a time over all nodes, and
+the kernels return their results.  Only the derivatives of the
+Christoffel symbols that enter R^a_{212} are formed.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -21,8 +23,6 @@ import math
 
 import numpy as np
 
-from .backend import NUMBA_ENABLED, njit_compile, select
-
 # cone labels as small ints for kernel use
 LABEL_PLUS = 0
 LABEL_MINUS = 1
@@ -32,418 +32,253 @@ LABEL_BOUNDARY = 3
 _BOUNDARY_TOL = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# surface geometry: first block (metric, normal, curvature forms, Hessian)
-# ---------------------------------------------------------------------------
+def _sym(a11, a12, a22):
+    """Stack three component arrays into symmetric (n, 2, 2) matrices."""
+    return np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2)
 
 
-def _surface_core_impl(
-    theta,
-    y,
-    dy,
-    d2y,
-    out_margin,
-    out_g,
-    out_ginv,
-    out_detg,
-    out_nu,
-    out_support,
-    out_h,
-    out_wch,
-    out_frame,
-    out_wfr,
-    out_hessfr,
-    out_sigma1,
-    out_sigma2,
-    out_preint,
-    out_gamma,
-    out_dg,
-    out_nu_norm,
-    out_nu_tan,
-):
-    npts = theta.shape[0]
-    for k in range(npts):
-        th = theta[k]
-        st = math.sin(th)
-        ct = math.cos(th)
-        s2t = st * st
-        yk = y[k]
-        c = math.cosh(yk)
-        s = math.sinh(yk)
-        c2 = c * c
-        y1 = dy[k, 0]
-        y2 = dy[k, 1]
-        y11 = d2y[k, 0, 0]
-        y12 = d2y[k, 0, 1]
-        y22 = d2y[k, 1, 1]
-
-        # round metric on the sphere and its theta-derivatives
-        sig11 = 1.0
-        sig22 = s2t
-        dsig22 = 2.0 * st * ct
-
-        # induced metric g_ij = -y_i y_j + cosh^2(y) sigma_ij
-        g11 = -y1 * y1 + c2 * sig11
-        g12 = -y1 * y2
-        g22 = -y2 * y2 + c2 * sig22
-        detg = g11 * g22 - g12 * g12
-        out_g[k, 0, 0] = g11
-        out_g[k, 0, 1] = g12
-        out_g[k, 1, 0] = g12
-        out_g[k, 1, 1] = g22
-        out_detg[k] = detg
-
-        # spacelike margin: cosh^2 - |grad y|^2 in the round metric
-        grad2 = y1 * y1 + y2 * y2 / sig22
-        margin = c2 - grad2
-        out_margin[k] = margin
-        if margin <= 0.0 or detg <= 0.0:
-            # flag and skip; caller raises NonSpacelike
-            out_margin[k] = min(margin, 0.0)
-            continue
-
-        inv11 = g22 / detg
-        inv12 = -g12 / detg
-        inv22 = g11 / detg
-        out_ginv[k, 0, 0] = inv11
-        out_ginv[k, 0, 1] = inv12
-        out_ginv[k, 1, 0] = inv12
-        out_ginv[k, 1, 1] = inv22
-
-        # future-directed unit normal and support function <V, nu>
-        sqm = math.sqrt(margin)
-        nu0 = c / sqm
-        nu1 = y1 / (c * sqm)
-        nu2 = y2 / (sig22 * c * sqm)
-        out_nu[k, 0] = nu0
-        out_nu[k, 1] = nu1
-        out_nu[k, 2] = nu2
-        support = -c2 / sqm
-        out_support[k] = support
-        out_nu_norm[k] = abs(-nu0 * nu0 + c2 * (nu1 * nu1 + sig22 * nu2 * nu2) + 1.0)
-        out_nu_tan[k, 0] = abs(-nu0 * y1 + c2 * nu1)
-        out_nu_tan[k, 1] = abs(-nu0 * y2 + c2 * sig22 * nu2)
-
-        # second fundamental form h = (c/sqrt(m)) T with
-        # T_ij = HS_ij + cs sigma_ij - 2 (s/c) y_i y_j,
-        # HS = Hessian of y in the round metric
-        gam122 = -st * ct
-        gam212 = ct / st
-        hs11 = y11
-        hs12 = y12 - gam212 * y2
-        hs22 = y22 - gam122 * y1
-        soc = s / c
-        t11 = hs11 + c * s * sig11 - 2.0 * soc * y1 * y1
-        t12 = hs12 - 2.0 * soc * y1 * y2
-        t22 = hs22 + c * s * sig22 - 2.0 * soc * y2 * y2
-        scale = c / sqm
-        h11 = scale * t11
-        h12 = scale * t12
-        h22 = scale * t22
-        out_h[k, 0, 0] = h11
-        out_h[k, 0, 1] = h12
-        out_h[k, 1, 0] = h12
-        out_h[k, 1, 1] = h22
-
-        # Weingarten map in chart indices
-        w11 = inv11 * h11 + inv12 * h12
-        w12 = inv11 * h12 + inv12 * h22
-        w21 = inv12 * h11 + inv22 * h12
-        w22 = inv12 * h12 + inv22 * h22
-        out_wch[k, 0, 0] = w11
-        out_wch[k, 0, 1] = w12
-        out_wch[k, 1, 0] = w21
-        out_wch[k, 1, 1] = w22
-
-        # orthonormal frame by Gram-Schmidt on (d_theta, d_phi)
-        e1a = 1.0 / math.sqrt(g11)
-        ell = math.sqrt(detg / g11)
-        e2a = -g12 / (g11 * ell)
-        e2b = 1.0 / ell
-        out_frame[k, 0, 0] = e1a
-        out_frame[k, 0, 1] = 0.0
-        out_frame[k, 1, 0] = e2a
-        out_frame[k, 1, 1] = e2b
-
-        # W in the frame: h(e_a, e_b), exactly symmetric
-        wf11 = e1a * e1a * h11
-        wf12 = e1a * (e2a * h11 + e2b * h12)
-        wf22 = e2a * e2a * h11 + 2.0 * e2a * e2b * h12 + e2b * e2b * h22
-        out_wfr[k, 0, 0] = wf11
-        out_wfr[k, 0, 1] = wf12
-        out_wfr[k, 1, 0] = wf12
-        out_wfr[k, 1, 1] = wf22
-        out_sigma1[k] = wf11 + wf22
-        out_sigma2[k] = wf11 * wf22 - wf12 * wf12
-
-        # first derivatives of g (needed for induced Christoffels)
-        # d_p g_ij = -y_ip y_j - y_i y_jp + 2 c s y_p sigma_ij + c^2 d_p sigma_ij
-        for p in range(2):
-            yp = dy[k, p]
-            yp1 = d2y[k, p, 0]
-            yp2 = d2y[k, p, 1]
-            extra = dsig22 if p == 0 else 0.0
-            out_dg[k, p, 0, 0] = -2.0 * yp1 * y1 + 2.0 * c * s * yp * sig11
-            out_dg[k, p, 0, 1] = -yp1 * y2 - y1 * yp2 + 0.0
-            out_dg[k, p, 1, 0] = out_dg[k, p, 0, 1]
-            out_dg[k, p, 1, 1] = (
-                -2.0 * yp2 * y2 + 2.0 * c * s * yp * sig22 + c2 * extra
-            )
-
-        # induced Christoffels Gamma^m_ij = 0.5 g^{ml} (d_i g_lj + d_j g_li - d_l g_ij)
-        for i in range(2):
-            for j in range(2):
-                b0 = out_dg[k, i, 0, j] + out_dg[k, j, 0, i] - out_dg[k, 0, i, j]
-                b1 = out_dg[k, i, 1, j] + out_dg[k, j, 1, i] - out_dg[k, 1, i, j]
-                out_gamma[k, 0, i, j] = 0.5 * (inv11 * b0 + inv12 * b1)
-                out_gamma[k, 1, i, j] = 0.5 * (inv12 * b0 + inv22 * b1)
-
-        # Hessian of the radial-field potential on the surface.  With the
-        # mostly-plus signature the metric gradient of -sinh(rho) is
-        # V = cosh(rho) d_rho, so the potential carrying the identity
-        # Hess = phi' g + h <V, nu> is Phi = -sinh(y).
-        dphi1 = -c * y1
-        dphi2 = -c * y2
-        hp11 = -(s * y1 * y1 + c * y11) - out_gamma[k, 0, 0, 0] * dphi1 - out_gamma[k, 1, 0, 0] * dphi2
-        hp12 = -(s * y1 * y2 + c * y12) - out_gamma[k, 0, 0, 1] * dphi1 - out_gamma[k, 1, 0, 1] * dphi2
-        hp22 = -(s * y2 * y2 + c * y22) - out_gamma[k, 0, 1, 1] * dphi1 - out_gamma[k, 1, 1, 1] * dphi2
-
-        # frame components of the Hessian
-        hf11 = e1a * e1a * hp11
-        hf12 = e1a * (e2a * hp11 + e2b * hp12)
-        hf22 = e2a * e2a * hp11 + 2.0 * e2a * e2b * hp12 + e2b * e2b * hp22
-        out_hessfr[k, 0, 0] = hf11
-        out_hessfr[k, 0, 1] = hf12
-        out_hessfr[k, 1, 0] = hf12
-        out_hessfr[k, 1, 1] = hf22
-
-        # residual of Hess(Phi) = phi' g + h <V, nu> in the frame
-        r11 = hf11 - (s + support * wf11)
-        r12 = hf12 - support * wf12
-        r22 = hf22 - (s + support * wf22)
-        out_preint[k] = max(abs(r11), abs(r12), abs(r22))
+def _matmul(a, b):
+    """Stacked 2x2 matrix product, summed in index order."""
+    return a[:, :, 0, None] * b[:, None, 0] + a[:, :, 1, None] * b[:, None, 1]
 
 
-# ---------------------------------------------------------------------------
-# surface geometry: curvature block (intrinsic curvature, Newton divergence)
-# ---------------------------------------------------------------------------
+def _in_frame(e1a, e2a, e2b, m11, m12, m22):
+    """Components m(e_a, e_b) of a symmetric form in the frame e_1, e_2."""
+    f11 = e1a * e1a * m11
+    f12 = e1a * (e2a * m11 + e2b * m12)
+    f22 = e2a * e2a * m11 + 2.0 * e2a * e2b * m12 + e2b * e2b * m22
+    return f11, f12, f22
 
 
-def _curvature_fields_impl(
-    theta,
-    y,
-    dy,
-    d2y,
-    d3y,
-    ginv,
-    detg,
-    h,
-    wch,
-    gamma,
-    dg,
-    sigma2,
-    out_K,
-    out_gauss,
-    out_newton,
-):
-    npts = theta.shape[0]
-    d2g = np.empty((2, 2, 2, 2))
-    dginv = np.empty((2, 2, 2))
-    dgamma = np.empty((2, 2, 2, 2))
-    dh = np.empty((2, 2, 2))
-    dw = np.empty((2, 2, 2))
-    for k in range(npts):
-        th = theta[k]
-        st = math.sin(th)
-        ct = math.cos(th)
-        s2t = st * st
-        yk = y[k]
-        c = math.cosh(yk)
-        s = math.sinh(yk)
-        c2 = c * c
-        y1 = dy[k, 0]
-        y2 = dy[k, 1]
+def _second_form_parts(st, ct, c, s, dy, d2y):
+    """Spacelike margin and T, with h = (c / sqrt(margin)) T.
 
-        sig22 = s2t
-        dsig22 = 2.0 * st * ct
-        d2sig22 = 2.0 * (ct * ct - st * st)
+    T_ij = HS_ij + cs sigma_ij - 2 (s/c) y_i y_j, where HS is the Hessian of
+    y in the round metric sigma = diag(1, sin^2 theta) and the margin
+    cosh^2 - |grad y|^2 is the spacelike gap in that metric.
+    """
+    y1, y2 = dy[:, 0], dy[:, 1]
+    sig22 = st * st
+    margin = c * c - (y1 * y1 + y2 * y2 / sig22)
+    gam122 = -st * ct
+    gam212 = ct / st
+    hs12 = d2y[:, 0, 1] - gam212 * y2
+    hs22 = d2y[:, 1, 1] - gam122 * y1
+    soc = s / c
+    t11 = d2y[:, 0, 0] + c * s - 2.0 * soc * y1 * y1
+    t12 = hs12 - 2.0 * soc * y1 * y2
+    t22 = hs22 + c * s * sig22 - 2.0 * soc * y2 * y2
+    return margin, _sym(t11, t12, t22)
 
-        # second derivatives of g
-        for p in range(2):
-            for q in range(2):
-                yp = dy[k, p]
-                yq = dy[k, q]
-                ypq = d2y[k, p, q]
-                for i in range(2):
-                    for j in range(2):
-                        yip = d2y[k, i, p]
-                        yjq = d2y[k, j, q]
-                        yiq = d2y[k, i, q]
-                        yjp = d2y[k, j, p]
-                        yipq = d3y[k, i, p, q]
-                        yjpq = d3y[k, j, p, q]
-                        sij = sig22 if (i == 1 and j == 1) else (1.0 if i == j else 0.0)
-                        dsij_p = dsig22 if (i == 1 and j == 1 and p == 0) else 0.0
-                        dsij_q = dsig22 if (i == 1 and j == 1 and q == 0) else 0.0
-                        d2sij = (
-                            d2sig22
-                            if (i == 1 and j == 1 and p == 0 and q == 0)
-                            else 0.0
-                        )
-                        val = (
-                            -yipq * dy[k, j]
-                            - yip * yjq
-                            - yiq * yjp
-                            - dy[k, i] * yjpq
-                            + 2.0 * (c2 + s * s) * yq * yp * sij
-                            + 2.0 * c * s * ypq * sij
-                            + 2.0 * c * s * yp * dsij_q
-                            + 2.0 * c * s * yq * dsij_p
-                            + c2 * d2sij
-                        )
-                        d2g[p, q, i, j] = val
 
-        # derivative of the inverse metric
-        for p in range(2):
-            for a in range(2):
-                for b in range(2):
-                    acc = 0.0
-                    for m in range(2):
-                        for n in range(2):
-                            acc -= ginv[k, a, m] * dg[k, p, m, n] * ginv[k, n, b]
-                    dginv[p, a, b] = acc
+def surface_core(theta, y, dy, d2y):
+    """Metric, normal, shape operator, frame and Hessian identity per node.
 
-        # derivative of the Christoffels
-        for p in range(2):
-            for m in range(2):
-                for i in range(2):
-                    for j in range(2):
-                        acc = 0.0
-                        for l in range(2):
-                            bl = dg[k, i, l, j] + dg[k, j, l, i] - dg[k, l, i, j]
-                            dbl = (
-                                d2g[p, i, l, j]
-                                + d2g[p, j, l, i]
-                                - d2g[p, l, i, j]
-                            )
-                            acc += dginv[p, m, l] * bl + ginv[k, m, l] * dbl
-                        dgamma[p, m, i, j] = 0.5 * acc
+    Returns a dict of node-major arrays keyed by the ``SurfaceFields`` names
+    (``margin``, ``g``, ``g_inv``, ``det_g``, ``nu``, ``support``, ``h``,
+    ``w_chart``, ``frame``, ``w_frame``, ``hess_phi_frame``, ``sigma1``,
+    ``sigma2``, ``pre_integral_residual``, ``gamma``, ``nu_norm_residual``,
+    ``nu_tangency_residual``) plus ``dg`` = d_p g_ij as ``(n, p, i, j)``.
+    If any node violates the spacelike bound, only ``margin`` is returned,
+    clipped to at most 0 at the violating nodes.
+    """
+    st = np.sin(theta)
+    ct = np.cos(theta)
+    sig22 = st * st
+    c = np.cosh(y)
+    s = np.sinh(y)
+    c2 = c * c
+    y1, y2 = dy[:, 0], dy[:, 1]
 
-        # intrinsic curvature: K = g_{1a} R^a_{212} / det g
-        r0 = (
-            dgamma[0, 0, 1, 1]
-            - dgamma[1, 0, 0, 1]
-            + gamma[k, 0, 0, 0] * gamma[k, 0, 1, 1]
-            + gamma[k, 0, 0, 1] * gamma[k, 1, 1, 1]
-            - gamma[k, 0, 1, 0] * gamma[k, 0, 0, 1]
-            - gamma[k, 0, 1, 1] * gamma[k, 1, 0, 1]
+    # induced metric g_ij = -y_i y_j + cosh^2(y) sigma_ij
+    g11 = -y1 * y1 + c2
+    g12 = -y1 * y2
+    g22 = -y2 * y2 + c2 * sig22
+    detg = g11 * g22 - g12 * g12
+    margin, t = _second_form_parts(st, ct, c, s, dy, d2y)
+    bad = (margin <= 0.0) | (detg <= 0.0)
+    if bad.any():
+        return {"margin": np.where(bad, np.minimum(margin, 0.0), margin)}
+    ginv = _sym(g22 / detg, -g12 / detg, g11 / detg)
+
+    # future-directed unit normal and support function <V, nu>
+    sqm = np.sqrt(margin)
+    nu0 = c / sqm
+    nu1 = y1 / (c * sqm)
+    nu2 = y2 / (sig22 * c * sqm)
+    support = -c2 / sqm
+    nu_norm = np.abs(-nu0 * nu0 + c2 * (nu1 * nu1 + sig22 * nu2 * nu2) + 1.0)
+    nu_tan = np.abs(np.stack([-nu0 * y1 + c2 * nu1, -nu0 * y2 + c2 * sig22 * nu2], axis=-1))
+
+    h = (c / sqm)[:, None, None] * t
+    wch = _matmul(ginv, h)
+
+    # orthonormal frame by Gram-Schmidt on (d_theta, d_phi); W in the frame
+    # is h(e_a, e_b), exactly symmetric
+    e1a = 1.0 / np.sqrt(g11)
+    ell = np.sqrt(detg / g11)
+    e2a = -g12 / (g11 * ell)
+    e2b = 1.0 / ell
+    frame = np.stack([e1a, np.zeros_like(e1a), e2a, e2b], axis=-1).reshape(-1, 2, 2)
+    wf11, wf12, wf22 = _in_frame(e1a, e2a, e2b, h[:, 0, 0], h[:, 0, 1], h[:, 1, 1])
+
+    # d_p g_ij = -y_ip y_j - y_i y_jp + 2 c s y_p sigma_ij + c^2 d_p sigma_ij
+    yy = d2y[:, :, :, None] * dy[:, None, None, :]
+    dg = -(yy + yy.transpose(0, 1, 3, 2))
+    cs2 = 2.0 * c * s
+    dg[:, :, 0, 0] += cs2[:, None] * dy
+    dg[:, :, 1, 1] += cs2[:, None] * dy * sig22[:, None]
+    dg[:, 0, 1, 1] += c2 * (2.0 * st * ct)
+
+    # induced Christoffels Gamma^m_ij = 0.5 g^{ml} (d_i g_lj + d_j g_li - d_l g_ij)
+    b = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    gamma = 0.5 * (
+        ginv[:, :, 0, None, None] * b[:, None, 0] + ginv[:, :, 1, None, None] * b[:, None, 1]
+    )
+
+    # Hessian of the radial-field potential on the surface.  With the
+    # mostly-plus signature the metric gradient of -sinh(rho) is
+    # V = cosh(rho) d_rho, so the potential carrying the identity
+    # Hess = phi' g + h <V, nu> is Phi = -sinh(y).
+    hp = (
+        -(s[:, None, None] * dy[:, :, None] * dy[:, None, :] + c[:, None, None] * d2y)
+        - gamma[:, 0] * (-c * y1)[:, None, None]
+        - gamma[:, 1] * (-c * y2)[:, None, None]
+    )
+    hf11, hf12, hf22 = _in_frame(e1a, e2a, e2b, hp[:, 0, 0], hp[:, 0, 1], hp[:, 1, 1])
+
+    # residual of Hess(Phi) = phi' g + h <V, nu> in the frame
+    preint = np.maximum(
+        np.maximum(np.abs(hf11 - (s + support * wf11)), np.abs(hf12 - support * wf12)),
+        np.abs(hf22 - (s + support * wf22)),
+    )
+    return {
+        "margin": margin, "g": _sym(g11, g12, g22), "g_inv": ginv, "det_g": detg,
+        "nu": np.stack([nu0, nu1, nu2], axis=-1), "support": support, "h": h,
+        "w_chart": wch, "frame": frame, "w_frame": _sym(wf11, wf12, wf22),
+        "hess_phi_frame": _sym(hf11, hf12, hf22), "sigma1": wf11 + wf22,
+        "sigma2": wf11 * wf22 - wf12 * wf12, "pre_integral_residual": preint,
+        "gamma": gamma, "dg": dg, "nu_norm_residual": nu_norm,
+        "nu_tangency_residual": nu_tan,
+    }
+
+
+def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg, sigma2):
+    """Intrinsic curvature K, |sigma2 - (1 - K)| and the Newton divergence.
+
+    Takes ``surface_core`` outputs for spacelike nodes; returns the three
+    node arrays ``(K, gauss_residual, newton_residual)``.
+    """
+    st = np.sin(theta)
+    ct = np.cos(theta)
+    sig22 = st * st
+    dsig22 = 2.0 * st * ct
+    c = np.cosh(y)
+    s = np.sinh(y)
+    c2 = c * c
+    y1, y2 = dy[:, 0], dy[:, 1]
+
+    def d2g(p, q, i, j):
+        """d_p d_q g_ij; sigma_ij depends on theta only through sigma_22."""
+        val = (
+            -d3y[:, i, p, q] * dy[:, j]
+            - d2y[:, i, p] * d2y[:, j, q]
+            - d2y[:, i, q] * d2y[:, j, p]
+            - dy[:, i] * d3y[:, j, p, q]
         )
-        r1 = (
-            dgamma[0, 1, 1, 1]
-            - dgamma[1, 1, 0, 1]
-            + gamma[k, 1, 0, 0] * gamma[k, 0, 1, 1]
-            + gamma[k, 1, 0, 1] * gamma[k, 1, 1, 1]
-            - gamma[k, 1, 1, 0] * gamma[k, 0, 0, 1]
-            - gamma[k, 1, 1, 1] * gamma[k, 1, 0, 1]
+        if i != j:
+            return val
+        sij = 1.0 if i == 0 else sig22
+        val = val + 2.0 * (c2 + s * s) * dy[:, q] * dy[:, p] * sij
+        val = val + 2.0 * c * s * d2y[:, p, q] * sij
+        if i == 1 and q == 0:
+            val = val + 2.0 * c * s * dy[:, p] * dsig22
+        if i == 1 and p == 0:
+            val = val + 2.0 * c * s * dy[:, q] * dsig22
+        if i == 1 and p == q == 0:
+            val = val + c2 * (2.0 * (ct * ct - st * st))
+        return val
+
+    def dgamma(p, i, j):
+        """d_p Gamma^m_ij for both m, as (n, m)."""
+        dginv = -_matmul(_matmul(g_inv, dg[:, p]), g_inv)
+        bl = dg[:, i, :, j] + dg[:, j, :, i] - dg[:, :, i, j]
+        dbl = np.stack(
+            [d2g(p, i, l, j) + d2g(p, j, l, i) - d2g(p, l, i, j) for l in range(2)], axis=-1
         )
-        g11 = -y1 * y1 + c2
-        g12 = -y1 * y2
-        kcur = (g11 * r0 + g12 * r1) / detg[k]
-        out_K[k] = kcur
-        out_gauss[k] = abs(sigma2[k] - (1.0 - kcur))
+        return 0.5 * (
+            (dginv[:, :, 0] * bl[:, None, 0] + g_inv[:, :, 0] * dbl[:, None, 0])
+            + (dginv[:, :, 1] * bl[:, None, 1] + g_inv[:, :, 1] * dbl[:, None, 1])
+        )
 
-        # derivatives of h via h = (c/sqrt(m)) T
-        grad2 = y1 * y1 + y2 * y2 / sig22
-        margin = c2 - grad2
-        sqm = math.sqrt(margin)
-        gam122 = -st * ct
-        gam212 = ct / st
-        dgam122 = s2t - ct * ct
-        dgam212 = -1.0 / s2t
-        soc = s / c
-        hs11 = d2y[k, 0, 0]
-        hs12 = d2y[k, 0, 1] - gam212 * y2
-        hs22 = d2y[k, 1, 1] - gam122 * y1
-        t11 = hs11 + c * s - 2.0 * soc * y1 * y1
-        t12 = hs12 - 2.0 * soc * y1 * y2
-        t22 = hs22 + c * s * sig22 - 2.0 * soc * y2 * y2
-        scale = c / sqm
-        for p in range(2):
-            yp = dy[k, p]
-            y1p = d2y[k, 0, p]
-            y2p = d2y[k, 1, p]
-            # d_p of |grad y|^2 and of the margin
-            dgrad2 = 2.0 * (y1 * y1p + y2 * y2p / sig22)
-            if p == 0:
-                dgrad2 -= y2 * y2 * dsig22 / (sig22 * sig22)
-            dmargin = 2.0 * c * s * yp - dgrad2
-            dscale = s * yp / sqm - 0.5 * c * dmargin / (sqm * margin)
+    # intrinsic curvature: K = g_{1a} R^a_{212} / det g
+    r = (
+        dgamma(0, 1, 1)
+        - dgamma(1, 0, 1)
+        + gamma[:, :, 0, 0] * gamma[:, None, 0, 1, 1]
+        + gamma[:, :, 0, 1] * gamma[:, None, 1, 1, 1]
+        - gamma[:, :, 1, 0] * gamma[:, None, 0, 0, 1]
+        - gamma[:, :, 1, 1] * gamma[:, None, 1, 0, 1]
+    )
+    k_norm = (g[:, 0, 0] * r[:, 0] + g[:, 0, 1] * r[:, 1]) / det_g
+    gauss = np.abs(sigma2 - (1.0 - k_norm))
 
-            dhs11 = d3y[k, 0, 0, p]
-            dhs12 = d3y[k, 0, 1, p] - gam212 * y2p
-            dhs22 = d3y[k, 1, 1, p] - gam122 * y1p
-            if p == 0:
-                dhs12 -= dgam212 * y2
-                dhs22 -= dgam122 * y1
-            csp = (c2 + s * s) * yp
-            dsoc = yp / c2
-            dt11 = dhs11 + csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
-            dt12 = dhs12 - 2.0 * (dsoc * y1 * y2 + soc * (y1p * y2 + y1 * y2p))
-            dt22 = (
-                dhs22
-                + csp * sig22
-                + (c * s * dsig22 if p == 0 else 0.0)
-                - 2.0 * (dsoc * y2 * y2 + soc * 2.0 * y2 * y2p)
-            )
-            dh[p, 0, 0] = dscale * t11 + scale * dt11
-            dh[p, 0, 1] = dscale * t12 + scale * dt12
-            dh[p, 1, 0] = dh[p, 0, 1]
-            dh[p, 1, 1] = dscale * t22 + scale * dt22
-
+    # derivatives of h via h = (c/sqrt(m)) T
+    margin, t = _second_form_parts(st, ct, c, s, dy, d2y)
+    sqm = np.sqrt(margin)
+    scale = c / sqm
+    soc = s / c
+    gam122 = -st * ct
+    gam212 = ct / st
+    dgam122 = sig22 - ct * ct
+    dgam212 = -1.0 / sig22
+    dw = np.empty_like(dg)
+    for p in range(2):
+        yp = dy[:, p]
+        y1p = d2y[:, 0, p]
+        y2p = d2y[:, 1, p]
+        # d_p of |grad y|^2 and of the margin
+        dgrad2 = 2.0 * (y1 * y1p + y2 * y2p / sig22)
+        dhs12 = d3y[:, 0, 1, p] - gam212 * y2p
+        dhs22 = d3y[:, 1, 1, p] - gam122 * y1p
+        dsig_t = 0.0
+        if p == 0:
+            dgrad2 = dgrad2 - y2 * y2 * dsig22 / (sig22 * sig22)
+            dhs12 = dhs12 - dgam212 * y2
+            dhs22 = dhs22 - dgam122 * y1
+            dsig_t = c * s * dsig22
+        dmargin = 2.0 * c * s * yp - dgrad2
+        dscale = s * yp / sqm - 0.5 * c * dmargin / (sqm * margin)
+        csp = (c2 + s * s) * yp
+        dsoc = yp / c2
+        dt11 = d3y[:, 0, 0, p] + csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
+        dt12 = dhs12 - 2.0 * (dsoc * y1 * y2 + soc * (y1p * y2 + y1 * y2p))
+        dt22 = dhs22 + csp * sig22 + dsig_t - 2.0 * (dsoc * y2 * y2 + soc * 2.0 * y2 * y2p)
+        dh = dscale[:, None, None] * t + scale[:, None, None] * _sym(dt11, dt12, dt22)
         # dW = ginv (dh - dg W)
+        dw[:, p] = _matmul(g_inv, dh - _matmul(dg[:, p], w_chart))
+
+    # covariant divergence of the Newton tensor T^i_j = sigma1 delta - W^i_j:
+    # div_j = tr(d_j W) - sum_i d_i W^i_j
+    #         + sum_p Gamma^i_{ip} T^p_j - sum_{i,p} Gamma^p_{ij} T^i_p
+    tr_w = w_chart[:, 0, 0] + w_chart[:, 1, 1]
+    newton_t = tr_w[:, None, None] * np.eye(2) - w_chart
+    gc = gamma[:, 0, 0] + gamma[:, 1, 1]
+    div = (
+        dw[:, :, 0, 0] + dw[:, :, 1, 1]
+        - dw[:, 0, 0]
+        - dw[:, 1, 1]
+        + gc[:, 0, None] * newton_t[:, 0]
+        + gc[:, 1, None] * newton_t[:, 1]
+    )
+    for i in range(2):
         for p in range(2):
-            for i in range(2):
-                for j in range(2):
-                    acc = 0.0
-                    for l in range(2):
-                        inner = dh[p, l, j]
-                        for m in range(2):
-                            inner -= dg[k, p, l, m] * wch[k, m, j]
-                        acc += ginv[k, i, l] * inner
-                    dw[p, i, j] = acc
-
-        # covariant divergence of the Newton tensor T^i_j = sigma1 delta - W^i_j:
-        # div_j = tr(d_j W) - sum_i d_i W^i_j
-        #         + sum_p Gamma^i_{ip} T^p_j - sum_{i,p} Gamma^p_{ij} T^i_p
-        tr_w = wch[k, 0, 0] + wch[k, 1, 1]
-        trdw0 = dw[0, 0, 0] + dw[0, 1, 1]
-        trdw1 = dw[1, 0, 0] + dw[1, 1, 1]
-        best = 0.0
-        for j in range(2):
-            div = trdw0 if j == 0 else trdw1
-            for i in range(2):
-                div -= dw[i, i, j]
-            for p in range(2):
-                tpj = tr_w * (1.0 if p == j else 0.0) - wch[k, p, j]
-                gc = gamma[k, 0, 0, p] + gamma[k, 1, 1, p]
-                div += gc * tpj
-            for i in range(2):
-                for p in range(2):
-                    tip = tr_w * (1.0 if i == p else 0.0) - wch[k, i, p]
-                    div -= gamma[k, p, i, j] * tip
-            if abs(div) > best:
-                best = abs(div)
-        out_newton[k] = best
+            div = div - gamma[:, p, i] * newton_t[:, i, p, None]
+    return k_norm, gauss, np.abs(div).max(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# cone sweep over stacked symmetric matrices
-# ---------------------------------------------------------------------------
-
-
-def _garding_batch_impl(
-    w_a, w_b, out_s2a, out_s2b, out_s11, out_gap, out_roots_a, out_label_a
-):
+def garding_batch(w_a, w_b, out_s2a, out_s2b, out_s11, out_gap, out_roots_a, out_label_a):
+    """Cone sweep over stacked symmetric matrices, one pair per loop pass."""
     batch = w_a.shape[0]
     n = w_a.shape[1]
     half = 0.5 * n * (n - 1)
@@ -486,35 +321,3 @@ def _garding_batch_impl(
             out_label_a[b] = LABEL_MINUS
         else:
             out_label_a[b] = LABEL_OUTSIDE
-
-
-# compiled twins and active selections
-
-surface_core_py = _surface_core_impl
-surface_core_nb = njit_compile(_surface_core_impl)
-surface_core = select(surface_core_py, surface_core_nb)
-
-curvature_fields_py = _curvature_fields_impl
-curvature_fields_nb = njit_compile(_curvature_fields_impl)
-curvature_fields = select(curvature_fields_py, curvature_fields_nb)
-
-garding_batch_py = _garding_batch_impl
-garding_batch_nb = njit_compile(_garding_batch_impl)
-garding_batch = select(garding_batch_py, garding_batch_nb)
-
-__all__ = [
-    "surface_core",
-    "surface_core_py",
-    "surface_core_nb",
-    "curvature_fields",
-    "curvature_fields_py",
-    "curvature_fields_nb",
-    "garding_batch",
-    "garding_batch_py",
-    "garding_batch_nb",
-    "NUMBA_ENABLED",
-    "LABEL_PLUS",
-    "LABEL_MINUS",
-    "LABEL_OUTSIDE",
-    "LABEL_BOUNDARY",
-]

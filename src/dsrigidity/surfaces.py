@@ -149,15 +149,11 @@ class AnalyticSurface:
 
 
 def _jet_to_node_arrays(jet):
-    y = np.asarray(jet.f, dtype=float)
-    dy = np.moveaxis(np.asarray(jet.d), 0, -1)
-    d2y = np.moveaxis(np.asarray(jet.d2), (0, 1), (-2, -1))
-    d3y = np.moveaxis(np.asarray(jet.d3), (0, 1, 2), (-3, -2, -1))
     return (
-        np.ascontiguousarray(y),
-        np.ascontiguousarray(dy),
-        np.ascontiguousarray(d2y),
-        np.ascontiguousarray(d3y),
+        np.asarray(jet.f, dtype=float),
+        np.moveaxis(np.asarray(jet.d), 0, -1),
+        np.moveaxis(np.asarray(jet.d2), (0, 1), (-2, -1)),
+        np.moveaxis(np.asarray(jet.d3), (0, 1, 2), (-3, -2, -1)),
     )
 
 
@@ -185,6 +181,13 @@ class SampledGridSurface:
         self.n_theta, self.n_phi = values.shape
         self.theta_grid = (np.arange(self.n_theta) + 0.5) * math.pi / self.n_theta
         self.phi_grid = np.arange(self.n_phi) * 2.0 * math.pi / self.n_phi
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"non-finite height {values[i, j]} at grid index [{i}, {j}] "
+                f"(theta={self.theta_grid[i]:.4f}, phi={self.phi_grid[j]:.4f})"
+            )
 
     @classmethod
     def from_height(cls, surface, n_theta, n_phi):

@@ -81,14 +81,8 @@ def _invert_chart_map(rho_jet, u_jets):
         - np.einsum("na,naijk->nijk", dy, u3)
     )
     d3y = np.einsum("nia,njb,nkc,nijk->nabc", ainv, ainv, ainv, m3)
-    y = np.ascontiguousarray(np.atleast_1d(rho_jet.f), dtype=float)
-    return (
-        y,
-        np.ascontiguousarray(dy),
-        np.ascontiguousarray(d2y),
-        np.ascontiguousarray(d3y),
-        u1,
-    )
+    y = np.atleast_1d(np.asarray(rho_jet.f, dtype=float))
+    return y, dy, d2y, d3y, u1
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +153,9 @@ class IsometryCorrespondence:
         ]
         r = jets.sqrt(xt[1] * xt[1] + xt[2] * xt[2] + xt[3] * xt[3])
         rho_t = jets.arcsinh(xt[0])
-        theta_t = jets.arccos(xt[3] / r)
+        # atan2 keeps theta~ and its derivatives accurate next to the image
+        # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)
+        theta_t = jets.azimuth(xt[3], jets.sqrt(xt[1] * xt[1] + xt[2] * xt[2]))
         phi_t = jets.azimuth(xt[1] / r, xt[2] / r)
 
         y, dy, d2y, d3y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))

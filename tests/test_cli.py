@@ -91,6 +91,13 @@ def test_rigidity_command_verdicts(tmp_path, capsys):
     assert run(["rigidity", "--config", rigid, "--quad", "32x64"]) == 0
     assert "verdict Rigid" in capsys.readouterr().out
 
+    # an isometric pair that misses a threshold is a failing verdict, not a crash
+    argv = ["rigidity", "--config", rigid, "--quad", "16x16", "--tol", "w_mismatch=1e-15"]
+    assert run(argv) == 1
+    out = capsys.readouterr().out
+    assert "verdict ThresholdsMissed" in out
+    assert "[FAIL] w_mismatch" in out and "[PASS] metric_pullback" in out
+
     control = _write(
         tmp_path / "control.cfg",
         "[surface]\nkind = perturbed_slice\nrho0 = 0.6\nmodes = 0.05:2:0\n\n"
@@ -119,6 +126,26 @@ def test_config_validation(tmp_path, capsys):
     assert run(["rigidity", "--config", fast, "--quad", "24x48"]) == 2
     badtol = _write(tmp_path / "geo.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n")
     assert run(["geometry", "--config", badtol, "--quad", "24x48", "--tol", "nope=1"]) == 2
+    typo = _write(
+        tmp_path / "typo.cfg",
+        "[surface]\nkind = slice\nrho0 = 0.5\n\n[suite]\nchecks = gauss typo_check\n",
+    )
+    capsys.readouterr()
+    assert run(["geometry", "--config", typo, "--quad", "24x48"]) == 2
+    assert "'typo_check'" in capsys.readouterr().err
+
+    sampled = "[surface]\nkind = sampled\nrho0 = 0.5\nresolution = 24x48\n"
+    analytic = "[surface]\nkind = slice\nrho0 = 0.5\n"
+    boost = "\n[isometry]\nkind = boost\nrapidity = 0.1\naxis = 1 0 0\n"
+    for text in (
+        sampled + boost,
+        analytic + "\n" + sampled.replace("[surface]", "[surface2]"),
+        sampled + "\n" + analytic.replace("[surface]", "[surface2]"),
+    ):
+        pair_cfg = _write(tmp_path / "sampled_pair.cfg", text)
+        for command in ("verify-identities", "rigidity"):
+            assert run([command, "--config", pair_cfg, "--quad", "16x16"]) == 2
+            assert "analytic surfaces" in capsys.readouterr().err
 
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys):
@@ -151,7 +178,7 @@ def test_sampled_surface_config(tmp_path, capsys):
     assert "newton_divergence.sampled" in out
 
 
-def test_samples_file_roundtrip(tmp_path):
+def test_samples_file_roundtrip(tmp_path, capsys):
     from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 
     grid = SampledGridSurface.from_height(AnalyticSurface(0.5), 24, 48)
@@ -162,3 +189,13 @@ def test_samples_file_roundtrip(tmp_path):
         f"[surface]\nkind = sampled\nresolution = 24x48\nsamples = {path}\n",
     )
     assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 0
+
+    values = grid.values.copy()
+    values[3, 4] = np.nan
+    np.save(path, values)
+    assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
+    assert "grid index [3, 4] (theta=0.4581, phi=0.5236)" in capsys.readouterr().err
+
+    path.unlink()
+    assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
+    assert "samples file" in capsys.readouterr().err

@@ -124,6 +124,21 @@ def test_rigidity_on_isometric_pairs(pairs, rule_64):
     assert rep.max_w_mismatch < 1e-12
 
 
+def test_rigidity_when_a_node_maps_next_to_the_image_chart_pole(rule_32):
+    # one node lands within sin(theta~) = 5.7e-4 of the image chart pole
+    axis = np.array([-0.8262995537662207, 0.5545146286727469, 0.09870447828579164])
+    pair = transport.isometry_pair(
+        AnalyticSurface(0.7315501103780506, [(0.024414182769641336, 2, 1)]),
+        ambient.boost(-0.46826574533131926, axis / np.linalg.norm(axis)),
+    )
+    theta_t, _, _ = pair.correspondence.target_angles(rule_32.theta, rule_32.phi)
+    assert np.sin(theta_t).min() < 1e-3
+    rep = integrals.rigidity_experiment(pair, rule_32)
+    assert rep.verdict == "Rigid"
+    assert rep.max_w_mismatch <= 1e-10
+    assert rep.gap_min >= -1e-12
+
+
 def test_rigidity_negative_control(rule_64):
     pair = transport.identity_pair(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])

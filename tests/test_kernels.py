@@ -1,28 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dsrigidity import kernels
+from dsrigidity import geometry, kernels
+from dsrigidity.errors import NonSpacelike
 from dsrigidity.surfaces import AnalyticSurface
 
-needs_numba = pytest.mark.skipif(
-    kernels.surface_core_nb is None, reason="numba unavailable"
-)
 
-
-def _core_outputs(n):
-    return (
-        np.empty(n), np.empty((n, 2, 2)), np.empty((n, 2, 2)), np.empty(n),
-        np.empty((n, 3)), np.empty(n), np.empty((n, 2, 2)), np.empty((n, 2, 2)),
-        np.empty((n, 2, 2)), np.empty((n, 2, 2)), np.empty((n, 2, 2)),
-        np.empty(n), np.empty(n), np.empty(n), np.empty((n, 2, 2, 2)),
-        np.empty((n, 2, 2, 2)), np.empty(n), np.empty((n, 2)),
-    )
-
-
-@needs_numba
-def test_surface_kernels_agree_between_backends():
+def test_surface_kernels_satisfy_their_invariants():
     rng = np.random.default_rng(1)
     n = 300
     theta = rng.uniform(0.15, math.pi - 0.15, n)
@@ -30,43 +17,25 @@ def test_surface_kernels_agree_between_backends():
     surf = AnalyticSurface(0.55, [(0.05, 2, 0), (0.02, 4, 3)])
     y, dy, d2y, d3y = surf.jets(theta, phi)
 
-    outs_py = _core_outputs(n)
-    outs_nb = _core_outputs(n)
-    kernels.surface_core_py(theta, y, dy, d2y, *outs_py)
-    kernels.surface_core_nb(theta, y, dy, d2y, *outs_nb)
-    for a, b in zip(outs_py, outs_nb):
-        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
+    f = geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
+    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
+    np.testing.assert_allclose(f.g_inv @ f.g, eye, atol=1e-13)
+    frame_t = f.frame.transpose(0, 2, 1)
+    np.testing.assert_allclose(f.frame @ f.g @ frame_t, eye, atol=1e-13)
+    np.testing.assert_allclose(f.w_frame, f.frame @ f.h @ frame_t, atol=1e-13)
+    np.testing.assert_array_equal(f.w_frame, f.w_frame.transpose(0, 2, 1))
+    np.testing.assert_allclose(f.sigma1, np.trace(f.w_frame, axis1=1, axis2=2), atol=1e-14)
+    np.testing.assert_allclose(f.sigma2, np.linalg.det(f.w_frame), atol=1e-14)
+    np.testing.assert_allclose(f.gamma, f.gamma.transpose(0, 1, 3, 2), atol=1e-14)
 
-    margin, g, ginv, detg, nu, sup, h, wch, frame, wfr, hf, s1, s2, pre, gam, dg, nn, nt = outs_nb
-    curvature_py = (np.empty(n), np.empty(n), np.empty(n))
-    curvature_nb = (np.empty(n), np.empty(n), np.empty(n))
-    kernels.curvature_fields_py(
-        theta, y, dy, d2y, d3y, ginv, detg, h, wch, gam, dg, s2, *curvature_py
-    )
-    kernels.curvature_fields_nb(
-        theta, y, dy, d2y, d3y, ginv, detg, h, wch, gam, dg, s2, *curvature_nb
-    )
-    for a, b in zip(curvature_py, curvature_nb):
-        assert np.abs(a - b).max() <= 1e-12
-
-
-@needs_numba
-def test_garding_batch_agrees_between_backends():
-    rng = np.random.default_rng(2)
-    b, n = 500, 5
-    wa = rng.uniform(-5, 5, (b, n, n))
-    wa = 0.5 * (wa + wa.transpose(0, 2, 1))
-    wb = rng.uniform(-5, 5, (b, n, n))
-    wb = 0.5 * (wb + wb.transpose(0, 2, 1))
-    outs = lambda: (
-        np.empty(b), np.empty(b), np.empty(b), np.empty(b),
-        np.empty((b, 2)), np.empty(b, dtype=np.int8),
-    )
-    o1, o2 = outs(), outs()
-    kernels.garding_batch_py(wa, wb, *o1)
-    kernels.garding_batch_nb(wa, wb, *o2)
-    for a, c in zip(o1, o2):
-        assert np.abs(np.asarray(a, dtype=float) - np.asarray(c, dtype=float)).max() <= 1e-12
+    # one node with |grad y| >= cosh y; numpy must not warn on the way to the error
+    bad = 123
+    dy = dy.copy()
+    dy[bad, 0] = 2.0 * math.cosh(y[bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonSpacelike, match=f"at node {bad} "):
+            geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
 
 
 def test_garding_batch_matches_scalar_reference():
