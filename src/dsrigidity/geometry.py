@@ -1,7 +1,7 @@
 """Pointwise surface geometry: fields, invariant checks, curvature gate.
 
 This layer feeds height jets into the geometry kernels and exposes the
-results as arrays over a node set, plus single-node convenience wrappers.
+results as arrays over a node set.
 """
 
 import math
@@ -9,19 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, symfun
 from .errors import ChartPole, GateFailed, NonSpacelike
-from .symfun import ConeLabel
 
 #: sigma2 must exceed this at every node for the curvature gate
 GATE_SIGMA2_TOL = 1e-10
 
-_LABEL_MAP = {
-    kernels.LABEL_PLUS: ConeLabel.PLUS,
-    kernels.LABEL_MINUS: ConeLabel.MINUS,
-    kernels.LABEL_OUTSIDE: ConeLabel.OUTSIDE,
-    kernels.LABEL_BOUNDARY: ConeLabel.BOUNDARY,
-}
+
+def node_text(theta, phi, k, **values):
+    """'node k (theta=..., phi=..., name=value)' for error messages."""
+    parts = [f"theta={theta[k]:.4f}", f"phi={phi[k]:.4f}"]
+    parts += [f"{name}={value:.3e}" for name, value in values.items()]
+    return f"node {k} ({', '.join(parts)})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,19 +64,6 @@ class SurfaceFields:
         """phi'(y) = sinh(y), the radial profile derivative on the surface."""
         return np.sinh(self.y)
 
-    def cone_labels(self):
-        """Cone label of the shape operator at every node."""
-        disc = self.sigma1**2 - 4.0 * self.sigma2
-        root = np.sqrt(np.maximum(disc, 0.0))
-        t1 = 0.5 * (-self.sigma1 - root)
-        t2 = 0.5 * (-self.sigma1 + root)
-        labels = np.full(self.n_nodes, kernels.LABEL_OUTSIDE, dtype=np.int8)
-        labels[t2 < 0.0] = kernels.LABEL_PLUS
-        labels[t1 > 0.0] = kernels.LABEL_MINUS
-        boundary = (np.abs(t1) <= 1e-12) | (np.abs(t2) <= 1e-12)
-        labels[boundary] = kernels.LABEL_BOUNDARY
-        return labels
-
 
 def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
     """Run the geometry kernels on precomputed jets at the given nodes."""
@@ -89,9 +75,8 @@ def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
     if np.any(margin <= 0.0):
         worst = int(np.argmin(margin))
         raise NonSpacelike(
-            f"gradient bound violated at node {worst} "
-            f"(theta={theta[worst]:.4f}, phi={phi[worst]:.4f}, "
-            f"margin={margin[worst]:.3e})"
+            "gradient bound violated at "
+            + node_text(theta, phi, worst, margin=margin[worst])
         )
     k_norm, gauss, newton = kernels.curvature_fields(
         theta, y, dy, d2y, d3y, core["g"], core["g_inv"], core["det_g"],
@@ -115,56 +100,6 @@ def evaluate_on_grid(surface) -> SurfaceFields:
     """Evaluate a sampled surface at its own grid nodes."""
     theta, phi = surface.nodes()
     return evaluate_fields(theta, phi, surface.grid_jets())
-
-
-@dataclass(frozen=True, eq=False)
-class PointGeometry:
-    """Single-node view of the surface fields."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    h: np.ndarray
-    w: np.ndarray
-    nu: np.ndarray
-    support: float
-    frame: np.ndarray
-    hess_phi: np.ndarray
-    sigma1: float
-    sigma2: float
-    k_norm: float
-
-
-def point_geometry(surface, node) -> PointGeometry:
-    """All pointwise geometric data at one chart node (theta, phi)."""
-    theta, phi = node
-    f = evaluate_surface(surface, [theta], [phi])
-    return PointGeometry(
-        g=f.g[0], g_inv=f.g_inv[0], h=f.h[0], w=f.w_frame[0], nu=f.nu[0],
-        support=float(f.support[0]), frame=f.frame[0],
-        hess_phi=f.hess_phi_frame[0], sigma1=float(f.sigma1[0]),
-        sigma2=float(f.sigma2[0]), k_norm=float(f.k_norm[0]),
-    )
-
-
-def check_pre_integral(surface, node) -> float:
-    """Max-norm residual of Hess(Phi) = phi' g + h <V, nu> at a node."""
-    theta, phi = node
-    f = evaluate_surface(surface, [theta], [phi])
-    return float(f.pre_integral_residual[0])
-
-
-def check_sigma2_curvature(surface, node):
-    """(sigma2, intrinsic curvature, residual of sigma2 = 1 - K)."""
-    theta, phi = node
-    f = evaluate_surface(surface, [theta], [phi])
-    return float(f.sigma2[0]), float(f.k_norm[0]), float(f.gauss_residual[0])
-
-
-def newton_divergence(surface, node) -> float:
-    """Covariant divergence of sigma1(W) Id - W in chart coordinates."""
-    theta, phi = node
-    f = evaluate_surface(surface, [theta], [phi])
-    return float(f.newton_residual[0])
 
 
 def sampled_pre_integral_residual(surface) -> np.ndarray:
@@ -232,22 +167,20 @@ def curvature_gate_fields(fields: SurfaceFields):
 
     The gate passes when sigma2 > GATE_SIGMA2_TOL at every node; the cone
     labels must agree across nodes whenever the gate passes (connectedness
-    of the positivity region).
+    of the positivity region).  Returns ``(passed, label)``, label None
+    when the gate fails.
     """
-    passed = bool(np.all(fields.sigma2 > GATE_SIGMA2_TOL))
-    labels = fields.cone_labels()
-    label = None
-    if passed:
-        unique = np.unique(labels)
-        if unique.size != 1:
-            raise GateFailed(
-                "cone labels differ across nodes despite positive sigma2"
-            )
-        label = _LABEL_MAP[int(unique[0])]
-    return passed, label
-
-
-def curvature_gate(surface, rule):
-    """Evaluate the curvature gate on a quadrature rule's nodes."""
-    fields = evaluate_surface(surface, rule.theta, rule.phi)
-    return curvature_gate_fields(fields)
+    if not np.all(fields.sigma2 > GATE_SIGMA2_TOL):
+        return False, None
+    _, _, labels = symfun.cone_roots(fields.w_frame)
+    other = np.flatnonzero(labels != labels[0])
+    if other.size:
+        k = other[0]
+        raise GateFailed(
+            "cone labels differ across nodes despite positive sigma2: "
+            f"{node_text(fields.theta, fields.phi, 0)} is "
+            f"{symfun.CONE_LABELS[labels[0]].value}, "
+            f"{node_text(fields.theta, fields.phi, k)} is "
+            f"{symfun.CONE_LABELS[labels[k]].value}"
+        )
+    return True, symfun.CONE_LABELS[labels[0]]

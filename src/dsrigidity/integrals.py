@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symfun
 from .errors import CorrespondenceInvalid, GateFailed
-from .geometry import GATE_SIGMA2_TOL, curvature_gate_fields
+from .geometry import GATE_SIGMA2_TOL, curvature_gate_fields, node_text
 from .quadrature import integrate_surface, reduce_sum
 
 #: default tolerances for the pair suites
@@ -23,15 +24,9 @@ TILDE_SYMMETRY_TOL = 1e-6
 METRIC_PULLBACK_TOL = 1e-8
 W_MISMATCH_TOL = 1e-6
 RIGIDITY_INTEGRAL_REL_TOL = 1e-8
-
-
-def integrate_over_M(surface, func, rule) -> float:
-    """Integrate a node function over a surface with its area element."""
-    from .geometry import evaluate_surface
-
-    fields = evaluate_surface(surface, rule.theta, rule.phi)
-    values = func(fields)
-    return integrate_surface(rule, fields.sqrt_det_g, values)
+#: sigma11(W, W~) - sigma2(W) may dip below zero by at most this on an
+#: isometric pair (roundoff of the pointwise cone inequality)
+CONE_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,41 +54,29 @@ class RigidityReport:
     gap_min: float
     area: float
     verdict: str
-
-
-def _d_sigma2_2x2(w):
-    """Derivative matrix of sigma2 for stacked symmetric 2x2 operators."""
-    tr = w[:, 0, 0] + w[:, 1, 1]
-    out = np.empty_like(w)
-    out[:, 0, 0] = tr - w[:, 0, 0]
-    out[:, 1, 1] = tr - w[:, 1, 1]
-    out[:, 0, 1] = -w[:, 1, 0]
-    out[:, 1, 0] = -w[:, 0, 1]
-    return out
-
-
-def _sigma2_2x2(w):
-    return w[:, 0, 0] * w[:, 1, 1] - w[:, 0, 1] * w[:, 1, 0]
-
-
-def _sigma11_2x2(wa, wb):
-    return 0.5 * np.einsum("nij,nij->n", _d_sigma2_2x2(wa), wb)
+    integral_pass: bool
+    w_mismatch_pass: bool
+    cone_gap_pass: bool
 
 
 def _require_gates(data):
     for name, fields in (("surface", data.base), ("image surface", data.tilde)):
         passed, _ = curvature_gate_fields(fields)
         if not passed:
+            k = int(np.argmin(fields.sigma2))
             raise GateFailed(
-                f"{name}: sigma2 <= {GATE_SIGMA2_TOL} at some node"
+                f"{name}: sigma2 <= {GATE_SIGMA2_TOL} at "
+                + node_text(fields.theta, fields.phi, k, sigma2=fields.sigma2[k])
             )
 
 
 def _require_correspondence(data, tol=METRIC_PULLBACK_TOL):
-    worst = float(data.metric_pullback_residual.max())
-    if worst > tol:
+    residual = data.metric_pullback_residual
+    k = int(np.argmax(residual))
+    if residual[k] > tol:
         raise CorrespondenceInvalid(
-            f"pulled-back metric deviates by {worst:.3e} (tolerance {tol:g})"
+            f"pulled-back metric deviates by {residual[k]:.3e} (tolerance {tol:g}) at "
+            + node_text(data.base.theta, data.base.phi, k)
         )
 
 
@@ -109,8 +92,8 @@ def pair_integrand_tables(data):
     base = data.base
     w = base.w_frame
     wt = data.w_tilde_frame
-    dw = _d_sigma2_2x2(w)
-    dwt = _d_sigma2_2x2(wt)
+    dw = symfun.d_sigma2(w)
+    dwt = symfun.d_sigma2(wt)
     hess = base.hess_phi_frame
     hess_t = data.hess_phi_tilde_frame
     pp = base.phi_prime
@@ -118,11 +101,11 @@ def pair_integrand_tables(data):
     sup = base.support
     sup_t = data.support_tilde
 
-    s1w = w[:, 0, 0] + w[:, 1, 1]
-    s1wt = wt[:, 0, 0] + wt[:, 1, 1]
-    s2w = _sigma2_2x2(w)
-    s2wt = _sigma2_2x2(wt)
-    s11 = _sigma11_2x2(w, wt)
+    s1w = base.sigma1
+    s1wt = symfun.sigma1(wt)
+    s2w = base.sigma2
+    s2wt = symfun.sigma2(wt)
+    s11 = symfun.sigma11(w, wt)
 
     contract = lambda d, h: np.einsum("nij,nij->n", d, h)
     lhs = {
@@ -153,9 +136,8 @@ def pair_integrand_tables(data):
     return lhs, rhs, rhs_statement, term_scale
 
 
-def verify_integral_identities(pair, rule, rel_tol=IDENTITY_REL_TOL):
-    """Check the four integral identities on a pair; returns four reports."""
-    data = pair.node_data(rule)
+def verify_integral_identities(data, rule, rel_tol=IDENTITY_REL_TOL):
+    """Check the four integral identities on a pair's node data; four reports."""
     _require_gates(data)
     _require_correspondence(data)
     lhs_tab, rhs_tab, rhs_stmt, term_scale = pair_integrand_tables(data)
@@ -192,13 +174,12 @@ def verify_integral_identities(pair, rule, rel_tol=IDENTITY_REL_TOL):
     return reports
 
 
-def verify_tilde_symmetry(pair, rule):
+def verify_tilde_symmetry(data, rule):
     """Residual of swapping tilde and untilde potentials in the integral.
 
     Both integrals use the Hessian route; their equality is the global
     statement that drives the rigidity argument.
     """
-    data = pair.node_data(rule)
     _require_gates(data)
     _require_correspondence(data)
     lhs_tab, _, _, term_scale = pair_integrand_tables(data)
@@ -216,7 +197,7 @@ def verify_tilde_symmetry(pair, rule):
 
 
 def rigidity_experiment(
-    pair,
+    data,
     rule,
     w_tol=W_MISMATCH_TOL,
     integral_rel_tol=RIGIDITY_INTEGRAL_REL_TOL,
@@ -224,6 +205,7 @@ def rigidity_experiment(
 ) -> RigidityReport:
     """Evaluate the rigidity integral and the shape-operator comparison.
 
+    ``data`` is the pair's node data at the nodes of ``rule``.
     Preconditions: both surfaces in the positive-height region and past
     the curvature gate.  The integrand couples the (negative) support
     combination with the (nonnegative) cone gap, so the vanishing of the
@@ -232,39 +214,51 @@ def rigidity_experiment(
     The verdict is ``NotIsometric`` when the metric pullback misses
     ``metric_tol``, ``Rigid`` when the integral and the shape-operator
     mismatch meet their tolerances, and ``ThresholdsMissed`` otherwise.
+    The integral, the mismatch and the cone gap (``CONE_GAP_TOL``) are
+    graded for isometric pairs only; a control passes them by construction.
     """
-    data = pair.node_data(rule)
-    if np.any(data.base.y <= 0.0) or np.any(data.tilde.y <= 0.0):
-        raise GateFailed("surface leaves the positive-height region")
+    for name, fields in (("surface", data.base), ("image surface", data.tilde)):
+        if np.any(fields.y <= 0.0):
+            k = int(np.argmin(fields.y))
+            raise GateFailed(
+                f"{name} leaves the positive-height region at "
+                + node_text(fields.theta, fields.phi, k, y=fields.y[k])
+            )
     _require_gates(data)
 
     base = data.base
-    w = base.w_frame
-    wt = data.w_tilde_frame
-    s2w = _sigma2_2x2(w)
-    s11 = _sigma11_2x2(w, wt)
+    s2w = base.sigma2
+    s11 = symfun.sigma11(base.w_frame, data.w_tilde_frame)
     factor = data.phi_prime_tilde * base.support + base.phi_prime * data.support_tilde
     integrand = factor * (s2w - s11)
     sq = base.sqrt_det_g
     integral = integrate_surface(rule, sq, integrand)
     area = reduce_sum(rule.weights * sq)
     metric_res = float(data.metric_pullback_residual.max())
-    mismatch = float(np.abs(wt - w).max())
+    mismatch = float(np.abs(data.w_tilde_frame - base.w_frame).max())
+    gap_min = float((s11 - s2w).min())
 
-    report = dict(
+    not_isometric = metric_res > metric_tol
+    integral_rel = abs(integral) / area
+    integral_ok = integral_rel <= integral_rel_tol
+    w_ok = mismatch <= w_tol
+    if not_isometric:
+        verdict = "NotIsometric"
+    elif integral_ok and w_ok:
+        verdict = "Rigid"
+    else:
+        verdict = "ThresholdsMissed"
+    return RigidityReport(
         integral_value=integral,
-        integral_rel=abs(integral) / area,
+        integral_rel=integral_rel,
         max_w_mismatch=mismatch,
         max_metric_residual=metric_res,
         sign_factor_min=float((-factor).min()),
         gap_max=float((s11 - s2w).max()),
-        gap_min=float((s11 - s2w).min()),
+        gap_min=gap_min,
         area=area,
+        verdict=verdict,
+        integral_pass=not_isometric or integral_ok,
+        w_mismatch_pass=not_isometric or w_ok,
+        cone_gap_pass=not_isometric or gap_min >= -CONE_GAP_TOL,
     )
-    if metric_res > metric_tol:
-        verdict = "NotIsometric"
-    elif abs(integral) / area <= integral_rel_tol and mismatch <= w_tol:
-        verdict = "Rigid"
-    else:
-        verdict = "ThresholdsMissed"
-    return RigidityReport(verdict=verdict, **report)

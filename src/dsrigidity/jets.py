@@ -216,17 +216,6 @@ def arcsinh(j):
     )
 
 
-def arccos(j):
-    x = j.f
-    q = 1.0 - x**2
-    return j._chain(
-        np.arccos(x),
-        -(q**-0.5),
-        -x * q**-1.5,
-        -(1.0 + 2.0 * x**2) * q**-2.5,
-    )
-
-
 def azimuth(jx, jy):
     """Jet of atan2(y, x) built from Im log(x + i y).
 

@@ -1,4 +1,4 @@
-"""Hot geometry kernels: surface assembly and cone batch sweeps.
+"""Hot geometry kernels: surface assembly and intrinsic curvature.
 
 ``surface_core`` and ``curvature_fields`` are whole-array numpy over
 node-major arrays: node k's value of a field sits at index k of the
@@ -19,17 +19,9 @@ Geometry conventions (fixed once, used everywhere):
   With this sign a constant-height slice at rho0 > 0 has W = tanh(rho0) I.
 """
 
-import math
-
 import numpy as np
 
-# cone labels as small ints for kernel use
-LABEL_PLUS = 0
-LABEL_MINUS = 1
-LABEL_OUTSIDE = 2
-LABEL_BOUNDARY = 3
-
-_BOUNDARY_TOL = 1e-12
+from . import symfun
 
 
 def _sym(a11, a12, a22):
@@ -152,12 +144,13 @@ def surface_core(theta, y, dy, d2y):
         np.maximum(np.abs(hf11 - (s + support * wf11)), np.abs(hf12 - support * wf12)),
         np.abs(hf22 - (s + support * wf22)),
     )
+    w_frame = _sym(wf11, wf12, wf22)
     return {
         "margin": margin, "g": _sym(g11, g12, g22), "g_inv": ginv, "det_g": detg,
         "nu": np.stack([nu0, nu1, nu2], axis=-1), "support": support, "h": h,
-        "w_chart": wch, "frame": frame, "w_frame": _sym(wf11, wf12, wf22),
-        "hess_phi_frame": _sym(hf11, hf12, hf22), "sigma1": wf11 + wf22,
-        "sigma2": wf11 * wf22 - wf12 * wf12, "pre_integral_residual": preint,
+        "w_chart": wch, "frame": frame, "w_frame": w_frame,
+        "hess_phi_frame": _sym(hf11, hf12, hf22), "sigma1": symfun.sigma1(w_frame),
+        "sigma2": symfun.sigma2(w_frame), "pre_integral_residual": preint,
         "gamma": gamma, "dg": dg, "nu_norm_residual": nu_norm,
         "nu_tangency_residual": nu_tan,
     }
@@ -275,49 +268,3 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
         for p in range(2):
             div = div - gamma[:, p, i] * newton_t[:, i, p, None]
     return k_norm, gauss, np.abs(div).max(axis=1)
-
-
-def garding_batch(w_a, w_b, out_s2a, out_s2b, out_s11, out_gap, out_roots_a, out_label_a):
-    """Cone sweep over stacked symmetric matrices, one pair per loop pass."""
-    batch = w_a.shape[0]
-    n = w_a.shape[1]
-    half = 0.5 * n * (n - 1)
-    for b in range(batch):
-        tra = 0.0
-        trb = 0.0
-        for i in range(n):
-            tra += w_a[b, i, i]
-            trb += w_b[b, i, i]
-        s2a = 0.0
-        s2b = 0.0
-        dot = 0.0
-        for i in range(n):
-            for j in range(n):
-                dot += w_a[b, i, j] * w_b[b, j, i]
-                if j > i:
-                    s2a += w_a[b, i, i] * w_a[b, j, j] - w_a[b, i, j] * w_a[b, j, i]
-                    s2b += w_b[b, i, i] * w_b[b, j, j] - w_b[b, i, j] * w_b[b, j, i]
-        s11 = 0.5 * (tra * trb - dot)
-        out_s2a[b] = s2a
-        out_s2b[b] = s2b
-        out_s11[b] = s11
-        prod = s2a * s2b
-        geo = math.sqrt(prod) if prod > 0.0 else 0.0
-        out_gap[b] = s11 - geo
-
-        # cone roots for the first operator
-        bb = (n - 1) * tra
-        disc = bb * bb - 4.0 * half * s2a
-        root = math.sqrt(disc) if disc > 0.0 else 0.0
-        t1 = (-bb - root) / (2.0 * half)
-        t2 = (-bb + root) / (2.0 * half)
-        out_roots_a[b, 0] = t1
-        out_roots_a[b, 1] = t2
-        if abs(t1) <= _BOUNDARY_TOL or abs(t2) <= _BOUNDARY_TOL:
-            out_label_a[b] = LABEL_BOUNDARY
-        elif t2 < 0.0:
-            out_label_a[b] = LABEL_PLUS
-        elif t1 > 0.0:
-            out_label_a[b] = LABEL_MINUS
-        else:
-            out_label_a[b] = LABEL_OUTSIDE

@@ -42,27 +42,14 @@ def _double_factorial(n: int) -> float:
     return out
 
 
-def _assoc_legendre_values(l, m, x, s):
-    """P_l^m on plain arrays, same recurrence as the jet version."""
-    pmm = ((-1.0) ** m) * _double_factorial(2 * m - 1) * s**m
-    if l == m:
-        return pmm
-    pm1 = x * (2 * m + 1) * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        pmm, pm1 = pm1, (x * (2 * ll - 1) * pm1 - (ll + m - 1) * pmm) / (ll - m)
-    return pm1
+def assoc_legendre(l, m, x, s):
+    """P_l^m on jets or on plain arrays, with sin(theta) passed separately.
 
-
-def assoc_legendre_jet(l, m, x, s):
-    """P_l^m evaluated on jets, with sin(theta) passed separately.
-
-    ``x`` is the jet of cos(theta) and ``s`` the jet of sin(theta); using
-    sin(theta) directly avoids the sqrt(1 - x^2) branch at the poles.
-    Includes the Condon-Shortley phase, matching scipy's convention.
+    ``x`` is cos(theta) and ``s`` sin(theta); using sin(theta) directly
+    avoids the sqrt(1 - x^2) branch at the poles.  Includes the
+    Condon-Shortley phase, matching scipy's convention.
     """
-    pmm = jets.Jet3.constant(((-1.0) ** m) * _double_factorial(2 * m - 1)) * s**m
+    pmm = ((-1.0) ** m) * _double_factorial(2 * m - 1) * s**m
     if l == m:
         return pmm
     pm1 = x * float(2 * m + 1) * pmm
@@ -76,12 +63,17 @@ def assoc_legendre_jet(l, m, x, s):
     return pm1
 
 
-def real_sph_harm_jet(l, m, jtheta, jphi):
-    """Jet of Re Y_l^m(theta, phi) in scipy's normalization."""
-    norm = math.sqrt(
+def _sph_norm(l, m):
+    """Normalization of Re Y_l^m in scipy's convention."""
+    return math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-    plm = assoc_legendre_jet(l, m, jets.cos(jtheta), jets.sin(jtheta))
+
+
+def real_sph_harm_jet(l, m, jtheta, jphi):
+    """Jet of Re Y_l^m(theta, phi) in scipy's normalization."""
+    norm = _sph_norm(l, m)
+    plm = assoc_legendre(l, m, jets.cos(jtheta), jets.sin(jtheta))
     if m == 0:
         return norm * plm
     return norm * plm * jets.cos(float(m) * jphi)
@@ -131,14 +123,8 @@ class AnalyticSurface:
         s = np.sin(theta)
         for mode in self.modes:
             l, m = mode.degree, mode.order
-            norm = math.sqrt(
-                (2 * l + 1)
-                / (4.0 * math.pi)
-                * math.factorial(l - m)
-                / math.factorial(l + m)
-            )
-            plm = _assoc_legendre_values(l, m, x, s)
-            y = y + mode.amplitude * norm * plm * np.cos(m * phi)
+            plm = assoc_legendre(l, m, x, s)
+            y = y + mode.amplitude * _sph_norm(l, m) * plm * np.cos(m * phi)
         return y
 
     def reflected(self):
@@ -300,35 +286,10 @@ def grid_scalar_jets(values):
     return np.ascontiguousarray(values.ravel(), dtype=float), dy, d2y, d3y
 
 
-class NegatedSurface:
-    """View of another surface with height negated (reflection in rho=0)."""
-
-    backend = "analytic"
-
-    def __init__(self, base):
-        self.base = base
-
-    def jets(self, theta, phi):
-        y, dy, d2y, d3y = self.base.jets(theta, phi)
-        return -y, -dy, -d2y, -d3y
-
-    def height_jet(self, theta, phi):
-        j = self.base.height_jet(theta, phi)
-        return jets.Jet3(-j.f, -j.d, -j.d2, -j.d3)
-
-    def height(self, theta, phi):
-        return -self.base.height(theta, phi)
-
-    def reflected(self):
-        return self.base
-
-
 def reflect_surface(surface):
     """Mirror a surface across the equator: y -> -y.
 
     At corresponding nodes the shape operator changes sign under the
     future-directed normal convention.
     """
-    if hasattr(surface, "reflected"):
-        return surface.reflected()
-    return NegatedSurface(surface)
+    return surface.reflected()

@@ -13,6 +13,7 @@ symmetric W.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -32,6 +33,10 @@ class ConeLabel(Enum):
     MINUS = "MinusCone"
     OUTSIDE = "Outside"
     BOUNDARY = "Boundary"
+
+
+#: cone labels in label-index order (see ``cone_roots``)
+CONE_LABELS = tuple(ConeLabel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,20 +87,24 @@ def _mat(w) -> np.ndarray:
     return np.asarray(w, dtype=float)
 
 
-def sigma1(w) -> float:
+def _out(x):
+    """A Python float for one operator, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def sigma1(w):
     """Trace of the operator (first symmetric function)."""
-    return float(np.trace(_mat(w)))
+    return _out(np.trace(_mat(w), axis1=-2, axis2=-1))
 
 
-def sigma2(w) -> float:
+def sigma2(w):
     """Second symmetric function via the entrywise pair formula."""
     m = _mat(w)
-    n = m.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += m[i, i] * m[j, j] - m[i, j] * m[j, i]
-    return total
+    terms = [
+        m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
+        for i, j in combinations(range(m.shape[-1]), 2)
+    ]
+    return _out(sum(terms[1:], terms[0]))
 
 
 def sigma_all(w) -> list:
@@ -122,48 +131,52 @@ def sigma_all(w) -> list:
 def d_sigma2(w) -> np.ndarray:
     """Entrywise derivative of sigma2: sigma1(W) I - W^T."""
     m = _mat(w)
-    return sigma1(m) * np.eye(m.shape[0]) - m.T
+    return np.multiply.outer(sigma1(m), np.eye(m.shape[-1])) - np.swapaxes(m, -1, -2)
 
 
-def sigma11(w, wt) -> float:
+def sigma11(w, wt):
     """Polarized form of sigma2: 0.5 sum_ij d(sigma2)/dw_ij(W) wt_ij."""
     a, b = _mat(w), _mat(wt)
     if a.shape != b.shape:
         raise DimensionMismatch(f"operator shapes differ: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.sum(d_sigma2(a) * b))
+    return _out(0.5 * np.einsum("...ij,...ij->...", d_sigma2(a), b))
 
 
-def cone_line_coefficients(w):
-    """Quadratic coefficients (a, b, c) of t -> sigma2(W + t I).
+def cone_roots(w):
+    """Roots t1 <= t2 of t -> sigma2(W + t I) and the cone label index.
 
-    a = n(n-1)/2, b = (n-1) sigma1(W), c = sigma2(W).
+    The quadratic has coefficients a = n(n-1)/2, b = (n-1) sigma1(W) and
+    c = sigma2(W).  The label index k names ``CONE_LABELS[k]``.  Takes one
+    operator or a stack; raises NonHyperbolic when a discriminant is
+    negative beyond roundoff, which symmetric input cannot produce.
     """
     m = _mat(w)
-    n = m.shape[0]
-    return n * (n - 1) / 2.0, (n - 1) * sigma1(m), sigma2(m)
+    n = m.shape[-1]
+    a = n * (n - 1) / 2.0
+    b = (n - 1) * sigma1(m)
+    c = sigma2(m)
+    disc = b * b - 4.0 * a * c
+    scale = np.maximum(b * b, np.abs(4.0 * a * c))
+    bad = np.flatnonzero(disc < -HYPERBOLICITY_TOL * np.maximum(scale, 1.0))
+    if bad.size:
+        k = bad[0]
+        raise NonHyperbolic(
+            f"negative discriminant {np.ravel(disc)[k]:.3e} "
+            f"at scale {np.ravel(scale)[k]:.3e}"
+        )
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t1 = (-b - root) / (2.0 * a)
+    t2 = (-b + root) / (2.0 * a)
+    boundary = (np.abs(t1) <= BOUNDARY_TOL) | (np.abs(t2) <= BOUNDARY_TOL)
+    # indices into CONE_LABELS: plus 0, minus 1, outside 2, boundary 3
+    label = np.select([boundary, t2 < 0.0, t1 > 0.0], [3, 0, 1], 2)
+    return _out(t1), _out(t2), label
 
 
 def cone_classify(w) -> ConeReport:
-    """Classify an operator against the sigma2 positivity cones."""
-    a, b, c = cone_line_coefficients(w)
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c))
-    if disc < -HYPERBOLICITY_TOL * max(scale, 1.0):
-        raise NonHyperbolic(
-            f"negative discriminant {disc:.3e} at scale {scale:.3e}"
-        )
-    root = np.sqrt(max(disc, 0.0))
-    t1 = (-b - root) / (2.0 * a)
-    t2 = (-b + root) / (2.0 * a)
-    if abs(t1) <= BOUNDARY_TOL or abs(t2) <= BOUNDARY_TOL:
-        label = ConeLabel.BOUNDARY
-    elif t2 < 0.0:
-        label = ConeLabel.PLUS
-    elif t1 > 0.0:
-        label = ConeLabel.MINUS
-    else:
-        label = ConeLabel.OUTSIDE
-    return ConeReport(roots=(t1, t2), label=label)
+    """Classify one operator against the sigma2 positivity cones."""
+    t1, t2, label = cone_roots(w)
+    return ConeReport(roots=(t1, t2), label=CONE_LABELS[int(label)])
 
 
 def garding_gap(w, wt) -> GardingGap:
@@ -184,16 +197,6 @@ def garding_gap(w, wt) -> GardingGap:
     gap = s11 - geo
     equality = gap <= EQUALITY_TOL * max(1.0, abs(geo))
     return GardingGap(sigma11=s11, geo_mean=geo, gap=gap, equality=equality)
-
-
-def proportionality_scalar(w, wt) -> float:
-    """Scalar c with Wt ~ c W: trace ratio, else Frobenius least squares."""
-    a, b = _mat(w), _mat(wt)
-    t = sigma1(a)
-    if t != 0.0:
-        return sigma1(b) / t
-    denom = float(np.sum(a * a))
-    return float(np.sum(a * b)) / denom
 
 
 def sigma_line_coefficients(w, k) -> np.ndarray:

@@ -129,17 +129,6 @@ class IsometryCorrespondence:
         self.surface = surface
         self.iso = iso
 
-    def target_angles(self, theta, phi):
-        lam = self.iso.matrix
-        x = np.stack(
-            [j.f for j in _embedded_jets(self.surface, np.asarray(theta, float), np.asarray(phi, float))]
-        )
-        xt = np.einsum("ab,b...->a...", lam, x)
-        r = np.sqrt(xt[1] ** 2 + xt[2] ** 2 + xt[3] ** 2)
-        theta_t = np.arccos(np.clip(xt[3] / r, -1.0, 1.0))
-        phi_t = np.arctan2(xt[2], xt[1]) % (2.0 * math.pi)
-        return theta_t, phi_t, np.arcsinh(xt[0])
-
     def node_data(self, theta, phi) -> PairNodeData:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
@@ -196,32 +185,12 @@ class IdentityCorrespondence:
         return _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2)
 
 
-class IsometricPair:
-    """A surface, a partner, and the correspondence realizing the map."""
-
-    def __init__(self, surface, correspondence, iso=None):
-        self.surface = surface
-        self.correspondence = correspondence
-        self.iso = iso
-        self._cache = {}
-
-    def node_data(self, rule) -> PairNodeData:
-        key = id(rule)
-        if key not in self._cache:
-            self._cache[key] = self.correspondence.node_data(rule.theta, rule.phi)
-        return self._cache[key]
+def isometry_pair(surface, iso) -> IsometryCorrespondence:
+    return IsometryCorrespondence(surface, iso)
 
 
-def isometry_pair(surface, iso) -> IsometricPair:
-    return IsometricPair(
-        surface=surface, correspondence=IsometryCorrespondence(surface, iso), iso=iso
-    )
-
-
-def identity_pair(surface, other) -> IsometricPair:
-    return IsometricPair(
-        surface=surface, correspondence=IdentityCorrespondence(surface, other)
-    )
+def identity_pair(surface, other) -> IdentityCorrespondence:
+    return IdentityCorrespondence(surface, other)
 
 
 # -- regraphing through the inverse isometry ------------------------------

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dsrigidity import ambient, geometry, integrals, kernels, symfun, transport
+from dsrigidity import ambient, geometry, integrals, symfun, transport
 from dsrigidity.errors import GateFailed
 from dsrigidity.quadrature import gauss_sphere_rule, integrate_sphere, reduce_sum
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, reflect_surface
@@ -25,15 +25,21 @@ def rule():
     return gauss_sphere_rule(64, 128)
 
 
+def _data(pair, rule):
+    return pair.node_data(rule.theta, rule.phi)
+
+
 @pytest.fixture(scope="module")
-def pair_set():
+def pair_set(rule):
+    """Node data at ``rule`` of three isometric pairs."""
     perturbed = AnalyticSurface(0.6, [(0.05, 2, 0)])
     boost = ambient.boost(0.25, [1.0, 0.0, 0.0])
-    return (
+    pairs = (
         ("identity on perturbed slice", transport.identity_pair(perturbed, perturbed)),
         ("boost of the 0.6 slice", transport.isometry_pair(AnalyticSurface(0.6), boost)),
         ("boost of the perturbed slice", transport.isometry_pair(perturbed, boost)),
     )
+    return tuple((name, _data(pair, rule)) for name, pair in pairs)
 
 
 def _stacked_symmetric(rng, count, n, scale=5.0):
@@ -138,14 +144,10 @@ def test_criterion_4_cone_inequality_and_equality_case():
     for n in range(2, 7):
         wa = _shift_into_plus_cone(_stacked_symmetric(rng, per_dim, n), rng)
         wb = _shift_into_plus_cone(_stacked_symmetric(rng, per_dim, n), rng)
-        outs = (
-            np.empty(per_dim), np.empty(per_dim), np.empty(per_dim),
-            np.empty(per_dim), np.empty((per_dim, 2)),
-            np.empty(per_dim, dtype=np.int8),
-        )
-        kernels.garding_batch(wa, wb, *outs)
-        s2a, s2b, s11, gap, roots, labels = outs
-        assert np.all(labels == kernels.LABEL_PLUS)
+        for w in (wa, wb):
+            _, _, labels = symfun.cone_roots(w)
+            assert {symfun.CONE_LABELS[k] for k in np.unique(labels)} == {symfun.ConeLabel.PLUS}
+        gap = symfun.sigma11(wa, wb) - np.sqrt(symfun.sigma2(wa) * symfun.sigma2(wb))
         min_gap = min(min_gap, float(gap.min()))
     ineq_ok = min_gap >= -1e-12
 
@@ -238,8 +240,8 @@ def test_criterion_6_reflection_parity(rule):
 def test_criterion_7_integral_identities(pair_set, rule):
     worst_rel = 0.0
     worst_point = 0.0
-    for _, pair in pair_set:
-        for rep in integrals.verify_integral_identities(pair, rule):
+    for _, data in pair_set:
+        for rep in integrals.verify_integral_identities(data, rule):
             worst_rel = max(worst_rel, rep.residual_rel)
             worst_point = max(worst_point, rep.pointwise_max)
     _verdict(
@@ -252,8 +254,8 @@ def test_criterion_7_integral_identities(pair_set, rule):
 
 def test_criterion_8_tilde_symmetry(pair_set, rule):
     worst = 0.0
-    for _, pair in pair_set:
-        worst = max(worst, integrals.verify_tilde_symmetry(pair, rule))
+    for _, data in pair_set:
+        worst = max(worst, integrals.verify_tilde_symmetry(data, rule))
     _verdict(
         8, worst <= 1e-6,
         f"tilde-swap symmetry of the Hessian integral on three pairs: "
@@ -265,8 +267,8 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
     worst_mismatch = 0.0
     worst_integral = 0.0
     rigid_ok = True
-    for name, pair in pair_set:
-        rep = integrals.rigidity_experiment(pair, rule)
+    for name, data in pair_set:
+        rep = integrals.rigidity_experiment(data, rule)
         rigid_ok &= rep.verdict == "Rigid"
         worst_mismatch = max(worst_mismatch, rep.max_w_mismatch)
         worst_integral = max(worst_integral, rep.integral_rel)
@@ -274,20 +276,18 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
     control = transport.identity_pair(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
-    control_rep = integrals.rigidity_experiment(control, rule)
+    control_rep = integrals.rigidity_experiment(_data(control, rule), rule)
     control_ok = (
         control_rep.verdict == "NotIsometric"
         and control_rep.max_metric_residual > 1e-3
     )
 
     gate_ok = False
+    negative = transport.isometry_pair(
+        AnalyticSurface(-0.3), ambient.boost(0.1, [1.0, 0.0, 0.0])
+    )
     try:
-        integrals.rigidity_experiment(
-            transport.isometry_pair(
-                AnalyticSurface(-0.3), ambient.boost(0.1, [1.0, 0.0, 0.0])
-            ),
-            rule,
-        )
+        integrals.rigidity_experiment(_data(negative, rule), rule)
     except GateFailed:
         gate_ok = True
     _verdict(

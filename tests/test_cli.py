@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from dsrigidity import cli
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -105,6 +112,11 @@ def test_rigidity_command_verdicts(tmp_path, capsys):
     )
     assert run(["rigidity", "--config", control, "--quad", "32x64"]) == 1
     assert "NotIsometric" in capsys.readouterr().out
+    # the hypothesis violation names the worst node
+    assert run(["verify-identities", "--config", control, "--quad", "32x64"]) == 2
+    err = capsys.readouterr().err
+    assert "pulled-back metric deviates by" in err
+    assert " at node " in err and "(theta=" in err and ", phi=" in err
 
     negative = _write(
         tmp_path / "neg.cfg",
@@ -146,6 +158,41 @@ def test_config_validation(tmp_path, capsys):
         for command in ("verify-identities", "rigidity"):
             assert run([command, "--config", pair_cfg, "--quad", "16x16"]) == 2
             assert "analytic surfaces" in capsys.readouterr().err
+
+    # malformed, missing and non-finite numbers name the section, key and text
+    perturbed = "[surface]\nkind = perturbed_slice\nrho0 = 0.5\n"
+    boost_without = "\n[isometry]\nkind = boost\naxis = 1 0 0\n"
+    for command, text, message in (
+        ("geometry", analytic.replace("0.5", "abc"), "[surface] rho0: bad number 'abc'"),
+        ("geometry", analytic.replace("0.5", "nan"), "[surface] rho0: 'nan' is not finite"),
+        ("geometry", "[surface]\nkind = slice\n", "[surface] rho0 is missing"),
+        ("geometry", perturbed + "modes = 0.05:2:x\n", "[surface] modes: bad number 'x'"),
+        ("geometry", perturbed + "modes = 0.05:2:3\n", "[surface] modes: invalid mode"),
+        ("geometry", analytic + "[quadrature]\nn_theta = x\n", "[quadrature] n_theta: bad"),
+        ("geometry", analytic + "[tolerances]\ngauss = tiny\n", "[tolerances] gauss: bad"),
+        ("geometry", analytic + "[suite]\nseed = x\n", "[suite] seed: bad number 'x'"),
+        ("rigidity", analytic + boost_without, "[isometry] rapidity is missing"),
+        ("rigidity", analytic + boost.replace("1 0 0", "0 0 0"), "axis: '0 0 0' is not a"),
+        ("rigidity", analytic + boost.replace("1 0 0", "1 0"), "axis: '1 0' is not a"),
+        ("rigidity", analytic + boost.replace("boost", "rotation").replace("rapidity", "angle")
+         .replace("0.1", "inf"), "[isometry] angle: 'inf' is not finite"),
+    ):
+        bad = _write(tmp_path / "bad_number.cfg", text)
+        assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
+        assert message in capsys.readouterr().err, text
+
+
+def test_quad_is_checked_under_python_optimizations():
+    # an assert would vanish under -O
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "dsrigidity.cli", "geometry",
+         "--config", "configs/geometry.cfg", "--quad", "16x16x16"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "bad --quad value" in result.stderr
 
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dsrigidity import geometry
-from dsrigidity.errors import ChartPole, NonSpacelike
+from dsrigidity.errors import ChartPole, GateFailed, NonSpacelike
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, reflect_surface
 from dsrigidity.symfun import ConeLabel
 
@@ -119,16 +120,14 @@ def test_geometry_against_embedded_finite_differences(perturbed_surface):
         assert np.abs(f.h[0] - h_fd).max() < 1e-6
 
 
-def test_single_node_wrappers(perturbed_surface):
-    node = (1.1, 2.3)
-    pg = geometry.point_geometry(perturbed_surface, node)
-    assert pg.g.shape == (2, 2)
-    assert pg.support < 0
-    assert abs(pg.sigma2 - (1.0 - pg.k_norm)) < 1e-9
-    assert geometry.check_pre_integral(perturbed_surface, node) < 1e-8
-    s2, k, resid = geometry.check_sigma2_curvature(perturbed_surface, node)
-    assert resid < 1e-6 and s2 > 0
-    assert geometry.newton_divergence(perturbed_surface, node) < 1e-6
+def test_single_node_evaluation(perturbed_surface):
+    f = geometry.evaluate_surface(perturbed_surface, 1.1, 2.3)
+    assert f.n_nodes == 1 and f.g.shape == (1, 2, 2)
+    assert f.support[0] < 0
+    assert abs(f.sigma2[0] - (1.0 - f.k_norm[0])) < 1e-9
+    assert f.pre_integral_residual[0] < 1e-8
+    assert f.gauss_residual[0] < 1e-6 and f.sigma2[0] > 0
+    assert f.newton_residual[0] < 1e-6
 
 
 def test_spacelike_criteria_agree(scattered_nodes):
@@ -154,14 +153,25 @@ def test_spacelike_violation_raises():
 
 
 def test_curvature_gate(rule_32):
-    assert geometry.curvature_gate(AnalyticSurface(0.5), rule_32) == (
-        True,
-        ConeLabel.PLUS,
+    def gate(surface):
+        fields = geometry.evaluate_surface(surface, rule_32.theta, rule_32.phi)
+        return geometry.curvature_gate_fields(fields)
+
+    assert gate(AnalyticSurface(0.5)) == (True, ConeLabel.PLUS)
+    assert gate(AnalyticSurface(-0.5)) == (True, ConeLabel.MINUS)
+    assert gate(AnalyticSurface(0.0)) == (False, None)
+
+    # positive sigma2 in both cones: the error names a node of each
+    split = SimpleNamespace(
+        theta=np.array([0.5, 1.0]), phi=np.array([0.0, 2.0]), sigma2=np.ones(2),
+        w_frame=np.stack([np.eye(2), -np.eye(2)]),
     )
-    passed, label = geometry.curvature_gate(AnalyticSurface(-0.5), rule_32)
-    assert passed and label is ConeLabel.MINUS
-    passed, label = geometry.curvature_gate(AnalyticSurface(0.0), rule_32)
-    assert not passed and label is None
+    message = (
+        r"node 0 \(theta=0\.5000, phi=0\.0000\) is PlusCone, "
+        r"node 1 \(theta=1\.0000, phi=2\.0000\) is MinusCone"
+    )
+    with pytest.raises(GateFailed, match=message):
+        geometry.curvature_gate_fields(split)
 
 
 def test_reflection_parity_of_shape_operator(rule_32):
@@ -171,10 +181,10 @@ def test_reflection_parity_of_shape_operator(rule_32):
             reflect_surface(surf), rule_32.theta, rule_32.phi
         )
         assert np.abs(fr.w_frame + f.w_frame).max() < 1e-8
-        labels = np.unique(f.cone_labels())
-        labels_r = np.unique(fr.cone_labels())
-        assert labels.size == 1 and labels_r.size == 1
-        assert {int(labels[0]), int(labels_r[0])} == {0, 1}  # plus and minus
+        # one label per surface (the gate raises otherwise), plus and minus
+        _, label = geometry.curvature_gate_fields(f)
+        _, label_r = geometry.curvature_gate_fields(fr)
+        assert {label, label_r} == {ConeLabel.PLUS, ConeLabel.MINUS}
 
 
 def test_sampled_routes_converge_at_second_order(perturbed_surface):

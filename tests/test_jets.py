@@ -13,7 +13,7 @@ def _expr(jt, jp):
     return (
         jets.sinh(jt * 0.4 + jets.cos(jp) * 0.3)
         + jets.sqrt(jt + 1.2) / (jets.cosh(jp * 0.5) + 0.7)
-        + jets.arccos(jets.cos(jt) * 0.9) * jets.arcsinh(jp - 3.0)
+        + jets.log(jets.cos(jt) * 0.9 + 1.2) * jets.arcsinh(jp - 3.0)
         + (jt * jp) ** 3 * 1e-2
     )
 

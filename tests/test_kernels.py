@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dsrigidity import geometry, kernels
+from dsrigidity import geometry
 from dsrigidity.errors import NonSpacelike
 from dsrigidity.surfaces import AnalyticSurface
 
@@ -36,33 +36,3 @@ def test_surface_kernels_satisfy_their_invariants():
         warnings.simplefilter("error")
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
             geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
-
-
-def test_garding_batch_matches_scalar_reference():
-    from dsrigidity import symfun
-
-    rng = np.random.default_rng(3)
-    b, n = 200, 4
-    wa = rng.uniform(-5, 5, (b, n, n))
-    wa = 0.5 * (wa + wa.transpose(0, 2, 1))
-    wb = rng.uniform(-5, 5, (b, n, n))
-    wb = 0.5 * (wb + wb.transpose(0, 2, 1))
-    s2a = np.empty(b)
-    s2b = np.empty(b)
-    s11 = np.empty(b)
-    gap = np.empty(b)
-    roots = np.empty((b, 2))
-    labels = np.empty(b, dtype=np.int8)
-    kernels.garding_batch(wa, wb, s2a, s2b, s11, gap, roots, labels)
-    label_map = {
-        kernels.LABEL_PLUS: symfun.ConeLabel.PLUS,
-        kernels.LABEL_MINUS: symfun.ConeLabel.MINUS,
-        kernels.LABEL_OUTSIDE: symfun.ConeLabel.OUTSIDE,
-        kernels.LABEL_BOUNDARY: symfun.ConeLabel.BOUNDARY,
-    }
-    for k in range(0, b, 17):
-        assert abs(s2a[k] - symfun.sigma2(wa[k])) < 1e-11
-        assert abs(s11[k] - symfun.sigma11(wa[k], wb[k])) < 1e-11
-        rep = symfun.cone_classify(wa[k])
-        assert label_map[int(labels[k])] is rep.label
-        np.testing.assert_allclose(roots[k], rep.roots, atol=1e-10)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,7 +6,20 @@ import pytest
 
 from dsrigidity import ambient, geometry, transport
 from dsrigidity.errors import NotAGraph
+from dsrigidity.quadrature import gauss_sphere_rule
 from dsrigidity.surfaces import AnalyticSurface
+
+
+def target_angles(corr, theta, phi):
+    """Image chart angles and height by arccos, independent of the jet route."""
+    lam = corr.iso.matrix
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    x = np.stack([j.f for j in transport._embedded_jets(corr.surface, theta, phi)])
+    xt = np.einsum("ab,b...->a...", lam, x)
+    r = np.sqrt(xt[1] ** 2 + xt[2] ** 2 + xt[3] ** 2)
+    theta_t = np.arccos(np.clip(xt[3] / r, -1.0, 1.0))
+    phi_t = np.arctan2(xt[2], xt[1]) % (2.0 * math.pi)
+    return theta_t, phi_t, np.arcsinh(xt[0])
 
 
 def test_boosted_slice_heights_match_closed_form(scattered_nodes):
@@ -13,7 +27,7 @@ def test_boosted_slice_heights_match_closed_form(scattered_nodes):
     surf = AnalyticSurface(0.6)
     alpha = 0.25
     corr = transport.IsometryCorrespondence(surf, ambient.boost(alpha, [1.0, 0, 0]))
-    _, _, rho_t = corr.target_angles(theta, phi)
+    _, _, rho_t = target_angles(corr, theta, phi)
     s0, c0 = math.sinh(0.6), math.cosh(0.6)
     x0 = math.cosh(alpha) * s0 + math.sinh(alpha) * c0 * np.sin(theta) * np.cos(phi)
     np.testing.assert_allclose(rho_t, np.arcsinh(x0), atol=1e-13)
@@ -27,8 +41,8 @@ def test_correspondence_jacobian_matches_finite_differences(perturbed_surface):
     phi = rng.uniform(0.0, 2 * math.pi, 20)
     data = corr.node_data(theta, phi)
     h = 1e-6
-    tp, pp, _ = corr.target_angles(theta + h, phi)
-    tm, pm, _ = corr.target_angles(theta - h, phi)
+    tp, pp, _ = target_angles(corr, theta + h, phi)
+    tm, pm, _ = target_angles(corr, theta - h, phi)
     dt = (tp - tm) / (2 * h)
     dp = (np.unwrap(pp - pm + math.pi) - math.pi) / (2 * h)
     assert np.abs(data.jacobian[:, 0, 0] - dt).max() < 1e-8
@@ -59,7 +73,7 @@ def test_pullback_data_is_equivariant(perturbed_surface, scattered_nodes):
 
 def test_identity_pair_collapses(perturbed_surface, scattered_nodes):
     theta, phi = scattered_nodes
-    data = transport.identity_pair(perturbed_surface, perturbed_surface).correspondence.node_data(
+    data = transport.identity_pair(perturbed_surface, perturbed_surface).node_data(
         theta, phi
     )
     assert data.metric_pullback_residual.max() < 1e-12
@@ -67,6 +81,20 @@ def test_identity_pair_collapses(perturbed_surface, scattered_nodes):
     np.testing.assert_allclose(
         data.hess_phi_tilde_frame, data.base.hess_phi_frame, atol=1e-13
     )
+
+
+def test_pair_data_follows_each_rule(perturbed_surface):
+    # temporary rules may reuse each other's ids once collected; every rule
+    # must still get data at its own nodes
+    pair = transport.isometry_pair(perturbed_surface, ambient.boost(0.25, [1.0, 0, 0]))
+    for _ in range(3):
+        for degree in (16, 18, 16, 18, 20):
+            rule = gauss_sphere_rule(degree, degree)
+            data = pair.node_data(rule.theta, rule.phi)
+            assert data.base.n_nodes == data.tilde.n_nodes == degree * degree
+            np.testing.assert_array_equal(data.base.theta, rule.theta)
+            del rule, data
+            gc.collect()
 
 
 def test_transform_surface_regraph_contains_image(perturbed_surface):
