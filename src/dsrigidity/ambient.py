@@ -23,24 +23,6 @@ POLE_MARGIN = 1e-6
 SHELL_TOL = 1e-9
 
 
-# -- radial potential ---------------------------------------------------
-
-
-def polar_phi(rho):
-    """Radial profile of V: phi(rho) = cosh(rho)."""
-    return np.cosh(rho)
-
-
-def polar_phi_prime(rho):
-    """phi'(rho) = sinh(rho); equals the potential itself."""
-    return np.sinh(rho)
-
-
-def polar_potential(rho):
-    """Potential with gradient V: Phi(rho) = sinh(rho)."""
-    return np.sinh(rho)
-
-
 # -- points and the pseudosphere model ----------------------------------
 
 
@@ -98,12 +80,6 @@ def unembed(x) -> DeSitterPoint:
 # -- chart metric and Christoffel symbols --------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AmbientMetricJet:
-    g_bar: np.ndarray
-    christoffels: np.ndarray
-
-
 def metric_components(rho, theta):
     """Chart metric diag(-1, cosh^2 rho, cosh^2 rho sin^2 theta)."""
     rho = np.asarray(rho, dtype=float)
@@ -133,16 +109,6 @@ def christoffel_components(rho, theta):
     gam[..., 1, 2, 2] = -st * ct
     gam[..., 2, 1, 2] = gam[..., 2, 2, 1] = ct / st
     return gam
-
-
-def metric_jet(point: DeSitterPoint) -> AmbientMetricJet:
-    theta, _ = point.angles()
-    if math.sin(theta) < POLE_MARGIN:
-        raise ChartPole(f"theta = {theta:.3g} too close to a chart pole")
-    return AmbientMetricJet(
-        g_bar=metric_components(point.rho, theta),
-        christoffels=christoffel_components(point.rho, theta),
-    )
 
 
 def lie_derivative_residual(point: DeSitterPoint, e_i, e_j) -> float:
@@ -246,7 +212,3 @@ def boost(rapidity: float, axis) -> AmbientIsometry:
 def reflect_equator() -> AmbientIsometry:
     """The isometry rho -> -rho, fixing the equator slice pointwise."""
     return AmbientIsometry(np.diag([-1.0, 1.0, 1.0, 1.0]), IsometryKind.EQUATOR_REFLECTION)
-
-
-def apply(iso: AmbientIsometry, point: DeSitterPoint) -> DeSitterPoint:
-    return unembed(iso.matrix @ embed(point))

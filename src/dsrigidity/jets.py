@@ -113,6 +113,9 @@ class Jet3:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, Jet3) and np.ndim(other) == 0:
+            # a scalar factor scales every component; no constant jet needed
+            return Jet3(self.f * other, self.d * other, self.d2 * other, self.d3 * other)
         s, o = self._aligned_with(self._coerce(other))
         f = s.f * o.f
         d = s.d * o.f + s.f * o.d
@@ -146,25 +149,6 @@ class Jet3:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.reciprocal()
 
-    def __pow__(self, p):
-        if isinstance(p, int) and p >= 0:
-            out = Jet3.constant(np.ones_like(np.asarray(self.f)))
-            base = self
-            n = p
-            while n:
-                if n & 1:
-                    out = out * base
-                base = base * base
-                n >>= 1
-            return out
-        x = self.f
-        return self._chain(
-            x**p,
-            p * x ** (p - 1),
-            p * (p - 1) * x ** (p - 2),
-            p * (p - 1) * (p - 2) * x ** (p - 3),
-        )
-
 
 # -- transcendental lifts ---------------------------------------------
 
@@ -187,11 +171,6 @@ def sinh(j):
 def cosh(j):
     s, c = np.sinh(j.f), np.cosh(j.f)
     return j._chain(c, s, c, s)
-
-
-def exp(j):
-    e = np.exp(j.f)
-    return j._chain(e, e, e, e)
 
 
 def log(j):

@@ -4,8 +4,8 @@ A surface is a height function y(theta, phi) over the unit sphere; the
 numerical engine needs its chart jets up to third order at arbitrary nodes
 (analytic backends) or at the nodes of a fixed sampling grid (sampled
 backend).  Heights are built from constant slices plus real spherical
-harmonic perturbations evaluated through the forward-mode jets, so all
-derivatives are closed-form.
+harmonic perturbations; each harmonic is a product of a theta factor and a
+phi factor, so every jet entry is a product of closed-form derivatives.
 """
 
 import math
@@ -43,7 +43,7 @@ def _double_factorial(n: int) -> float:
 
 
 def assoc_legendre(l, m, x, s):
-    """P_l^m on jets or on plain arrays, with sin(theta) passed separately.
+    """P_l^m(cos theta) for 0 <= m <= l, with sin(theta) passed separately.
 
     ``x`` is cos(theta) and ``s`` sin(theta); using sin(theta) directly
     avoids the sqrt(1 - x^2) branch at the poles.  Includes the
@@ -63,20 +63,41 @@ def assoc_legendre(l, m, x, s):
     return pm1
 
 
+def _legendre_any_order(l, m, x, s):
+    """P_l^m for every integer m: zero for |m| > l and, for m < 0,
+    P_l^m = (-1)^m (l+m)!/(l-m)! P_l^{-m}."""
+    if abs(m) > l:
+        return 0.0
+    if m >= 0:
+        return assoc_legendre(l, m, x, s)
+    scale = (-1.0) ** m * math.factorial(l + m) / math.factorial(l - m)
+    return scale * assoc_legendre(l, -m, x, s)
+
+
+def _legendre_theta_derivatives(l, m, x, s):
+    """(d/dtheta)^k P_l^m(cos theta) for k = 0..3, division-free.
+
+    Applies the ladder d/dtheta P_l^m = (P_l^{m+1} - (l+m)(l-m+1) P_l^{m-1}) / 2
+    to the coefficients of a combination of orders m - 3 .. m + 3.
+    """
+    p = {mu: _legendre_any_order(l, mu, x, s) for mu in range(m - 3, m + 4)}
+    coeffs = {m: 1.0}
+    out = []
+    for _ in range(4):
+        out.append(sum(c * p[mu] for mu, c in coeffs.items()))
+        step = {}
+        for mu, c in coeffs.items():
+            step[mu + 1] = step.get(mu + 1, 0.0) + 0.5 * c
+            step[mu - 1] = step.get(mu - 1, 0.0) - 0.5 * c * (l + mu) * (l - mu + 1)
+        coeffs = step
+    return out
+
+
 def _sph_norm(l, m):
     """Normalization of Re Y_l^m in scipy's convention."""
     return math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-
-
-def real_sph_harm_jet(l, m, jtheta, jphi):
-    """Jet of Re Y_l^m(theta, phi) in scipy's normalization."""
-    norm = _sph_norm(l, m)
-    plm = assoc_legendre(l, m, jets.cos(jtheta), jets.sin(jtheta))
-    if m == 0:
-        return norm * plm
-    return norm * plm * jets.cos(float(m) * jphi)
 
 
 class AnalyticSurface:
@@ -97,22 +118,37 @@ class AnalyticSurface:
         return f"AnalyticSurface(rho0={self.rho0:g}{', ' + terms if terms else ''})"
 
     def height_jet(self, theta, phi) -> jets.Jet3:
+        """Closed-form jet: each mode is separable, so the entry with k theta
+        and j phi derivatives is (d/dtheta)^k P_l^m times (d/dphi)^j cos(m phi)."""
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        if np.any(np.sin(theta) < POLE_MARGIN):
+        x, s = np.cos(theta), np.sin(theta)
+        if np.any(s < POLE_MARGIN):
             raise ChartPole("node too close to a chart pole")
-        jt = jets.Jet3.variable(theta, 0)
-        jp = jets.Jet3.variable(phi, 1)
-        y = jets.Jet3.constant(np.full(theta.shape, self.rho0))
+        # part[k][j]: k theta and j phi derivatives, k + j <= 3
+        part = [[np.zeros(theta.shape) for _ in range(4 - k)] for k in range(4)]
+        part[0][0] += self.rho0
         for mode in self.modes:
-            y = y + mode.amplitude * real_sph_harm_jet(
-                mode.degree, mode.order, jt, jp
-            )
-        return y
+            l, m = mode.degree, mode.order
+            scale = mode.amplitude * _sph_norm(l, m)
+            p_theta = _legendre_theta_derivatives(l, m, x, s)
+            c, sn = np.cos(m * phi), np.sin(m * phi)
+            p_phi = (c, -m * sn, -m * m * c, m**3 * sn)
+            for k in range(4):
+                for j in range(4 - k):
+                    part[k][j] = part[k][j] + scale * p_theta[k] * p_phi[j]
+        d = np.stack([part[1][0], part[0][1]])
+        d2 = np.empty((2, 2) + theta.shape)
+        d3 = np.empty((2, 2, 2) + theta.shape)
+        for idx in np.ndindex(2, 2):
+            d2[idx] = part[2 - sum(idx)][sum(idx)]
+        for idx in np.ndindex(2, 2, 2):
+            d3[idx] = part[3 - sum(idx)][sum(idx)]
+        return jets.Jet3(part[0][0], d, d2, d3)
 
     def jets(self, theta, phi):
         """Return (y, dy, d2y, d3y) arrays with node axis first."""
-        return _jet_to_node_arrays(self.height_jet(theta, phi))
+        return node_arrays(self.height_jet(theta, phi))
 
     def height(self, theta, phi):
         """Height values only; safe at the chart poles."""
@@ -134,7 +170,8 @@ class AnalyticSurface:
         )
 
 
-def _jet_to_node_arrays(jet):
+def node_arrays(jet):
+    """Jet components as (y, dy, d2y, d3y) arrays with the node axis first."""
     return (
         np.asarray(jet.f, dtype=float),
         np.moveaxis(np.asarray(jet.d), 0, -1),
@@ -180,8 +217,7 @@ class SampledGridSurface:
         """Sample another surface's heights on the standard grid."""
         grid = cls(np.zeros((n_theta, n_phi)))
         tt, pp = np.meshgrid(grid.theta_grid, grid.phi_grid, indexing="ij")
-        y, _, _, _ = surface.jets(tt.ravel(), pp.ravel())
-        return cls(y.reshape(n_theta, n_phi))
+        return cls(surface.height(tt, pp))
 
     def nodes(self):
         tt, pp = np.meshgrid(self.theta_grid, self.phi_grid, indexing="ij")

@@ -14,7 +14,7 @@ symmetric W.
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -108,24 +108,22 @@ def sigma2(w):
 
 
 def sigma_all(w) -> list:
-    """All symmetric functions (sigma_0 .. sigma_n) via Newton's identities.
+    """All symmetric functions (sigma_0 .. sigma_n) as sums of principal minors.
 
-    These are the signed coefficients of the characteristic polynomial;
-    no eigendecomposition is performed.
+    sigma_k, the signed coefficient of the characteristic polynomial, is the
+    sum of the k x k principal minors (at most 70 of them for n <= 8).  Each
+    minor keeps a determinant's accuracy, so sigma_k above the rank of W is
+    zero up to the roundoff of those minors; no eigendecomposition is
+    performed.
     """
     m = _mat(w)
     n = m.shape[0]
-    powers = [np.eye(n)]
-    for _ in range(n):
-        powers.append(powers[-1] @ m)
-    p = [float(np.trace(powers[k])) for k in range(n + 1)]  # power sums, p[0]=n
-    e = [1.0]
+    out = [1.0]
     for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * e[k - j] * p[j]
-        e.append(acc / k)
-    return e
+        idx = np.array(list(combinations(range(n), k)))
+        minors = np.linalg.det(m[idx[:, :, None], idx[:, None, :]])
+        out.append(fsum(minors))
+    return out
 
 
 def d_sigma2(w) -> np.ndarray:

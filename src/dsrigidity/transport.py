@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, jets
 from .errors import CorrespondenceInvalid, NonSpacelike, NotAGraph
-from .surfaces import SampledGridSurface
+from .surfaces import SampledGridSurface, node_arrays
 
 
 def _direction_jets(jtheta, jphi):
@@ -30,11 +30,10 @@ def _direction_jets(jtheta, jphi):
     )
 
 
-def _embedded_jets(surface, theta, phi):
-    """Jet of the pseudosphere embedding of a graph surface."""
+def _embedded_jets(y, theta, phi):
+    """Jet of the pseudosphere embedding of a graph surface with height jet y."""
     jt = jets.Jet3.variable(theta, 0)
     jp = jets.Jet3.variable(phi, 1)
-    y = surface.height_jet(theta, phi)
     wx, wy, wz = _direction_jets(jt, jp)
     c = jets.cosh(y)
     return jets.sinh(y), c * wx, c * wy, c * wz
@@ -48,7 +47,6 @@ def _invert_chart_map(rho_jet, u_jets):
     (y, dy, d2y, d3y) of the image height as a function of its own chart,
     node axis first, by inverting the chart map through third order.
     """
-    n = np.shape(rho_jet.f)[0] if np.shape(rho_jet.f) else 1
     u1 = np.stack([np.moveaxis(u.d, 0, -1) for u in u_jets], axis=-2)  # (n, a, i)
     u2 = np.stack(
         [np.moveaxis(u.d2, (0, 1), (-2, -1)) for u in u_jets], axis=-3
@@ -69,10 +67,13 @@ def _invert_chart_map(rho_jet, u_jets):
     ainv[..., 1, 0] = -u1[..., 1, 0] / det
     ainv[..., 1, 1] = u1[..., 0, 0] / det
 
+    # dy and d2y keep einsum's summation order, which the rigidity report's
+    # residual digits depend on; the third-order terms contract pairwise
     dy = np.einsum("ni,nia->na", r1, ainv)
     m2 = r2 - np.einsum("na,naij->nij", dy, u2)
     d2y = np.einsum("nia,nij,njb->nab", ainv, m2, ainv)
-    mid = np.einsum("nab,naij,nbk->nijk", d2y, u2, u1)
+    # mid[n, i, j, k] = sum_a u2[n, a, i, j] (d2y u1)[n, a, k]
+    mid = (np.swapaxes(u2.reshape(-1, 2, 4), 1, 2) @ (d2y @ u1)).reshape(u2.shape)
     m3 = (
         r3
         - mid
@@ -80,7 +81,7 @@ def _invert_chart_map(rho_jet, u_jets):
         - np.transpose(mid, (0, 3, 1, 2))
         - np.einsum("na,naijk->nijk", dy, u3)
     )
-    d3y = np.einsum("nia,njb,nkc,nijk->nabc", ainv, ainv, ainv, m3)
+    d3y = np.einsum("nia,njb,nkc,nijk->nabc", ainv, ainv, ainv, m3, optimize=True)
     y = np.atleast_1d(np.asarray(rho_jet.f, dtype=float))
     return y, dy, d2y, d3y, u1
 
@@ -102,13 +103,14 @@ class PairNodeData:
 
 def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     # frame rows e_r pushed into image chart components: (n, r, a)
-    pushed = np.einsum("nai,nri->nra", jac, base.frame)
-    pulled_g = np.einsum("nia,nab,njb->nij", pushed, tilde.g, pushed)
+    pushed = base.frame @ np.swapaxes(jac, 1, 2)
+    pulled_g = pushed @ tilde.g @ np.swapaxes(pushed, 1, 2)
     metric_res = np.abs(pulled_g - np.eye(2)).max(axis=(1, 2))
+    # einsum order, like d2y in _invert_chart_map, keeps the rigidity digits
     w_tilde = np.einsum("nia,nab,njb->nij", pushed, tilde.h, pushed)
 
     hess = pot_d2 - np.einsum("nkij,nk->nij", base.gamma, pot_d)
-    hess_frame = np.einsum("nai,nij,nbj->nab", base.frame, hess, base.frame)
+    hess_frame = base.frame @ hess @ np.swapaxes(base.frame, 1, 2)
     return PairNodeData(
         base=base,
         tilde=tilde,
@@ -132,10 +134,11 @@ class IsometryCorrespondence:
     def node_data(self, theta, phi) -> PairNodeData:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
-        base = geometry.evaluate_surface(self.surface, theta, phi)
+        y_jet = self.surface.height_jet(theta, phi)
+        base = geometry.evaluate_fields(theta, phi, node_arrays(y_jet))
 
         lam = self.iso.matrix
-        x = _embedded_jets(self.surface, theta, phi)
+        x = _embedded_jets(y_jet, theta, phi)
         xt = [
             sum((lam[a, b] * x[b] for b in range(1, 4)), lam[a, 0] * x[0])
             for a in range(4)
@@ -171,11 +174,12 @@ class IdentityCorrespondence:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
         base = geometry.evaluate_surface(self.surface, theta, phi)
-        tilde = geometry.evaluate_surface(self.other, theta, phi)
+        other_jets = self.other.jets(theta, phi)
+        tilde = geometry.evaluate_fields(theta, phi, other_jets)
         n = theta.shape[0]
         jac = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
 
-        yy, dyy, d2yy, _ = self.other.jets(theta, phi)
+        yy, dyy, d2yy, _ = other_jets
         c, s = np.cosh(yy), np.sinh(yy)
         pot_d = -c[:, None] * dyy
         pot_d2 = -(

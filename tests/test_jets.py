@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsrigidity import jets
+
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def _sample(n=40, seed=0):
@@ -14,7 +19,7 @@ def _expr(jt, jp):
         jets.sinh(jt * 0.4 + jets.cos(jp) * 0.3)
         + jets.sqrt(jt + 1.2) / (jets.cosh(jp * 0.5) + 0.7)
         + jets.log(jets.cos(jt) * 0.9 + 1.2) * jets.arcsinh(jp - 3.0)
-        + (jt * jp) ** 3 * 1e-2
+        + (jt * jp) * (jt * jp) * (jt * jp) * 1e-2
     )
 
 
@@ -70,9 +75,27 @@ def test_division_and_power_consistency():
     theta, phi = _sample(seed=3)
     jt = jets.Jet3.variable(theta, 0)
     a = jt / (jt + 1.0)
-    b = jt * (jt + 1.0) ** (-1.0)
+    # theta / (theta + 1) = 1 - 1 / (theta + 1): closed-form theta derivatives
+    q = 1.0 / (theta + 1.0)
+    b = jets.Jet3.constant(theta / (theta + 1.0))
+    b.d[0], b.d2[0, 0], b.d3[0, 0, 0] = q**2, -2.0 * q**3, 6.0 * q**4
     for lhs, rhs in ((a.f, b.f), (a.d, b.d), (a.d2, b.d2), (a.d3, b.d3)):
         assert np.abs(lhs - rhs).max() < 1e-13
+
+
+@deterministic
+@given(
+    arrays(float, (15, 3), elements=st.floats(-1e3, 1e3)),
+    st.floats(-1e3, 1e3),
+)
+def test_scalar_factor_matches_the_constant_jet_product(parts, c):
+    jet = jets.Jet3(parts[0], parts[1:3], parts[3:7].reshape(2, 2, 3),
+                    parts[7:15].reshape(2, 2, 2, 3))
+    coerced = jet * jets.Jet3.constant(c)
+    for scaled in (jet * c, c * jet, jet * np.float64(c)):
+        for lhs, rhs in zip((scaled.f, scaled.d, scaled.d2, scaled.d3),
+                            (coerced.f, coerced.d, coerced.d2, coerced.d3)):
+            assert np.array_equal(lhs, rhs)
 
 
 def test_azimuth_derivatives_match_arctan():

@@ -11,9 +11,37 @@ from dsrigidity.surfaces import (
     HarmonicMode,
     SampledGridSurface,
     grid_scalar_derivatives,
-    real_sph_harm_jet,
     reflect_surface,
 )
+
+
+def harmonic_by_composed_jets(l, m, theta, phi):
+    """Jet of Re Y_l^m composed from jet arithmetic: cos, sin and the
+    Legendre recurrence run on Jet3, independent of the closed form."""
+    jt = jets.Jet3.variable(theta, 0)
+    jp = jets.Jet3.variable(phi, 1)
+    x, s = jets.cos(jt), jets.sin(jt)
+    pmm = jets.Jet3.constant(np.full(np.shape(theta), (-1.0) ** m))
+    for k in range(1, m + 1):
+        pmm = pmm * s * float(2 * k - 1)
+    plm = pmm
+    if l > m:
+        pm1 = x * float(2 * m + 1) * pmm
+        for ll in range(m + 2, l + 1):
+            pmm, pm1 = pm1, (x * float(2 * ll - 1) * pm1 - float(ll + m - 1) * pmm) * (
+                1.0 / float(ll - m)
+            )
+        plm = pm1
+    norm = math.sqrt(
+        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
+    )
+    return norm * plm * jets.cos(jp * float(m))
+
+
+def _assert_jets_close(ours, ref, rel):
+    for a, b in ((ours.f, ref.f), (ours.d, ref.d), (ours.d2, ref.d2), (ours.d3, ref.d3)):
+        a, b = np.broadcast_arrays(a, b)
+        assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
 
 @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (5, 3), (8, 8)])
@@ -21,11 +49,27 @@ def test_real_harmonics_match_scipy(l, m):
     rng = np.random.default_rng(l * 10 + m)
     theta = rng.uniform(0.05, math.pi - 0.05, 60)
     phi = rng.uniform(0.0, 2.0 * math.pi, 60)
-    jt = jets.Jet3.variable(theta, 0)
-    jp = jets.Jet3.variable(phi, 1)
-    ours = real_sph_harm_jet(l, m, jt, jp)
+    ours = AnalyticSurface(0.0, [(1.0, l, m)]).height_jet(theta, phi)
     ref = sph_harm_y(l, m, theta, phi).real
     assert np.abs(ours.f - ref).max() < 1e-12
+
+
+def test_closed_form_jets_match_composed_jets():
+    rng = np.random.default_rng(7)
+    near_poles = np.arcsin(np.array([1e-3, 3e-3, 1e-2]))
+    theta = np.concatenate(
+        [near_poles, math.pi - near_poles, rng.uniform(0.05, math.pi - 0.05, 60)]
+    )
+    phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
+    for l in range(7):
+        for m in range(l + 1):
+            ours = AnalyticSurface(0.0, [(1.0, l, m)]).height_jet(theta, phi)
+            _assert_jets_close(ours, harmonic_by_composed_jets(l, m, theta, phi), 1e-12)
+    two_modes = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
+    ref = 0.6 + 0.05 * harmonic_by_composed_jets(2, 0, theta, phi) + (
+        0.02 * harmonic_by_composed_jets(3, 1, theta, phi)
+    )
+    _assert_jets_close(two_modes.height_jet(theta, phi), ref, 1e-12)
 
 
 def test_harmonic_jets_match_finite_differences():

@@ -83,14 +83,21 @@ def test_sigma_all_matches_eigenvalue_products():
 @deterministic
 @given(symmetric_matrices())
 def test_sigma_all_matches_eigenvalue_products_on_drawn_operators(w):
-    # the power sums behind Newton's identities carry roundoff of the size
-    # of |W|^k into sigma_k, so sigma_k is compared on that scale: a rank-one
-    # 6x6 operator with entries 3.08 has sigma_6 = 0 but gives 2.5e-9
+    # each k x k principal minor carries roundoff of the size of |W|^k, so
+    # sigma_k is compared on that scale
     kappa = np.linalg.eigvalsh(w)
     coeffs = np.poly(kappa)  # t^n - e1 t^{n-1} + e2 t^{n-2} ...
     scale = max(1.0, float(np.abs(kappa).max()))
     for k, value in enumerate(symfun.sigma_all(w)):
         assert abs(value - (-1.0) ** k * coeffs[k]) <= 1e-9 * scale**k
+
+
+def test_sigma_all_vanishes_above_the_rank():
+    # rank one: every principal minor of size >= 2 is zero (power sums
+    # through Newton's identities gave sigma_6 = 2.5e-9 here)
+    sig = symfun.sigma_all(np.full((6, 6), 3.08203125))
+    assert abs(sig[1] - 6 * 3.08203125) <= 1e-12
+    assert all(abs(value) <= 1e-12 for value in sig[2:])
 
 
 @st.composite

@@ -14,7 +14,8 @@ def target_angles(corr, theta, phi):
     """Image chart angles and height by arccos, independent of the jet route."""
     lam = corr.iso.matrix
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    x = np.stack([j.f for j in transport._embedded_jets(corr.surface, theta, phi)])
+    y = corr.surface.height_jet(theta, phi)
+    x = np.stack([j.f for j in transport._embedded_jets(y, theta, phi)])
     xt = np.einsum("ab,b...->a...", lam, x)
     r = np.sqrt(xt[1] ** 2 + xt[2] ** 2 + xt[3] ** 2)
     theta_t = np.arccos(np.clip(xt[3] / r, -1.0, 1.0))
