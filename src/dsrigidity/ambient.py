@@ -42,19 +42,6 @@ class DeSitterPoint:
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "omega", omega)
 
-    @classmethod
-    def from_angles(cls, rho, theta, phi):
-        st = math.sin(theta)
-        return cls(
-            rho, (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-        )
-
-    def angles(self):
-        """Chart angles (theta, phi) of the direction vector."""
-        theta = math.acos(max(-1.0, min(1.0, self.omega[2])))
-        phi = math.atan2(self.omega[1], self.omega[0]) % (2.0 * math.pi)
-        return theta, phi
-
 
 def embed(point: DeSitterPoint) -> np.ndarray:
     """Pseudosphere coordinates x = (sinh rho, cosh rho * omega)."""
@@ -111,32 +98,36 @@ def christoffel_components(rho, theta):
     return gam
 
 
-def lie_derivative_residual(point: DeSitterPoint, e_i, e_j) -> float:
-    """Residual of <D_u V, w> + <D_w V, u> - 2 phi' <u, w> at a point.
+def lie_derivative_residual(rho, theta, u, w) -> np.ndarray:
+    """Residual of <D_u V, w> + <D_w V, u> - 2 phi' <u, w> at n points.
 
-    V = cosh(rho) d/d rho is conformal Killing with D V = phi' Id, so the
-    residual vanishes identically; this evaluates it from the chart
-    Christoffel symbols as an independent check.
+    ``rho`` and ``theta`` have shape (n,), the chart vectors ``u`` and
+    ``w`` shape (n, 3); returns shape (n,).  V = cosh(rho) d/d rho is
+    conformal Killing with D V = phi' Id, so the residual vanishes
+    identically; this evaluates it from the chart Christoffel symbols as
+    an independent check.
     """
-    theta, _ = point.angles()
-    if math.sin(theta) < POLE_MARGIN:
-        raise ChartPole(f"theta = {theta:.3g} too close to a chart pole")
-    u = np.asarray(e_i, dtype=float)
-    w = np.asarray(e_j, dtype=float)
-    g = metric_components(point.rho, theta)
-    gam = christoffel_components(point.rho, theta)
-    c = math.cosh(point.rho)
-    s = math.sinh(point.rho)
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    near = np.flatnonzero(np.sin(theta) < POLE_MARGIN)
+    if near.size:
+        k = near[0]
+        raise ChartPole(f"node {k}: theta = {theta[k]:.3g} too close to a chart pole")
+    g = metric_components(rho, theta)
+    gam = christoffel_components(rho, theta)
+    c = np.cosh(rho)
+    s = np.sinh(rho)
 
     def cov_deriv_v(vec):
         # (D_u V)^a = u^rho sinh(rho) delta^a_rho + Gamma^a_{b rho} u^b cosh(rho)
-        out = np.zeros(3)
-        out[0] = vec[0] * s
-        out += gam[:, :, 0] @ vec * c
+        out = np.einsum("nab,nb->na", gam[..., 0], vec) * c[:, None]
+        out[:, 0] += vec[:, 0] * s
         return out
 
-    lhs = cov_deriv_v(u) @ g @ w + cov_deriv_v(w) @ g @ u
-    return float(lhs - 2.0 * s * (u @ g @ w))
+    dot = lambda a, b: np.einsum("na,nab,nb->n", a, g, b)
+    return dot(cov_deriv_v(u), w) + dot(cov_deriv_v(w), u) - 2.0 * s * dot(u, w)
 
 
 # -- isometries -----------------------------------------------------------

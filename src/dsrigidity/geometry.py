@@ -102,15 +102,15 @@ def evaluate_on_grid(surface) -> SurfaceFields:
     return evaluate_fields(theta, phi, surface.grid_jets())
 
 
-def sampled_pre_integral_residual(surface) -> np.ndarray:
+def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     """Pre-integral residual for a sampled surface, discretized two ways.
 
-    The Hessian side is computed from samples of the potential itself
-    (independent stencils), the right side from the height jets; the
-    mutual disagreement measures the discretization error and decays at
-    second order under grid refinement.
+    ``fields`` is ``evaluate_on_grid(surface)``.  The Hessian side is
+    computed from samples of the potential itself (independent stencils),
+    the right side from the height jets; the mutual disagreement measures
+    the discretization error and decays at second order under grid
+    refinement.
     """
-    fields = evaluate_on_grid(surface)
     from .surfaces import grid_scalar_derivatives
 
     pot = -np.sinh(surface.values)
@@ -130,18 +130,18 @@ def sampled_pre_integral_residual(surface) -> np.ndarray:
     return np.abs(hess_frame - target).max(axis=(1, 2))
 
 
-def sampled_newton_residual(surface, min_sin_theta=0.2) -> np.ndarray:
+def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     """Newton-tensor divergence with the tensor field differenced on the grid.
 
-    The Newton tensor is assembled from the height jets at every node and
-    then differentiated as a grid field (central stencils), independently
-    of the jet-level derivative route.  The residual is reported over a
-    fixed interior band sin(theta) >= min_sin_theta: closer to the poles
-    the chart Christoffels grow like cot(theta) ~ 1/h and amplify the
-    (second-order) discretization error of the tensor field by 1/h,
-    obscuring the convergence order of the discretization itself.
+    ``fields`` is ``evaluate_on_grid(surface)``.  The Newton tensor is
+    assembled from the height jets at every node and then differentiated
+    as a grid field (central stencils), independently of the jet-level
+    derivative route.  The residual is reported over a fixed interior band
+    sin(theta) >= min_sin_theta: closer to the poles the chart
+    Christoffels grow like cot(theta) ~ 1/h and amplify the (second-order)
+    discretization error of the tensor field by 1/h, obscuring the
+    convergence order of the discretization itself.
     """
-    fields = evaluate_on_grid(surface)
     nt, npk = surface.n_theta, surface.n_phi
     w = fields.w_chart.reshape(nt, npk, 2, 2)
     tr = w[..., 0, 0] + w[..., 1, 1]

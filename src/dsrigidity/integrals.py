@@ -70,7 +70,7 @@ def _require_gates(data):
             )
 
 
-def _require_correspondence(data, tol=METRIC_PULLBACK_TOL):
+def _require_correspondence(data, tol):
     residual = data.metric_pullback_residual
     k = int(np.argmax(residual))
     if residual[k] > tol:
@@ -136,24 +136,31 @@ def pair_integrand_tables(data):
     return lhs, rhs, rhs_statement, term_scale
 
 
-def verify_integral_identities(data, rule, rel_tol=IDENTITY_REL_TOL):
-    """Check the four integral identities on a pair's node data; four reports."""
+def verify_identities(
+    data, rule, rel_tol=IDENTITY_REL_TOL, metric_tol=METRIC_PULLBACK_TOL
+):
+    """Check the four integral identities and the tilde symmetry on a pair.
+
+    Returns ``(reports, tilde_residual)``: one IdentityReport per identity
+    a..d, and the relative residual of swapping the tilde and untilde
+    potentials in the Hessian integral (the left sides of a and c).  That
+    equality is the global statement that drives the rigidity argument.
+    """
     _require_gates(data)
-    _require_correspondence(data)
+    _require_correspondence(data, metric_tol)
     lhs_tab, rhs_tab, rhs_stmt, term_scale = pair_integrand_tables(data)
     sq = data.base.sqrt_det_g
+    integral = lambda values: integrate_surface(rule, sq, values)
     reports = []
+    scales = {}
     for label in "abcd":
         lv = lhs_tab[label]
         rv = rhs_tab[label]
-        lhs = integrate_surface(rule, sq, lv)
-        rhs = integrate_surface(rule, sq, rv)
-        rhs_s = integrate_surface(rule, sq, rhs_stmt[label])
-        scale = max(
-            integrate_surface(rule, sq, np.abs(lv)),
-            integrate_surface(rule, sq, term_scale[label]),
-            1e-14,
-        )
+        lhs = integral(lv)
+        rhs = integral(rv)
+        rhs_s = integral(rhs_stmt[label])
+        scales[label] = (integral(np.abs(lv)), integral(term_scale[label]))
+        scale = max(*scales[label], 1e-14)
         rel = abs(lhs - rhs) / scale
         rel_stmt = abs(lhs - rhs_s) / scale
         reports.append(
@@ -171,29 +178,9 @@ def verify_integral_identities(data, rule, rel_tol=IDENTITY_REL_TOL):
                 pass_=rel <= rel_tol,
             )
         )
-    return reports
-
-
-def verify_tilde_symmetry(data, rule):
-    """Residual of swapping tilde and untilde potentials in the integral.
-
-    Both integrals use the Hessian route; their equality is the global
-    statement that drives the rigidity argument.
-    """
-    _require_gates(data)
-    _require_correspondence(data)
-    lhs_tab, _, _, term_scale = pair_integrand_tables(data)
-    sq = data.base.sqrt_det_g
-    i_a = integrate_surface(rule, sq, lhs_tab["a"])
-    i_c = integrate_surface(rule, sq, lhs_tab["c"])
-    scale = max(
-        integrate_surface(rule, sq, np.abs(lhs_tab["a"])),
-        integrate_surface(rule, sq, np.abs(lhs_tab["c"])),
-        integrate_surface(rule, sq, term_scale["a"]),
-        integrate_surface(rule, sq, term_scale["c"]),
-        1e-14,
-    )
-    return abs(i_c - i_a) / scale
+    i_a, i_c = reports[0].lhs, reports[2].lhs
+    tilde = abs(i_c - i_a) / max(*scales["a"], *scales["c"], 1e-14)
+    return reports, tilde
 
 
 def rigidity_experiment(

@@ -2,8 +2,8 @@
 
 A surface is a height function y(theta, phi) over the unit sphere; the
 numerical engine needs its chart jets up to third order at arbitrary nodes
-(analytic backends) or at the nodes of a fixed sampling grid (sampled
-backend).  Heights are built from constant slices plus real spherical
+(analytic surfaces) or at the nodes of a fixed sampling grid (sampled
+surfaces).  Heights are built from constant slices plus real spherical
 harmonic perturbations; each harmonic is a product of a theta factor and a
 phi factor, so every jet entry is a product of closed-form derivatives.
 """
@@ -103,8 +103,6 @@ def _sph_norm(l, m):
 class AnalyticSurface:
     """Height y = rho0 + sum_k eps_k Re Y_{l_k}^{m_k}, with closed-form jets."""
 
-    backend = "analytic"
-
     def __init__(self, rho0: float, modes=()):
         self.rho0 = float(rho0)
         self.modes = tuple(
@@ -164,6 +162,7 @@ class AnalyticSurface:
         return y
 
     def reflected(self):
+        """Mirror image across the equator, y -> -y; W changes sign."""
         return AnalyticSurface(
             -self.rho0,
             [HarmonicMode(-m.amplitude, m.degree, m.order) for m in self.modes],
@@ -189,8 +188,6 @@ class SampledGridSurface:
     obtained by reflecting across the pole (phi shifted by pi), which
     keeps every stencil central.  Requires n_phi even.
     """
-
-    backend = "sampled"
 
     def __init__(self, values, n_theta=None, n_phi=None):
         values = np.asarray(values, dtype=float)
@@ -228,6 +225,7 @@ class SampledGridSurface:
         return grid_scalar_jets(self.values)
 
     def reflected(self):
+        """Mirror image across the equator, y -> -y; W changes sign."""
         return SampledGridSurface(-self.values)
 
 
@@ -320,12 +318,3 @@ def grid_scalar_jets(values):
     d3y[:, 0, 1, 1] = d3y[:, 1, 0, 1] = d3y[:, 1, 1, 0] = d["tpp"].ravel()
     d3y[:, 1, 1, 1] = d["ppp"].ravel()
     return np.ascontiguousarray(values.ravel(), dtype=float), dy, d2y, d3y
-
-
-def reflect_surface(surface):
-    """Mirror a surface across the equator: y -> -y.
-
-    At corresponding nodes the shape operator changes sign under the
-    future-directed normal convention.
-    """
-    return surface.reflected()

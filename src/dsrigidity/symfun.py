@@ -114,9 +114,12 @@ def sigma_all(w) -> list:
     sum of the k x k principal minors (at most 70 of them for n <= 8).  Each
     minor keeps a determinant's accuracy, so sigma_k above the rank of W is
     zero up to the roundoff of those minors; no eigendecomposition is
-    performed.
+    performed.  Subnormal entries are flushed to zero first: a subnormal
+    LU pivot makes ``np.linalg.det`` divide by zero, and the flush moves
+    sigma_k by at most one subnormal times |W|^(k-1).
     """
     m = _mat(w)
+    m = np.where(np.abs(m) < np.finfo(float).tiny, 0.0, m)
     n = m.shape[0]
     out = [1.0]
     for k in range(1, n + 1):

@@ -12,8 +12,15 @@ def move(iso, point):
     return ambient.unembed(iso.matrix @ ambient.embed(point))
 
 
+def point_from_angles(rho, theta, phi):
+    st = math.sin(theta)
+    return ambient.DeSitterPoint(
+        rho, (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+    )
+
+
 def random_point(rng, rho_span=1.5):
-    return ambient.DeSitterPoint.from_angles(
+    return point_from_angles(
         rng.uniform(-rho_span, rho_span),
         rng.uniform(0.2, math.pi - 0.2),
         rng.uniform(0.0, 2.0 * math.pi),
@@ -112,14 +119,13 @@ def test_sectional_curvature_is_one_by_finite_differences():
 
 
 def test_conformal_field_identity_at_random_points():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
-        p = random_point(rng)
-        u = rng.uniform(-1.0, 1.0, 3)
-        w = rng.uniform(-1.0, 1.0, 3)
-        worst = max(worst, abs(ambient.lie_derivative_residual(p, u, w)))
-    assert worst <= 1e-10
+    # one row per point: rho, theta, phi (not read by the chart check), u, w
+    low = [-1.5, 0.2, 0.0] + [-1.0] * 6
+    high = [1.5, math.pi - 0.2, 2.0 * math.pi] + [1.0] * 6
+    d = np.random.default_rng(4).uniform(low, high, size=(100, 9))
+    residual = ambient.lie_derivative_residual(d[:, 0], d[:, 1], d[:, 3:6], d[:, 6:9])
+    assert residual.shape == (100,)
+    assert np.abs(residual).max() <= 1e-10
 
 
 def test_isometries_preserve_the_lorentz_form():
@@ -158,7 +164,7 @@ def test_equator_reflection():
         assert abs(q.rho + p.rho) < 1e-12
         assert np.abs(q.omega - p.omega).max() < 1e-12
     # fixes the equator, squares to the identity
-    eq = ambient.DeSitterPoint.from_angles(0.0, 1.0, 2.0)
+    eq = point_from_angles(0.0, 1.0, 2.0)
     fixed = move(refl, eq)
     assert abs(fixed.rho) < 1e-15
     assert np.abs((refl @ refl).matrix - np.eye(4)).max() == 0.0
@@ -176,10 +182,10 @@ def test_rotation_moves_the_direction():
 
 
 def test_lie_derivative_guards_the_poles():
-    with pytest.raises(ChartPole):
-        ambient.lie_derivative_residual(
-            ambient.DeSitterPoint(0.2, [0.0, 0.0, 1.0]), [1.0, 0, 0], [0, 1.0, 0]
-        )
+    u = [[1.0, 0.0, 0.0]] * 3
+    w = [[0.0, 1.0, 0.0]] * 3
+    with pytest.raises(ChartPole, match=r"node 1: theta = 0 too close"):
+        ambient.lie_derivative_residual([0.2] * 3, [1.0, 0.0, math.pi], u, w)
     c2 = math.cosh(0.5) ** 2
     np.testing.assert_allclose(
         ambient.metric_components(0.5, 1.0),

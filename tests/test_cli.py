@@ -89,6 +89,14 @@ def test_identities_command(tmp_path, capsys):
     assert "tilde_symmetry" in out
 
 
+def test_identities_read_the_metric_pullback_tolerance(capsys):
+    cfg = str(REPO / "configs" / "identities.cfg")
+    argv = ["verify-identities", "--config", cfg, "--quad", "32x64"]
+    assert run(argv + ["--tol", "metric_pullback=1e-30"]) == 2
+    err = capsys.readouterr().err
+    assert "(tolerance 1e-30) at node " in err and "(theta=" in err
+
+
 def test_rigidity_command_verdicts(tmp_path, capsys):
     rigid = _write(
         tmp_path / "rigid.cfg",

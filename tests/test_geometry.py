@@ -6,7 +6,7 @@ import pytest
 
 from dsrigidity import geometry
 from dsrigidity.errors import ChartPole, GateFailed, NonSpacelike
-from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, reflect_surface
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 from dsrigidity.symfun import ConeLabel
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -177,9 +177,7 @@ def test_curvature_gate(rule_32):
 def test_reflection_parity_of_shape_operator(rule_32):
     for surf in (AnalyticSurface(0.5), AnalyticSurface(0.5, [(0.05, 2, 0)])):
         f = geometry.evaluate_surface(surf, rule_32.theta, rule_32.phi)
-        fr = geometry.evaluate_surface(
-            reflect_surface(surf), rule_32.theta, rule_32.phi
-        )
+        fr = geometry.evaluate_surface(surf.reflected(), rule_32.theta, rule_32.phi)
         assert np.abs(fr.w_frame + f.w_frame).max() < 1e-8
         # one label per surface (the gate raises otherwise), plus and minus
         _, label = geometry.curvature_gate_fields(f)
@@ -192,8 +190,9 @@ def test_sampled_routes_converge_at_second_order(perturbed_surface):
     newt = []
     for n in (64, 128, 256):
         grid = SampledGridSurface.from_height(perturbed_surface, n, 2 * n)
-        pre.append(geometry.sampled_pre_integral_residual(grid).max())
-        newt.append(geometry.sampled_newton_residual(grid).max())
+        fields = geometry.evaluate_on_grid(grid)
+        pre.append(geometry.sampled_pre_integral_residual(grid, fields).max())
+        newt.append(geometry.sampled_newton_residual(grid, fields).max())
     assert pre[1] < 1e-4
     assert pre[0] / pre[1] > 3.0 and pre[1] / pre[2] > 3.0
     assert newt[1] < 1e-3

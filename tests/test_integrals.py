@@ -65,7 +65,7 @@ def pairs(rule_64):
 
 def test_integral_identities_on_all_pairs(pairs, rule_64):
     for name, data in pairs.items():
-        reports = integrals.verify_integral_identities(data, rule_64)
+        reports, _ = integrals.verify_identities(data, rule_64)
         assert [r.label for r in reports] == list("abcd")
         for rep in reports:
             assert rep.residual_rel <= 1e-6, (name, rep.label, rep.residual_rel)
@@ -75,13 +75,13 @@ def test_integral_identities_on_all_pairs(pairs, rule_64):
 
 
 def test_statement_sign_does_not_balance(pairs, rule_64):
-    reports = integrals.verify_integral_identities(pairs["identity"], rule_64)
+    reports, _ = integrals.verify_identities(pairs["identity"], rule_64)
     for rep in reports:
         assert rep.statement_sign_residual_rel > 1e-3
 
 
 def test_identity_pair_collapses_a_and_b(pairs, rule_64):
-    reports = integrals.verify_integral_identities(pairs["identity"], rule_64)
+    reports, _ = integrals.verify_identities(pairs["identity"], rule_64)
     by_label = {r.label: r for r in reports}
     assert abs(by_label["a"].lhs - by_label["b"].lhs) < 1e-12
     assert abs(by_label["a"].rhs - by_label["b"].rhs) < 1e-12
@@ -89,10 +89,10 @@ def test_identity_pair_collapses_a_and_b(pairs, rule_64):
 
 def test_tilde_symmetry_on_all_pairs(pairs, rule_64):
     for name, data in pairs.items():
-        resid = integrals.verify_tilde_symmetry(data, rule_64)
+        _, resid = integrals.verify_identities(data, rule_64)
         assert resid <= 1e-6, name
     # the identity pair is symmetric by construction, exactly
-    assert integrals.verify_tilde_symmetry(pairs["identity"], rule_64) < 1e-15
+    assert integrals.verify_identities(pairs["identity"], rule_64)[1] < 1e-15
 
 
 def test_identity_residuals_decay_spectrally():
@@ -103,7 +103,7 @@ def test_identity_residuals_decay_spectrally():
     resid = []
     for deg in ((16, 32), (32, 64)):
         rule = gauss_sphere_rule(*deg)
-        reports = integrals.verify_integral_identities(pair_data(pair, rule), rule)
+        reports, _ = integrals.verify_identities(pair_data(pair, rule), rule)
         resid.append(max(r.residual_rel for r in reports))
     assert resid[1] < resid[0] / 16.0 or resid[1] < 1e-12
 
@@ -115,9 +115,10 @@ def test_identities_hold_for_the_reflection_pair(rule_64):
         AnalyticSurface(0.5, [(0.04, 2, 0)]), ambient.reflect_equator()
     )
     data = pair_data(pair, rule_64)
-    for rep in integrals.verify_integral_identities(data, rule_64):
+    reports, tilde = integrals.verify_identities(data, rule_64)
+    for rep in reports:
         assert rep.residual_rel <= 1e-6 and rep.pointwise_max <= 1e-8
-    assert integrals.verify_tilde_symmetry(data, rule_64) <= 1e-6
+    assert tilde <= 1e-6
     assert np.abs(data.w_tilde_frame + data.base.w_frame).max() < 1e-8
 
 
@@ -179,7 +180,7 @@ def test_identities_reject_invalid_correspondence(rule_64):
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
     with pytest.raises(CorrespondenceInvalid, match=r"at node \d+ \(theta="):
-        integrals.verify_integral_identities(pair_data(pair, rule_64), rule_64)
+        integrals.verify_identities(pair_data(pair, rule_64), rule_64)
 
 
 def test_pointwise_garding_bound_under_the_gate(pairs, rule_64):
@@ -222,6 +223,7 @@ def isometric_pairs(draw):
 @given(pair=isometric_pairs())
 def test_drawn_isometric_pairs_pass_the_identities(pair, rule_32):
     data = pair_data(pair, rule_32)
-    for rep in integrals.verify_integral_identities(data, rule_32):
+    reports, tilde = integrals.verify_identities(data, rule_32)
+    for rep in reports:
         assert rep.pass_ and rep.pointwise_max <= integrals.POINTWISE_TOL, rep
-    assert integrals.verify_tilde_symmetry(data, rule_32) <= integrals.TILDE_SYMMETRY_TOL
+    assert tilde <= integrals.TILDE_SYMMETRY_TOL

@@ -11,7 +11,6 @@ from dsrigidity.surfaces import (
     HarmonicMode,
     SampledGridSurface,
     grid_scalar_derivatives,
-    reflect_surface,
 )
 
 
@@ -118,14 +117,14 @@ def test_mode_validation():
 
 def test_reflection_negates_heights_and_round_trips():
     surf = AnalyticSurface(0.5, [(0.05, 2, 0)])
-    mirrored = reflect_surface(surf)
+    mirrored = surf.reflected()
     theta = np.linspace(0.3, 2.8, 11)
     phi = np.linspace(0.0, 6.0, 11)
     y, dy, _, _ = surf.jets(theta, phi)
     ym, dym, _, _ = mirrored.jets(theta, phi)
     np.testing.assert_allclose(ym, -y, atol=1e-15)
     np.testing.assert_allclose(dym, -dy, atol=1e-15)
-    again = reflect_surface(mirrored)
+    again = mirrored.reflected()
     np.testing.assert_allclose(again.jets(theta, phi)[0], y, atol=1e-15)
 
 

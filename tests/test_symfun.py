@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,35 @@ def test_sigma_all_matches_eigenvalue_products_on_drawn_operators(w):
     scale = max(1.0, float(np.abs(kappa).max()))
     for k, value in enumerate(symfun.sigma_all(w)):
         assert abs(value - (-1.0) ** k * coeffs[k]) <= 1e-9 * scale**k
+
+
+def test_sigma_all_takes_subnormal_entries_without_warnings():
+    # a subnormal LU pivot makes np.linalg.det divide by zero, so sigma_all
+    # flushes subnormal entries; that moves sigma_k by at most tiny * |W|^(k-1)
+    tiny = np.finfo(float).tiny
+    fixed = [
+        ([[0.0, 2.2e-309], [2.2e-309, 2.2e-309]], [1.0, 0.0, 0.0]),
+        (
+            [[0.0, 1.1e-309, 0.5], [1.1e-309, 0.0, 0.0], [0.5, 0.0, 0.0]],
+            [1.0, 0.0, -0.25, 0.0],
+        ),
+    ]
+    rng = np.random.default_rng(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, expected in fixed:
+            np.testing.assert_allclose(symfun.sigma_all(w), expected, rtol=0, atol=tiny)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            w = random_symmetric(rng, n)
+            subnormal = rng.random((n, n)) < 0.5
+            w[subnormal] = rng.uniform(-1.0, 1.0, int(subnormal.sum())) * 2e-309
+            w = np.triu(w) + np.triu(w, 1).T
+            kappa = np.linalg.eigvalsh(w)
+            coeffs = np.poly(kappa)
+            scale = max(1.0, float(np.abs(kappa).max()))
+            for k, value in enumerate(symfun.sigma_all(w)):
+                assert abs(value - (-1.0) ** k * coeffs[k]) <= 1e-9 * scale**k
 
 
 def test_sigma_all_vanishes_above_the_rank():
