@@ -15,6 +15,7 @@ Configuration is flat INI text; see configs/ for canonical examples.
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 
@@ -141,6 +142,11 @@ def _parse_surface(section) -> object:
             n_theta, n_phi = (int(v) for v in res.lower().split("x"))
         except ValueError as exc:
             raise ConfigError(f"bad resolution {res!r}") from exc
+        if n_theta < 3 or n_phi < 2 or n_phi % 2:
+            raise ConfigError(
+                f"[{section.name}] resolution: {res!r} needs n_theta >= 3 "
+                "and an even n_phi >= 2"
+            )
         if "samples" in section:
             path = section.get("samples")
             try:
@@ -221,7 +227,7 @@ class ExperimentConfig:
             n_theta, n_phi = quad_override
         if n_theta < 16 or n_phi < 16:
             raise ConfigError("quadrature degrees must be at least 16")
-        self.rule = gauss_sphere_rule(n_theta, n_phi)
+        self.quad_degrees = (n_theta, n_phi)
 
         self.tolerances = dict(DEFAULT_TOLERANCES)
         for key in parser["tolerances"]:
@@ -243,6 +249,12 @@ class ExperimentConfig:
             )
         self.seed = seed if seed is not None else _number(suite, "seed", int, default=0)
 
+    @functools.cached_property
+    def rule(self):
+        """The quadrature rule, built on first use: a sampled surface's suite
+        and the regraph never integrate."""
+        return gauss_sphere_rule(*self.quad_degrees)
+
     def pair_data(self):
         """Node data of the configured pair at the quadrature nodes."""
         if self.surface2 is not None:
@@ -254,7 +266,7 @@ class ExperimentConfig:
         return pair.node_data(self.rule.theta, self.rule.phi)
 
     def environment(self, command):
-        nt, nphi = self.rule.degrees
+        nt, nphi = self.quad_degrees
         return {
             "version": __version__,
             "numpy": np.__version__,

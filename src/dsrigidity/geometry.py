@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, symfun
-from .errors import ChartPole, GateFailed, NonSpacelike
+from .errors import GateFailed, NonSpacelike
 
 #: sigma2 must exceed this at every node for the curvature gate
 GATE_SIGMA2_TOL = 1e-10
@@ -45,6 +45,7 @@ class SurfaceFields:
     sigma2: np.ndarray
     pre_integral_residual: np.ndarray
     gamma: np.ndarray
+    # the curvature fields need third-order jets; None without them
     k_norm: np.ndarray
     gauss_residual: np.ndarray
     newton_residual: np.ndarray
@@ -66,10 +67,14 @@ class SurfaceFields:
 
 
 def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
-    """Run the geometry kernels on precomputed jets at the given nodes."""
+    """Run the geometry kernels on precomputed jets at the given nodes.
+
+    ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y); the curvature
+    kernel runs only on the latter.
+    """
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
-    y, dy, d2y, d3y = node_jets
+    y, dy, d2y = node_jets[:3]
     core = kernels.surface_core(theta, y, dy, d2y)
     margin = core["margin"]
     if np.any(margin <= 0.0):
@@ -78,10 +83,13 @@ def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
             "gradient bound violated at "
             + node_text(theta, phi, worst, margin=margin[worst])
         )
-    k_norm, gauss, newton = kernels.curvature_fields(
-        theta, y, dy, d2y, d3y, core["g"], core["g_inv"], core["det_g"],
-        core["w_chart"], core["gamma"], core.pop("dg"), core["sigma2"],
-    )
+    dg = core.pop("dg")
+    k_norm = gauss = newton = None
+    if len(node_jets) > 3:
+        k_norm, gauss, newton = kernels.curvature_fields(
+            theta, y, dy, d2y, node_jets[3], core["g"], core["g_inv"], core["det_g"],
+            core["w_chart"], core["gamma"], dg, core["sigma2"],
+        )
     return SurfaceFields(
         theta=theta, phi=phi, y=y, k_norm=k_norm, gauss_residual=gauss,
         newton_residual=newton, **core,
@@ -89,10 +97,9 @@ def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
 
 
 def evaluate_surface(surface, theta, phi) -> SurfaceFields:
+    """All fields, curvature included, of an analytic surface at the nodes."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if np.any(np.sin(theta) < 1e-6):
-        raise ChartPole("node too close to a chart pole")
     return evaluate_fields(theta, phi, surface.jets(theta, phi))
 
 
@@ -111,16 +118,9 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     the discretization error and decays at second order under grid
     refinement.
     """
-    from .surfaces import grid_scalar_derivatives
+    from .surfaces import grid_scalar_jets
 
-    pot = -np.sinh(surface.values)
-    d = grid_scalar_derivatives(pot, order=2)
-    n = pot.size
-    dp = np.stack([d["t"].ravel(), d["p"].ravel()], axis=-1)
-    d2p = np.empty((n, 2, 2))
-    d2p[:, 0, 0] = d["tt"].ravel()
-    d2p[:, 0, 1] = d2p[:, 1, 0] = d["tp"].ravel()
-    d2p[:, 1, 1] = d["pp"].ravel()
+    _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
     hess = d2p - np.einsum("nkij,nk->nij", fields.gamma, dp)
     hess_frame = np.einsum("nai,nij,nbj->nab", fields.frame, hess, fields.frame)
     target = (

@@ -21,7 +21,6 @@ class QuadratureRule:
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
-    degrees: tuple
 
     @property
     def n_nodes(self):
@@ -47,7 +46,6 @@ def gauss_sphere_rule(n_theta: int, n_phi: int) -> QuadratureRule:
         theta=np.ascontiguousarray(theta),
         phi=np.ascontiguousarray(phi),
         weights=np.ascontiguousarray(weights),
-        degrees=(n_theta, n_phi),
     )
 
 

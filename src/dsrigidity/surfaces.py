@@ -1,11 +1,13 @@
 """Spacelike graph surfaces over the sphere: height descriptors and jets.
 
 A surface is a height function y(theta, phi) over the unit sphere; the
-numerical engine needs its chart jets up to third order at arbitrary nodes
-(analytic surfaces) or at the nodes of a fixed sampling grid (sampled
-surfaces).  Heights are built from constant slices plus real spherical
-harmonic perturbations; each harmonic is a product of a theta factor and a
-phi factor, so every jet entry is a product of closed-form derivatives.
+numerical engine needs its chart jets at arbitrary nodes (analytic
+surfaces) or at the nodes of a fixed sampling grid (sampled surfaces):
+second order for the pair suites, third order for the curvature checks of
+the single-surface suite.  Heights are built from constant slices plus real
+spherical harmonic perturbations; each harmonic is a product of a theta
+factor and a phi factor, so every jet entry is a product of closed-form
+derivatives.
 """
 
 import math
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .ambient import POLE_MARGIN
 from .errors import ChartPole
-
-POLE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,16 @@ def _legendre_any_order(l, m, x, s):
     return scale * assoc_legendre(l, -m, x, s)
 
 
-def _legendre_theta_derivatives(l, m, x, s):
-    """(d/dtheta)^k P_l^m(cos theta) for k = 0..3, division-free.
+def _legendre_theta_derivatives(l, m, x, s, order):
+    """(d/dtheta)^k P_l^m(cos theta) for k = 0..order, division-free.
 
     Applies the ladder d/dtheta P_l^m = (P_l^{m+1} - (l+m)(l-m+1) P_l^{m-1}) / 2
-    to the coefficients of a combination of orders m - 3 .. m + 3.
+    to the coefficients of a combination of orders m - order .. m + order.
     """
-    p = {mu: _legendre_any_order(l, mu, x, s) for mu in range(m - 3, m + 4)}
+    p = {mu: _legendre_any_order(l, mu, x, s) for mu in range(m - order, m + order + 1)}
     coeffs = {m: 1.0}
     out = []
-    for _ in range(4):
+    for _ in range(order + 1):
         out.append(sum(c * p[mu] for mu, c in coeffs.items()))
         step = {}
         for mu, c in coeffs.items():
@@ -115,38 +116,42 @@ class AnalyticSurface:
         )
         return f"AnalyticSurface(rho0={self.rho0:g}{', ' + terms if terms else ''})"
 
-    def height_jet(self, theta, phi) -> jets.Jet3:
-        """Closed-form jet: each mode is separable, so the entry with k theta
-        and j phi derivatives is (d/dtheta)^k P_l^m times (d/dphi)^j cos(m phi)."""
+    def _derivative_table(self, theta, phi, order):
+        """part[k][j]: the height with k theta and j phi derivatives, k + j <=
+        order.  Each mode is separable, so an entry is (d/dtheta)^k P_l^m
+        times (d/dphi)^j cos(m phi)."""
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
         x, s = np.cos(theta), np.sin(theta)
         if np.any(s < POLE_MARGIN):
             raise ChartPole("node too close to a chart pole")
-        # part[k][j]: k theta and j phi derivatives, k + j <= 3
-        part = [[np.zeros(theta.shape) for _ in range(4 - k)] for k in range(4)]
+        part = [
+            [np.zeros(theta.shape) for _ in range(order + 1 - k)] for k in range(order + 1)
+        ]
         part[0][0] += self.rho0
         for mode in self.modes:
             l, m = mode.degree, mode.order
             scale = mode.amplitude * _sph_norm(l, m)
-            p_theta = _legendre_theta_derivatives(l, m, x, s)
+            p_theta = _legendre_theta_derivatives(l, m, x, s, order)
             c, sn = np.cos(m * phi), np.sin(m * phi)
             p_phi = (c, -m * sn, -m * m * c, m**3 * sn)
-            for k in range(4):
-                for j in range(4 - k):
+            for k in range(order + 1):
+                for j in range(order + 1 - k):
                     part[k][j] = part[k][j] + scale * p_theta[k] * p_phi[j]
-        d = np.stack([part[1][0], part[0][1]])
-        d2 = np.empty((2, 2) + theta.shape)
-        d3 = np.empty((2, 2, 2) + theta.shape)
-        for idx in np.ndindex(2, 2):
-            d2[idx] = part[2 - sum(idx)][sum(idx)]
-        for idx in np.ndindex(2, 2, 2):
-            d3[idx] = part[3 - sum(idx)][sum(idx)]
-        return jets.Jet3(part[0][0], d, d2, d3)
+        return part
+
+    def height_jet(self, theta, phi) -> jets.Jet3:
+        """Closed-form second-order jet of the height."""
+        part = self._derivative_table(theta, phi, 2)
+        return jets.Jet3(part[0][0], _derivative_tensor(part, 1), _derivative_tensor(part, 2))
 
     def jets(self, theta, phi):
-        """Return (y, dy, d2y, d3y) arrays with node axis first."""
-        return node_arrays(self.height_jet(theta, phi))
+        """Closed-form (y, dy, d2y, d3y) arrays with the node axis first."""
+        part = self._derivative_table(theta, phi, 3)
+        return (part[0][0],) + tuple(
+            np.moveaxis(_derivative_tensor(part, n), range(n), range(-n, 0))
+            for n in (1, 2, 3)
+        )
 
     def height(self, theta, phi):
         """Height values only; safe at the chart poles."""
@@ -169,13 +174,20 @@ class AnalyticSurface:
         )
 
 
+def _derivative_tensor(part, n):
+    """The n-th derivative tensor of a derivative table, derivative axes first."""
+    out = np.empty((2,) * n + np.shape(part[0][0]))
+    for idx in np.ndindex(*(2,) * n):
+        out[idx] = part[n - sum(idx)][sum(idx)]
+    return out
+
+
 def node_arrays(jet):
-    """Jet components as (y, dy, d2y, d3y) arrays with the node axis first."""
+    """Jet components as (y, dy, d2y) arrays with the node axis first."""
     return (
         np.asarray(jet.f, dtype=float),
         np.moveaxis(np.asarray(jet.d), 0, -1),
         np.moveaxis(np.asarray(jet.d2), (0, 1), (-2, -1)),
-        np.moveaxis(np.asarray(jet.d3), (0, 1, 2), (-3, -2, -1)),
     )
 
 
@@ -303,18 +315,22 @@ def grid_scalar_derivatives(values, order=2):
     return out
 
 
-def grid_scalar_jets(values):
-    """Node-major jet arrays (y, dy, d2y, d3y) for a sampled scalar field."""
-    d = grid_scalar_derivatives(values, order=3)
+def grid_scalar_jets(values, order=3):
+    """Node-major jet arrays (y, dy, d2y[, d3y]) for a sampled scalar field;
+    d3y only when order = 3."""
+    d = grid_scalar_derivatives(values, order)
     n = values.size
     dy = np.stack([d["t"], d["p"]], axis=-1).reshape(n, 2)
     d2y = np.empty((n, 2, 2))
     d2y[:, 0, 0] = d["tt"].ravel()
     d2y[:, 0, 1] = d2y[:, 1, 0] = d["tp"].ravel()
     d2y[:, 1, 1] = d["pp"].ravel()
+    y = np.ascontiguousarray(values.ravel(), dtype=float)
+    if order < 3:
+        return y, dy, d2y
     d3y = np.empty((n, 2, 2, 2))
     d3y[:, 0, 0, 0] = d["ttt"].ravel()
     d3y[:, 0, 0, 1] = d3y[:, 0, 1, 0] = d3y[:, 1, 0, 0] = d["ttp"].ravel()
     d3y[:, 0, 1, 1] = d3y[:, 1, 0, 1] = d3y[:, 1, 1, 0] = d["tpp"].ravel()
     d3y[:, 1, 1, 1] = d["ppp"].ravel()
-    return np.ascontiguousarray(values.ravel(), dtype=float), dy, d2y, d3y
+    return y, dy, d2y, d3y

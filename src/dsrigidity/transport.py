@@ -4,7 +4,9 @@ An ambient isometry maps a graph surface to another surface; points
 correspond through the Lorentz matrix on the pseudosphere.  The image
 surface's height jets at corresponded points are obtained exactly by
 pushing the source jets through the isometry and inverting the induced
-chart map to third order, so tilde quantities carry no grid error.
+chart map to second order, so tilde quantities carry no grid error.  A pair
+enters the argument only through second-order data (shape operators,
+potential Hessians), so neither surface's curvature fields are formed here.
 
 The regraphing root-finder re-expresses the image as heights over the
 standard sampled grid (and certifies the image is a graph at all); the
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import geometry, jets
 from .errors import CorrespondenceInvalid, NotAGraph
-from .surfaces import SampledGridSurface, node_arrays
+from .surfaces import SampledGridSurface, grid_scalar_jets, node_arrays
 
 
 def _direction_jets(jtheta, jphi):
@@ -44,19 +46,16 @@ def _invert_chart_map(rho_jet, u_jets):
 
     ``rho_jet`` is the image height and ``u_jets = (theta~, phi~)`` the image
     chart coordinates, all as jets in the source chart.  Returns the arrays
-    (y, dy, d2y, d3y) of the image height as a function of its own chart,
-    node axis first, by inverting the chart map through third order.
+    (y, dy, d2y) of the image height as a function of its own chart, node
+    axis first, by inverting the chart map through second order, and the
+    chart map's Jacobian (n, a, i).
     """
     u1 = np.stack([np.moveaxis(u.d, 0, -1) for u in u_jets], axis=-2)  # (n, a, i)
     u2 = np.stack(
         [np.moveaxis(u.d2, (0, 1), (-2, -1)) for u in u_jets], axis=-3
     )  # (n, a, i, j)
-    u3 = np.stack(
-        [np.moveaxis(u.d3, (0, 1, 2), (-3, -2, -1)) for u in u_jets], axis=-4
-    )
     r1 = np.moveaxis(rho_jet.d, 0, -1)  # (n, i)
     r2 = np.moveaxis(rho_jet.d2, (0, 1), (-2, -1))
-    r3 = np.moveaxis(rho_jet.d3, (0, 1, 2), (-3, -2, -1))
 
     det = u1[..., 0, 0] * u1[..., 1, 1] - u1[..., 0, 1] * u1[..., 1, 0]
     if np.any(np.abs(det) < 1e-12):
@@ -68,22 +67,12 @@ def _invert_chart_map(rho_jet, u_jets):
     ainv[..., 1, 1] = u1[..., 0, 0] / det
 
     # dy and d2y keep einsum's summation order, which the rigidity report's
-    # residual digits depend on; the third-order terms contract pairwise
+    # residual digits depend on
     dy = np.einsum("ni,nia->na", r1, ainv)
     m2 = r2 - np.einsum("na,naij->nij", dy, u2)
     d2y = np.einsum("nia,nij,njb->nab", ainv, m2, ainv)
-    # mid[n, i, j, k] = sum_a u2[n, a, i, j] (d2y u1)[n, a, k]
-    mid = (np.swapaxes(u2.reshape(-1, 2, 4), 1, 2) @ (d2y @ u1)).reshape(u2.shape)
-    m3 = (
-        r3
-        - mid
-        - np.transpose(mid, (0, 1, 3, 2))
-        - np.transpose(mid, (0, 3, 1, 2))
-        - np.einsum("na,naijk->nijk", dy, u3)
-    )
-    d3y = np.einsum("nia,njb,nkc,nijk->nabc", ainv, ainv, ainv, m3, optimize=True)
     y = np.atleast_1d(np.asarray(rho_jet.f, dtype=float))
-    return y, dy, d2y, d3y, u1
+    return y, dy, d2y, u1
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +139,9 @@ class IsometryCorrespondence:
         theta_t = jets.azimuth(xt[3], jets.sqrt(xt[1] * xt[1] + xt[2] * xt[2]))
         phi_t = jets.azimuth(xt[1] / r, xt[2] / r)
 
-        y, dy, d2y, d3y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))
+        y, dy, d2y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))
         tilde = geometry.evaluate_fields(
-            np.ascontiguousarray(theta_t.f), np.ascontiguousarray(phi_t.f),
-            (y, dy, d2y, d3y),
+            np.ascontiguousarray(theta_t.f), np.ascontiguousarray(phi_t.f), (y, dy, d2y)
         )
 
         # pulled-back potential -sinh(rho~) = -x~_0, with chart jets on M
@@ -173,13 +161,15 @@ class IdentityCorrespondence:
     def node_data(self, theta, phi) -> PairNodeData:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
-        base = geometry.evaluate_surface(self.surface, theta, phi)
-        other_jets = self.other.jets(theta, phi)
+        base = geometry.evaluate_fields(
+            theta, phi, node_arrays(self.surface.height_jet(theta, phi))
+        )
+        other_jets = node_arrays(self.other.height_jet(theta, phi))
         tilde = geometry.evaluate_fields(theta, phi, other_jets)
         n = theta.shape[0]
         jac = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
 
-        yy, dyy, d2yy, _ = other_jets
+        yy, dyy, d2yy = other_jets
         c, s = np.cosh(yy), np.sinh(yy)
         pot_d = -c[:, None] * dyy
         pot_d2 = -(
@@ -263,5 +253,6 @@ def transform_surface(
     heights = (0.5 * (lo + hi)).reshape(n_theta, n_phi)
 
     sampled = SampledGridSurface(heights)
-    geometry.evaluate_on_grid(sampled)  # NonSpacelike past the gradient bound
+    # NonSpacelike past the gradient bound
+    geometry.evaluate_fields(*sampled.nodes(), grid_scalar_jets(heights, order=2))
     return sampled, IsometryCorrespondence(surface, iso)

@@ -189,6 +189,30 @@ def test_config_validation(tmp_path, capsys):
         assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
         assert message in capsys.readouterr().err, text
 
+    # sampled grids the stencils cannot run on: odd n_phi, empty, negative
+    # and too-small grids, from heights or from a samples file
+    samples = tmp_path / "tiny.txt"
+    np.savetxt(samples, np.full((2, 2), 0.5))
+    for res, source in (
+        ("16x31", "rho0 = 0.5"),
+        ("0x8", "rho0 = 0.5"),
+        ("3x0", "rho0 = 0.5"),
+        ("3x-2", "rho0 = 0.5"),
+        ("2x4", "rho0 = 0.5"),
+        ("2x2", f"samples = {samples}"),
+        ("3x2", "rho0 = 0.5"),  # the smallest grids that run
+        ("4x8", "rho0 = 0.5"),
+    ):
+        text = f"[surface]\nkind = sampled\n{source}\nresolution = {res}\n"
+        grid_cfg = _write(tmp_path / "grid.cfg", text)
+        code = run(["geometry", "--config", grid_cfg])
+        out, err = capsys.readouterr()
+        if res in ("3x2", "4x8"):
+            assert code in (0, 1) and "verdict pass=" in out, res
+        else:
+            assert code == 2, res
+            assert f"[surface] resolution: '{res}'" in err, res
+
 
 def test_quad_is_checked_under_python_optimizations():
     # an assert would vanish under -O
@@ -231,6 +255,21 @@ def test_sampled_surface_config(tmp_path, capsys):
     assert code == 0
     assert "pre_integral.sampled" in out
     assert "newton_divergence.sampled" in out
+
+
+def test_sampled_geometry_builds_no_quadrature_rule(tmp_path, capsys, monkeypatch):
+    # a sampled surface's suite integrates nothing; the report still names
+    # the configured degrees
+    def forbidden(*args):
+        raise AssertionError("quadrature rule built for a sampled surface")
+
+    monkeypatch.setattr(cli, "gauss_sphere_rule", forbidden)
+    cfg = _write(
+        tmp_path / "sampled.cfg",
+        "[surface]\nkind = sampled\nrho0 = 0.5\nresolution = 24x48\n",
+    )
+    assert run(["geometry", "--config", cfg, "--quad", "20x40"]) == 0
+    assert 'meta quad="20x40"' in capsys.readouterr().out
 
 
 def test_samples_file_roundtrip(tmp_path, capsys):

@@ -4,23 +4,101 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from dsrigidity import jets
 from dsrigidity.errors import ChartPole
 from dsrigidity.surfaces import (
     AnalyticSurface,
     HarmonicMode,
     SampledGridSurface,
     grid_scalar_derivatives,
+    node_arrays,
 )
 
 
+class Jet3rd:
+    """Third-order forward-mode jet in (theta, phi), derivative axes first.
+
+    The package's jets stop at second order; this oracle keeps the product
+    and chain rules through third order, so the closed-form d3y of
+    ``AnalyticSurface.jets`` is checked against an independent route.
+    Operands share one batch shape.
+    """
+
+    def __init__(self, f, d, d2, d3):
+        self.f, self.d, self.d2, self.d3 = f, d, d2, d3
+
+    @classmethod
+    def constant(cls, value):
+        value = np.asarray(value, dtype=float)
+        shape = value.shape
+        return cls(value, np.zeros((2,) + shape), np.zeros((2, 2) + shape),
+                   np.zeros((2, 2, 2) + shape))
+
+    @classmethod
+    def variable(cls, value, index):
+        jet = cls.constant(value)
+        jet.d[index] = 1.0
+        return jet
+
+    def _chain(self, u, u1, u2, u3):
+        """A scalar function with derivatives u1, u2, u3 at self.f."""
+        d, d2 = self.d, self.d2
+        outer = d[:, None] * d[None, :]
+        sym = (
+            d2[:, :, None] * d[None, None, :]
+            + d2[:, None, :] * d[None, :, None]
+            + d2[None, :, :] * d[:, None, None]
+        )
+        return Jet3rd(
+            u, u1 * d, u2 * outer + u1 * d2,
+            u3 * outer[:, :, None] * d[None, None, :] + u2 * sym + u1 * self.d3,
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, Jet3rd):
+            return Jet3rd(self.f + other, self.d, self.d2, self.d3)
+        return Jet3rd(self.f + other.f, self.d + other.d, self.d2 + other.d2,
+                      self.d3 + other.d3)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet3rd):
+            return Jet3rd(self.f * other, self.d * other, self.d2 * other, self.d3 * other)
+        s, o = self, other
+        d2 = s.d2 * o.f + s.d[:, None] * o.d[None, :] + o.d[:, None] * s.d[None, :] + s.f * o.d2
+        d3 = (
+            s.d3 * o.f
+            + s.d2[:, :, None] * o.d[None, None, :]
+            + s.d2[:, None, :] * o.d[None, :, None]
+            + s.d2[None, :, :] * o.d[:, None, None]
+            + o.d2[:, :, None] * s.d[None, None, :]
+            + o.d2[:, None, :] * s.d[None, :, None]
+            + o.d2[None, :, :] * s.d[:, None, None]
+            + s.f * o.d3
+        )
+        return Jet3rd(s.f * o.f, s.d * o.f + s.f * o.d, d2, d3)
+
+    __rmul__ = __mul__
+
+    def sin(self):
+        s, c = np.sin(self.f), np.cos(self.f)
+        return self._chain(s, c, -s, -c)
+
+    def cos(self):
+        s, c = np.sin(self.f), np.cos(self.f)
+        return self._chain(c, -s, -c, s)
+
+
 def harmonic_by_composed_jets(l, m, theta, phi):
-    """Jet of Re Y_l^m composed from jet arithmetic: cos, sin and the
-    Legendre recurrence run on Jet3, independent of the closed form."""
-    jt = jets.Jet3.variable(theta, 0)
-    jp = jets.Jet3.variable(phi, 1)
-    x, s = jets.cos(jt), jets.sin(jt)
-    pmm = jets.Jet3.constant(np.full(np.shape(theta), (-1.0) ** m))
+    """Third-order jet of Re Y_l^m composed from jet arithmetic: cos, sin and
+    the Legendre recurrence run on Jet3rd, independent of the closed form."""
+    jt = Jet3rd.variable(theta, 0)
+    jp = Jet3rd.variable(phi, 1)
+    x, s = jt.cos(), jt.sin()
+    pmm = Jet3rd.constant(np.full(np.shape(theta), (-1.0) ** m))
     for k in range(1, m + 1):
         pmm = pmm * s * float(2 * k - 1)
     plm = pmm
@@ -34,11 +112,16 @@ def harmonic_by_composed_jets(l, m, theta, phi):
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-    return norm * plm * jets.cos(jp * float(m))
+    return norm * plm * (jp * float(m)).cos()
 
 
 def _assert_jets_close(ours, ref, rel):
-    for a, b in ((ours.f, ref.f), (ours.d, ref.d), (ours.d2, ref.d2), (ours.d3, ref.d3)):
+    """``ours`` is (y, dy, d2y, d3y) node-major; ``ref`` a Jet3rd."""
+    expected = [ref.f] + [
+        np.moveaxis(comp, range(n), range(-n, 0))
+        for n, comp in ((1, ref.d), (2, ref.d2), (3, ref.d3))
+    ]
+    for a, b in zip(ours, expected, strict=True):
         a, b = np.broadcast_arrays(a, b)
         assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
@@ -60,15 +143,22 @@ def test_closed_form_jets_match_composed_jets():
         [near_poles, math.pi - near_poles, rng.uniform(0.05, math.pi - 0.05, 60)]
     )
     phi = rng.uniform(0.0, 2.0 * math.pi, theta.size)
-    for l in range(7):
-        for m in range(l + 1):
-            ours = AnalyticSurface(0.0, [(1.0, l, m)]).height_jet(theta, phi)
-            _assert_jets_close(ours, harmonic_by_composed_jets(l, m, theta, phi), 1e-12)
+    surfaces = [
+        (AnalyticSurface(0.0, [(1.0, l, m)]), harmonic_by_composed_jets(l, m, theta, phi))
+        for l in range(7)
+        for m in range(l + 1)
+    ]
     two_modes = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
-    ref = 0.6 + 0.05 * harmonic_by_composed_jets(2, 0, theta, phi) + (
+    two_ref = 0.6 + 0.05 * harmonic_by_composed_jets(2, 0, theta, phi) + (
         0.02 * harmonic_by_composed_jets(3, 1, theta, phi)
     )
-    _assert_jets_close(two_modes.height_jet(theta, phi), ref, 1e-12)
+    surfaces.append((two_modes, two_ref))
+    for surface, ref in surfaces:
+        ours = surface.jets(theta, phi)
+        _assert_jets_close(ours, ref, 1e-12)
+        # the second-order jet reads the same table
+        for a, b in zip(node_arrays(surface.height_jet(theta, phi)), ours, strict=False):
+            assert np.array_equal(a, b)
 
 
 def test_harmonic_jets_match_finite_differences():
