@@ -37,7 +37,7 @@ from .errors import (
 )
 from .quadrature import gauss_sphere_rule
 from .reports import RunReport, config_digest
-from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface
+from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface, node_arrays
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -375,9 +375,9 @@ def _geometry_report(config) -> tuple:
             tol["deriv_v"],
         )
     if "reflection" in checks and not sampled:
-        mirrored = geometry.evaluate_surface(
-            surface.reflected(), config.rule.theta, config.rule.phi
-        )
+        # the parity check reads W only, so second-order jets suffice
+        mirror_jets = node_arrays(surface.reflected().height_jet(fields.theta, fields.phi))
+        mirrored = geometry.evaluate_fields(fields.theta, fields.phi, mirror_jets)
         report.add(
             "reflection_parity",
             "W(-y) = -W(y) at corresponding nodes",

@@ -94,6 +94,13 @@ def _legendre_theta_derivatives(l, m, x, s, order):
     return out
 
 
+def _legendre_m_over_sin(l, m, x, s):
+    """m P_l^m(cos theta) / sin(theta), finite at the poles: 2m P_l^m / sin(theta)
+    = -(P_{l+1}^{m+1} + (l-m+1)(l-m+2) P_{l+1}^{m-1})."""
+    lower = float((l - m + 1) * (l - m + 2)) * _legendre_any_order(l + 1, m - 1, x, s)
+    return -0.5 * (_legendre_any_order(l + 1, m + 1, x, s) + lower)
+
+
 def _sph_norm(l, m):
     """Normalization of Re Y_l^m in scipy's convention."""
     return math.sqrt(
@@ -165,6 +172,20 @@ class AnalyticSurface:
             plm = assoc_legendre(l, m, x, s)
             y = y + mode.amplitude * _sph_norm(l, m) * plm * np.cos(m * phi)
         return y
+
+    def slope(self, theta, phi):
+        """Height y and |grad y|^2 = y_theta^2 + (y_phi / sin theta)^2 on the
+        unit sphere, at node arrays; safe at the chart poles."""
+        x, s = np.cos(theta), np.sin(theta)
+        y, y_theta, y_phi_over_sin = np.full(theta.shape, self.rho0), 0.0, 0.0
+        for mode in self.modes:
+            l, m = mode.degree, mode.order
+            scale = mode.amplitude * _sph_norm(l, m)
+            p, dp = _legendre_theta_derivatives(l, m, x, s, 1)
+            c, sn = np.cos(m * phi), np.sin(m * phi)
+            y, y_theta = y + scale * p * c, y_theta + scale * dp * c
+            y_phi_over_sin = y_phi_over_sin - scale * _legendre_m_over_sin(l, m, x, s) * sn
+        return y, y_theta**2 + y_phi_over_sin**2
 
     def reflected(self):
         """Mirror image across the equator, y -> -y; W changes sign."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import geometry, jets
 from .errors import CorrespondenceInvalid, NotAGraph
+from .geometry import node_text
 from .surfaces import SampledGridSurface, grid_scalar_jets, node_arrays
 
 
@@ -190,69 +191,77 @@ def identity_pair(surface, other) -> IdentityCorrespondence:
 # -- regraphing through the inverse isometry ------------------------------
 
 
-def transform_surface(
-    surface, iso, regraph_grid=(64, 128), t_max=3.0, n_scan=241, tol=1e-12
-):
+def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12):
     """Re-express the image of a surface under an isometry as a graph.
 
-    For every direction of the target grid the radial line is intersected
-    with the transformed surface by a bracketing bisection on
-
-        F(t) = rho(La^{-1} P(t)) - y(direction(La^{-1} P(t))),
-
-    P(t) the radial parameterization.  Exactly one sign change is required
-    (NotAGraph otherwise); the height is resolved to ``tol``.  Returns the
-    sampled surface plus the exact point correspondence.
+    A radial line P(t) of the target grid meets the image where
+    F(t) = rho(La^{-1} P(t)) - y(direction(La^{-1} P(t))) vanishes.
+    La^{-1} P is timelike, |rho'| > cosh(rho) |omega'|, so where |grad y| < cosh y
+    every zero of F crosses the same way: opposite end signs make exactly one.
+    So the end signs, an Illinois secant bracketed to ``tol`` and the slope
+    bound at each root's foot are checked; NotAGraph names the first line
+    that fails.  Returns the sampled surface plus the exact correspondence.
     """
     n_theta, n_phi = regraph_grid
-    grid = SampledGridSurface(np.zeros((n_theta, n_phi)))
-    tt, pp = np.meshgrid(grid.theta_grid, grid.phi_grid, indexing="ij")
-    st = np.sin(tt).ravel()
-    ct = np.cos(tt).ravel()
-    cp = np.cos(pp).ravel()
-    sp = np.sin(pp).ravel()
-    omega = np.stack([st * cp, st * sp, ct])  # (3, n)
+    theta, phi = SampledGridSurface(np.zeros((n_theta, n_phi))).nodes()
+    omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     lam_inv = iso.inverse().matrix
+    up = 1.0 if lam_inv[0, 0] > 0.0 else -1.0  # the sign of F' at the crossing
 
-    def height_mismatch(t):
-        # t: (m, n) radial parameters per direction
-        sh, ch = np.sinh(t), np.cosh(t)
-        x = np.empty((4,) + t.shape)
-        x[0] = sh
-        x[1:] = ch * omega[:, None, :] if t.ndim == 2 else ch * omega
+    def foot(t, lines):
+        # rho, theta, phi of La^{-1} P(t); t has a column per line ``lines`` picks
+        x = np.concatenate([np.sinh(t)[None], np.cosh(t) * omega[:, None, lines]])
         xs = np.einsum("ab,b...->a...", lam_inv, x)
-        rho = np.arcsinh(xs[0])
         rnorm = np.sqrt(xs[1] ** 2 + xs[2] ** 2 + xs[3] ** 2)
         th = np.arccos(np.clip(xs[3] / rnorm, -1.0, 1.0))
-        ph = np.arctan2(xs[2], xs[1]) % (2.0 * math.pi)
-        return rho - surface.height(th.ravel(), ph.ravel()).reshape(t.shape)
+        return np.arcsinh(xs[0]), th, np.arctan2(xs[2], xs[1]) % (2.0 * math.pi)
 
-    ts = np.linspace(-t_max, t_max, n_scan)
-    values = height_mismatch(np.broadcast_to(ts[:, None], (n_scan, omega.shape[1])).copy())
-    signs = np.where(values == 0.0, 1.0, np.sign(values))
-    flips = signs[:-1] * signs[1:] < 0
-    counts = flips.sum(axis=0)
-    if np.any(counts != 1):
-        bad = int(np.argmax(counts != 1))
+    def rising(t, lines):
+        # up * F: negative below the crossing, nonnegative from it on
+        rho, th, ph = foot(t, lines)
+        return up * (rho - surface.height(th.ravel(), ph.ravel()).reshape(t.shape))
+
+    lo, hi = np.full(theta.shape, -t_max), np.full(theta.shape, t_max)
+    g_lo, g_hi = rising(np.stack([lo, hi]), slice(None))
+    if np.any(bad := ~((g_lo < 0.0) & (g_hi > 0.0))):
+        k = int(np.argmax(bad))
+        where = node_text(theta, phi, k, F_start=up * g_lo[k], F_end=up * g_hi[k])
         raise NotAGraph(
-            f"radial line {bad} crosses the transformed surface "
-            f"{int(counts[bad])} times (expected 1)"
+            f"radial line through {where} does not cross the image once: "
+            f"the end signs must be {'-+' if up > 0 else '+-'}"
         )
-    idx = np.argmax(flips, axis=0)
-    cols = np.arange(omega.shape[1])
-    lo = ts[idx]
-    hi = ts[idx + 1]
-    flo = values[idx, cols]
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = height_mismatch(mid[None, :])[0]
-        take_low = flo * fmid <= 0.0
-        hi = np.where(take_low, mid, hi)
-        lo = np.where(take_low, lo, mid)
-        flo = np.where(take_low, flo, fmid)
-    heights = (0.5 * (lo + hi)).reshape(n_theta, n_phi)
 
-    sampled = SampledGridSurface(heights)
+    # Illinois on the probes c -+ tol/4 about each secant point c: probes that
+    # straddle the root end the line, an end kept twice has its value halved,
+    # and a bracket not halved over two steps is bisected
+    moved, (width_1, width_2) = np.zeros(theta.shape), np.full((2, theta.size), np.inf)
+    active = np.arange(theta.size)
+    while active.size:
+        a, b, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
+        c = b - gb / (gb - ga) * (b - a)
+        c = np.where(b - a > 0.5 * width_2[active], 0.5 * (a + b), c)
+        pts = np.stack([a, np.maximum(c - 0.25 * tol, a), np.minimum(c + 0.25 * tol, b), b])
+        vals = np.concatenate([ga[None], rising(pts[1:3], active), gb[None]])
+        j = np.argmax(vals >= 0.0, axis=0)  # 1: hi moved, 2: straddle, 3: lo moved
+        repeat = j == moved[active]
+        lo[active], hi[active], moved[active] = np.choose(j - 1, pts), np.choose(j, pts), j
+        g_lo[active] = np.where(repeat & (j == 1), 0.5, 1.0) * np.choose(j - 1, vals)
+        g_hi[active] = np.where(repeat & (j == 3), 0.5, 1.0) * np.choose(j, vals)
+        width_2[active], width_1[active] = width_1[active], b - a
+        active = active[hi[active] - lo[active] > tol]
+    heights = 0.5 * (lo + hi)
+
+    _, foot_theta, foot_phi = foot(heights[None], slice(None))
+    y, slope2 = surface.slope(foot_theta[0], foot_phi[0])
+    if np.any(bad := slope2 >= np.cosh(y) ** 2):
+        k = int(np.argmax(bad))
+        where = node_text(theta, phi, k, grad_y_sq=slope2[k], cosh_y_sq=np.cosh(y[k]) ** 2)
+        raise NotAGraph(
+            f"radial line through {where} meets the image over a foot where the source "
+            "breaks |grad y| < cosh y, so its one crossing is not certified"
+        )
+
+    sampled = SampledGridSurface(heights.reshape(n_theta, n_phi))
     # NonSpacelike past the gradient bound
-    geometry.evaluate_fields(*sampled.nodes(), grid_scalar_jets(heights, order=2))
+    geometry.evaluate_fields(*sampled.nodes(), grid_scalar_jets(sampled.values, order=2))
     return sampled, IsometryCorrespondence(surface, iso)

@@ -272,6 +272,24 @@ def test_sampled_geometry_builds_no_quadrature_rule(tmp_path, capsys, monkeypatc
     assert 'meta quad="20x40"' in capsys.readouterr().out
 
 
+def test_geometry_forms_curvature_fields_once(capsys, monkeypatch):
+    # the reflection check reads the mirror's W only, which needs no
+    # third-order jets and no curvature fields
+    from dsrigidity import kernels
+
+    calls = []
+    curvature_fields = kernels.curvature_fields
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return curvature_fields(*args)
+
+    monkeypatch.setattr(kernels, "curvature_fields", counted)
+    assert run(["geometry", "--config", str(REPO / "configs" / "geometry.cfg")]) == 0
+    assert "reflection_parity" in capsys.readouterr().out
+    assert calls == [64 * 128]
+
+
 def test_samples_file_roundtrip(tmp_path, capsys):
     from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 

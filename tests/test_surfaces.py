@@ -198,6 +198,26 @@ def test_height_values_agree_with_jets_and_allow_poles():
         surf.jets(np.array([1e-9]), np.array([0.0]))
 
 
+def test_slope_matches_jets_and_stays_finite_at_the_poles():
+    # one mode of every (l, m) with l <= 7 exercises the division-free
+    # m P_l^m / sin(theta) for each order
+    modes = [(0.01 / (l + 1), l, m) for l in range(1, 8) for m in range(l + 1)]
+    surf = AnalyticSurface(0.3, modes)
+    theta = np.linspace(0.05, math.pi - 0.05, 23)
+    phi = np.linspace(0.0, 6.2, 23)
+    y, dy, _, _ = surf.jets(theta, phi)
+    height, slope2 = surf.slope(theta, phi)
+    np.testing.assert_allclose(height, y, atol=1e-14)
+    np.testing.assert_allclose(
+        slope2, dy[:, 0] ** 2 + (dy[:, 1] / np.sin(theta)) ** 2, rtol=1e-12, atol=1e-15
+    )
+    # at a pole the value is the limit along the meridian phi
+    phi_pole = np.array([0.3, 2.0, 0.3, 4.0])
+    at_pole = surf.slope(np.array([0.0, 0.0, math.pi, math.pi]), phi_pole)[1]
+    near_pole = surf.slope(np.array([1e-9, 1e-9, math.pi - 1e-9, math.pi - 1e-9]), phi_pole)[1]
+    np.testing.assert_allclose(at_pole, near_pole, rtol=1e-7)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         HarmonicMode(0.1, 2, 3)

@@ -7,7 +7,7 @@ import pytest
 from dsrigidity import ambient, geometry, kernels, transport
 from dsrigidity.errors import NotAGraph
 from dsrigidity.quadrature import gauss_sphere_rule
-from dsrigidity.surfaces import AnalyticSurface
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 
 
 def target_angles(corr, theta, phi):
@@ -157,6 +157,107 @@ def test_transform_surface_identity_and_rotation(perturbed_surface):
     np.testing.assert_allclose(
         sampled.values.ravel(), perturbed_surface.height(tt, pp), atol=1e-11
     )
+
+
+def dense_scan_heights(surface, iso, regraph_grid, t_max=3.0, n_scan=241, tol=1e-12):
+    """Regraph oracle: count sign changes of F on a dense scan of every radial
+    line, require exactly one, then bisect its bracket down to ``tol``."""
+    n_theta, n_phi = regraph_grid
+    tt, pp = SampledGridSurface(np.zeros(regraph_grid)).nodes()
+    omega = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)])
+    lam_inv = iso.inverse().matrix
+
+    def height_mismatch(t):
+        x = np.concatenate([np.sinh(t)[None], np.cosh(t) * omega[:, None, :]])
+        xs = np.einsum("ab,b...->a...", lam_inv, x)
+        rnorm = np.sqrt(xs[1] ** 2 + xs[2] ** 2 + xs[3] ** 2)
+        th = np.arccos(np.clip(xs[3] / rnorm, -1.0, 1.0))
+        ph = np.arctan2(xs[2], xs[1]) % (2.0 * math.pi)
+        return np.arcsinh(xs[0]) - surface.height(th, ph)
+
+    ts = np.linspace(-t_max, t_max, n_scan)
+    values = height_mismatch(np.repeat(ts[:, None], omega.shape[1], axis=1))
+    signs = np.where(values == 0.0, 1.0, np.sign(values))
+    flips = signs[:-1] * signs[1:] < 0
+    assert np.all(flips.sum(axis=0) == 1)
+    idx = np.argmax(flips, axis=0)
+    lo, hi = ts[idx], ts[idx + 1]
+    flo = values[idx, np.arange(omega.shape[1])]
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        fmid = height_mismatch(mid[None, :])[0]
+        take_low = flo * fmid <= 0.0
+        hi = np.where(take_low, mid, hi)
+        lo = np.where(take_low, lo, mid)
+        flo = np.where(take_low, flo, fmid)
+    return (0.5 * (lo + hi)).reshape(n_theta, n_phi)
+
+
+@pytest.mark.parametrize(
+    "iso",
+    [
+        ambient.identity_isometry(),
+        ambient.rotation(0.7, [1.0, 2.0, 0.5]),
+        ambient.boost(0.35, [0.36, -0.8, 0.48]),
+        ambient.reflect_equator(),
+        ambient.reflect_equator() @ ambient.boost(-0.3, [0.6, 0.0, 0.8]),
+    ],
+    ids=["identity", "rotation", "boost", "reflection", "reflected_boost"],
+)
+def test_transform_surface_matches_dense_scan_oracle(iso):
+    surface = AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)])
+    sampled, _ = transport.transform_surface(surface, iso, regraph_grid=(16, 32))
+    oracle = dense_scan_heights(surface, iso, (16, 32))
+    assert np.abs(sampled.values - oracle).max() <= 1e-12
+
+
+def test_transform_surface_with_a_foot_on_the_source_pole(perturbed_surface):
+    # theta_0 = pi/32 on a 16-row grid: the rotation sends the line at
+    # (pi/32, pi) onto the source chart's pole, where y_phi / sin(theta)
+    # must come from the division-free ladder
+    iso = ambient.rotation(math.pi / 32, [0.0, 1.0, 0.0])
+    surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.04, 3, 2)])
+    sampled, _ = transport.transform_surface(surface, iso, regraph_grid=(16, 32))
+    oracle = dense_scan_heights(surface, iso, (16, 32))
+    assert np.abs(sampled.values - oracle).max() <= 1e-12
+
+
+def test_rotation_regraph_needs_few_height_calls(perturbed_surface, monkeypatch):
+    calls = []
+    height = AnalyticSurface.height
+
+    def counted(self, theta, phi):
+        calls.append(np.size(theta))
+        return height(self, theta, phi)
+
+    monkeypatch.setattr(AnalyticSurface, "height", counted)
+    surface = AnalyticSurface(0.5, [(0.04, 2, 1), (0.03, 3, 3)])
+    transport.transform_surface(
+        surface, ambient.rotation(0.9, [0.2, 1.0, -0.4]), regraph_grid=(32, 64)
+    )
+    # a dense scan of 241 points per line and 35 bisection steps made 36
+    assert len(calls) <= 14
+
+
+def test_non_graph_errors_name_the_line_and_the_values():
+    with pytest.raises(NotAGraph) as info:
+        transport.transform_surface(
+            AnalyticSurface(0.6), ambient.boost(0.3, [1.0, 0, 0]),
+            regraph_grid=(16, 32), t_max=0.5,
+        )
+    message = str(info.value)
+    for part in ("node 0 (", "theta=0.0982", "phi=0.0000", "F_start=-1.150e+00", "F_end="):
+        assert part in message
+    # the same surface as test_transform_surface_rejects_non_graphs: its
+    # slope breaks the spacelike bound at the foot of a crossing
+    with pytest.raises(NotAGraph) as info:
+        transport.transform_surface(
+            AnalyticSurface(0.0, [(1.2, 4, 0)]), ambient.boost(0.9, [0.0, 0.0, 1.0]),
+            regraph_grid=(16, 32), t_max=6.0,
+        )
+    message = str(info.value)
+    for part in ("node ", "theta=", "phi=", "grad_y_sq=", "cosh_y_sq="):
+        assert part in message
 
 
 def test_transform_surface_rejects_non_graphs():
