@@ -126,7 +126,8 @@ def lie_derivative_residual(rho, theta, u, w) -> np.ndarray:
         out[:, 0] += vec[:, 0] * s
         return out
 
-    dot = lambda a, b: np.einsum("na,nab,nb->n", a, g, b)
+    # g is diagonal: of einsum's sum over (a, b) from 0, the zero terms drop
+    dot = lambda a, b: sum(a[:, k] * g[:, k, k] * b[:, k] for k in range(3))
     return dot(cov_deriv_v(u), w) + dot(cov_deriv_v(w), u) - 2.0 * s * dot(u, w)
 
 

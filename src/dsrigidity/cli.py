@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, ambient, geometry, integrals, symfun, transport
+from . import __version__, ambient, geometry, integrals, kernels, symfun, transport
 from .backend import active_backend
 from .errors import (
     ChartPole,
@@ -75,15 +75,17 @@ def parse_matrix(text: str) -> np.ndarray:
     tokens = text.split()
     try:
         if tokens[0].lower() == "diag":
-            return np.diag([float(t) for t in tokens[1:]])
-        if tokens[0].lower() in ("identity", "eye"):
-            return np.eye(int(tokens[1]))
-        rows = [r.split() for r in text.split(";")]
-        mat = np.array([[float(v) for v in row] for row in rows])
+            mat = np.diag([float(t) for t in tokens[1:]])
+        elif tokens[0].lower() in ("identity", "eye"):
+            mat = np.eye(int(tokens[1]))
+        else:
+            mat = np.array([[float(v) for v in row.split()] for row in text.split(";")])
     except (ValueError, IndexError) as exc:
         raise ParseError(f"cannot parse matrix from {text!r}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"matrix text {text!r} is not square")
+    if not np.isfinite(mat).all():
+        raise ParseError(f"matrix text {text!r} has a non-finite entry")
     return mat
 
 
@@ -104,6 +106,11 @@ def _number(section, key, kind=float, default=None, text=None):
             if default is None:
                 raise ConfigError(f"{where} is missing")
             return default
+    return _finite(where, text, kind)
+
+
+def _finite(where, text, kind=float):
+    """``kind(text)``, or a ConfigError naming ``where`` and the bad text."""
     try:
         value = kind(text)
     except ValueError:
@@ -397,13 +404,11 @@ def _geometry_report(config) -> tuple:
             float(fields.nu_tangency_residual.max()),
             tol["normal"],
         )
-        frame_gram = np.einsum(
-            "nai,nij,nbj->nab", fields.frame, fields.g, fields.frame
-        )
+        gram = kernels.congruence(np.moveaxis(fields.frame, 0, -1), np.moveaxis(fields.g, 0, -1))
         report.add(
             "frame_orthonormal",
             "g(e_a, e_b) = delta_ab",
-            float(np.abs(frame_gram - np.eye(2)).max()),
+            max(float(np.abs(gram[a][b] - float(a == b)).max()) for a, b in np.ndindex(2, 2)),
             tol["frame"],
         )
 
@@ -568,10 +573,7 @@ def _load_config(args) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        try:
-            tols.append((name.strip(), float(value)))
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in {item!r}") from exc
+        tols.append((name.strip(), _finite(f"--tol {item}", value)))
     return ExperimentConfig(text, quad_override=quad, tol_overrides=tols, seed=args.seed)
 
 

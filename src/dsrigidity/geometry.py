@@ -121,13 +121,18 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     from .surfaces import grid_scalar_jets
 
     _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
-    hess = d2p - np.einsum("nkij,nk->nij", fields.gamma, dp)
-    hess_frame = np.einsum("nai,nij,nbj->nab", fields.frame, hess, fields.frame)
-    target = (
-        fields.phi_prime[:, None, None] * np.eye(2)
-        + fields.support[:, None, None] * fields.w_frame
-    )
-    return np.abs(hess_frame - target).max(axis=(1, 2))
+    gam, frame, w = (np.moveaxis(a, 0, -1) for a in (fields.gamma, fields.frame, fields.w_frame))
+    # a sum from 0 over the index, as np.einsum("nkij,nk->nij") sums
+    hess = [
+        [d2p[:, i, j] - sum(gam[k][i][j] * dp[:, k] for k in range(2)) for j in range(2)]
+        for i in range(2)
+    ]
+    hess_frame = kernels.congruence(frame, hess)
+    phi_prime = fields.phi_prime
+    return np.max([
+        np.abs(hess_frame[a][b] - (phi_prime * float(a == b) + fields.support * w[a][b]))
+        for a, b in np.ndindex(2, 2)
+    ], axis=0)
 
 
 def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
@@ -143,23 +148,26 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     convergence order of the discretization itself.
     """
     nt, npk = surface.n_theta, surface.n_phi
-    w = fields.w_chart.reshape(nt, npk, 2, 2)
-    tr = w[..., 0, 0] + w[..., 1, 1]
-    newton = tr[..., None, None] * np.eye(2) - w
+    w = np.moveaxis(fields.w_chart.reshape(nt, npk, 2, 2), (2, 3), (0, 1))
+    tr = w[0][0] + w[1][1]
+    newton = [[tr * float(i == j) - w[i][j] for j in range(2)] for i in range(2)]
     ht = math.pi / nt
     hp = 2.0 * math.pi / npk
+    gam = np.moveaxis(fields.gamma.reshape(nt, npk, 2, 2, 2)[1:-1], (2, 3, 4), (0, 1, 2))
+    core = [[t[1:-1] for t in row] for row in newton]
 
-    d_theta = (newton[2:] - newton[:-2]) / (2 * ht)
-    d_phi = (np.roll(newton, -1, axis=1) - np.roll(newton, 1, axis=1)) / (2 * hp)
-    dT = np.stack([d_theta, d_phi[1:-1]], axis=2)  # (nt-2, np, p, i, j)
-
-    gamma = fields.gamma.reshape(nt, npk, 2, 2, 2)[1:-1]
-    core = newton[1:-1]
-    div = np.einsum("tpiij->tpj", dT)
-    div += np.einsum("tpiia,tpaj->tpj", gamma, core)
-    div -= np.einsum("tpaij,tpia->tpj", gamma, core)
+    # div_j = d_i T^i_j + Gamma^i_ia T^a_j - Gamma^a_ij T^i_a, each contraction
+    # a sum from 0 over its index pairs in order, as einsum sums the stacks
+    d_theta = lambda f: (f[2:] - f[:-2]) / (2 * ht)
+    d_phi = lambda f: (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * hp)
+    div = [
+        sum((d_theta(newton[0][j]), d_phi(core[1][j])))
+        + sum(gam[i][i][a] * core[a][j] for i, a in np.ndindex(2, 2))
+        - sum(gam[a][i][j] * core[i][a] for a, i in np.ndindex(2, 2))
+        for j in range(2)
+    ]
     keep = np.sin(surface.theta_grid[1:-1]) >= min_sin_theta
-    return np.abs(div[keep]).max(axis=-1).ravel()
+    return np.maximum(np.abs(div[0][keep]), np.abs(div[1][keep])).ravel()
 
 
 def curvature_gate_fields(fields: SurfaceFields):

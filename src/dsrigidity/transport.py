@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, jets
-from .errors import CorrespondenceInvalid, NotAGraph
+from . import geometry, jets, kernels
+from .errors import ConfigError, CorrespondenceInvalid, NotAGraph
 from .geometry import node_text
-from .surfaces import SampledGridSurface, grid_scalar_jets, node_arrays
+from .surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets, node_arrays
 
 
 def _direction_jets(jtheta, jphi):
@@ -68,12 +68,22 @@ def _invert_chart_map(rho_jet, u_jets):
     ainv[..., 1, 1] = u1[..., 0, 0] / det
 
     # dy and d2y keep einsum's summation order, which the rigidity report's
-    # residual digits depend on
+    # residual digits depend on: d2y = A^T m2 A sums its (i, j) terms from 0
+    # in order, as np.einsum("nia,nij,njb->nab") does
     dy = np.einsum("ni,nia->na", r1, ainv)
     m2 = r2 - np.einsum("na,naij->nij", dy, u2)
-    d2y = np.einsum("nia,nij,njb->nab", ainv, m2, ainv)
+    ai, m = np.moveaxis(ainv, 0, -1), np.moveaxis(m2, 0, -1)
+    d2y = _stack([
+        [sum(ai[i][a] * m[i][j] * ai[j][b] for i, j in np.ndindex(2, 2)) for b in range(2)]
+        for a in range(2)
+    ])
     y = np.atleast_1d(np.asarray(rho_jet.f, dtype=float))
     return y, dy, d2y, u1
+
+
+def _stack(t):
+    """Node-major (n, 2, 2) stack of a 2x2 component list."""
+    return np.stack([*t[0], *t[1]], axis=-1).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +106,8 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     pushed = base.frame @ np.swapaxes(jac, 1, 2)
     pulled_g = pushed @ tilde.g @ np.swapaxes(pushed, 1, 2)
     metric_res = np.abs(pulled_g - np.eye(2)).max(axis=(1, 2))
-    # einsum order, like d2y in _invert_chart_map, keeps the rigidity digits
-    w_tilde = np.einsum("nia,nab,njb->nij", pushed, tilde.h, pushed)
+    # einsum's order, like d2y in _invert_chart_map, keeps the rigidity digits
+    w_tilde = _stack(kernels.congruence(*(np.moveaxis(a, 0, -1) for a in (pushed, tilde.h))))
 
     hess = pot_d2 - np.einsum("nkij,nk->nij", base.gamma, pot_d)
     hess_frame = base.frame @ hess @ np.swapaxes(base.frame, 1, 2)
@@ -202,6 +212,8 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
     bound at each root's foot are checked; NotAGraph names the first line
     that fails.  Returns the sampled surface plus the exact correspondence.
     """
+    if not isinstance(surface, AnalyticSurface):
+        raise ConfigError("regraphing needs an analytic source surface, not a sampled grid")
     n_theta, n_phi = regraph_grid
     theta, phi = SampledGridSurface(np.zeros((n_theta, n_phi))).nodes()
     omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])

@@ -32,6 +32,10 @@ def test_check_cone_rejects_garbage(capsys):
     assert run(["check-cone", "not a matrix"]) == 2
     assert run(["check-cone", "1 2; 3"]) == 2
     assert run(["check-cone", "diag 1 2", "identity 3"]) == 2  # dimension mismatch
+    capsys.readouterr()
+    for text in ("diag nan 1", "diag 1 inf", "1 0; 0 -inf"):
+        assert run(["check-cone", text]) == 2, text
+        assert f"matrix text {text!r} has a non-finite entry" in capsys.readouterr().err
 
 
 def test_matrix_parser():
@@ -188,6 +192,14 @@ def test_config_validation(tmp_path, capsys):
         bad = _write(tmp_path / "bad_number.cfg", text)
         assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
         assert message in capsys.readouterr().err, text
+    rigidity = str(REPO / "configs" / "rigidity.cfg")
+    for item, message in (
+        ("w_mismatch=nan", "--tol w_mismatch=nan: 'nan' is not finite"),
+        ("metric_pullback=inf", "--tol metric_pullback=inf: 'inf' is not finite"),
+        ("w_mismatch=tiny", "--tol w_mismatch=tiny: bad number 'tiny'"),
+    ):
+        assert run(["rigidity", "--config", rigidity, "--tol", item]) == 2, item
+        assert message in capsys.readouterr().err, item
 
     # sampled grids the stencils cannot run on: odd n_phi, empty, negative
     # and too-small grids, from heights or from a samples file

@@ -21,9 +21,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (command, config, exit code).  control.cfg pairs two different surfaces
 # through the identity correspondence; verify-identities stops at its
-# metric-pullback gate, so only rigidity reports on it.
+# metric-pullback gate, so only rigidity reports on it.  sampled.cfg runs
+# the geometry suite on stencil jets of a sampled grid.
 CASES = [
     ("geometry", REPO / "configs" / "geometry.cfg", 0),
+    ("geometry", GOLDEN / "sampled.cfg", 0),
     ("verify-identities", REPO / "configs" / "identities.cfg", 0),
     ("verify-identities", REPO / "configs" / "rigidity.cfg", 0),
     ("rigidity", REPO / "configs" / "identities.cfg", 0),

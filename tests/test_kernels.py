@@ -3,10 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dsrigidity import geometry
+import reference_forms
+from dsrigidity import ambient, geometry, jets, kernels, transport
 from dsrigidity.errors import NonSpacelike
-from dsrigidity.surfaces import AnalyticSurface
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 
 
 def test_surface_kernels_satisfy_their_invariants():
@@ -36,3 +40,102 @@ def test_surface_kernels_satisfy_their_invariants():
         warnings.simplefilter("error")
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
             geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
+
+
+# -- component forms against the broadcast and einsum forms they replaced --
+
+# property tests draw from a fixed sequence so that every run sees the same cases
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+entries = st.floats(-3.0, 3.0)
+unit = st.floats(-1.0, 1.0)
+nodes = st.integers(1, 12)
+
+
+def _parts(a):
+    return np.moveaxis(a, 0, -1)
+
+
+@st.composite
+def spacelike_jets(draw):
+    """theta and the jets (y, dy, d2y, d3y) at a few nodes, |grad y| < cosh y."""
+    n = draw(nodes)
+    theta = draw(arrays(float, n, elements=st.floats(0.2, math.pi - 0.2)))
+    y = draw(arrays(float, n, elements=st.floats(-1.5, 1.5)))
+    u = draw(arrays(float, (n, 2), elements=unit))
+    # |grad y|^2 = 0.49^2 cosh^2(y) |u|^2 stays below cosh^2(y)
+    dy = 0.49 * np.cosh(y)[:, None] * u * np.stack([np.ones(n), np.sin(theta)], axis=-1)
+    d2y = draw(arrays(float, (n, 2, 2), elements=entries))
+    d3y = draw(arrays(float, (n, 2, 2, 2), elements=entries))
+    return theta, y, dy, d2y, d3y
+
+
+@deterministic
+@given(spacelike_jets())
+def test_component_kernels_match_the_broadcast_kernels(node_jets):
+    theta, y, dy, d2y, d3y = node_jets
+    core = kernels.surface_core(theta, y, dy, d2y)
+    expected = reference_forms.surface_core(theta, y, dy, d2y)
+    assert core.keys() == expected.keys()
+    for name, value in expected.items():
+        assert np.array_equal(core[name], value), name
+    args = [core[k] for k in ("g", "g_inv", "det_g", "w_chart", "gamma", "dg", "sigma2")]
+    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, *args)
+    want = reference_forms.curvature_fields(theta, y, dy, d2y, d3y, *args)
+    for name, a, b in zip(("k_norm", "gauss", "newton"), got, want):
+        assert np.array_equal(a, b), name
+
+
+@deterministic
+@given(nodes.flatmap(lambda n: arrays(float, (2, n, 2, 2), elements=entries)))
+def test_matmul_and_congruence_sum_like_the_stacked_forms(stacks):
+    a, b = stacks
+    product = kernels._matmul(_parts(a), _parts(b))
+    assert np.array_equal(np.moveaxis(np.array(product), -1, 0), reference_forms._matmul(a, b))
+    congruent = np.moveaxis(np.array(kernels.congruence(_parts(a), _parts(b))), -1, 0)
+    # the frame congruences of the residuals and the pushed shape operator
+    assert np.array_equal(congruent, np.einsum("nai,nij,nbj->nab", a, b, a))
+    assert np.array_equal(congruent, np.einsum("nia,nab,njb->nij", a, b, a))
+
+
+@deterministic
+@given(st.integers(3, 12).flatmap(lambda n: arrays(float, (3, 7, n), elements=unit)))
+def test_chart_inversion_sums_like_einsum(parts):
+    # on exactly two nodes einsum's iterator orders these strided operands
+    # another way and the last bit of d2y can differ from the left-to-right
+    # sum; the pair suites evaluate at least 256 nodes
+    rho = jets.Jet3(parts[0, 0], parts[0, 1:3], parts[0, 3:].reshape(2, 2, -1))
+    # the chart map's Jacobian I + 0.3 U stays invertible for |U_ij| <= 1
+    u_jets = [
+        jets.Jet3(p[0], np.eye(2)[a][:, None] + 0.3 * p[1:3], p[3:].reshape(2, 2, -1))
+        for a, p in enumerate(parts[1:])
+    ]
+    _, dy, d2y, _ = transport._invert_chart_map(rho, u_jets)
+    assert np.array_equal(d2y, reference_forms.invert_chart_map_d2y(rho, u_jets, dy))
+
+
+@deterministic
+@given(st.integers(3, 10), st.integers(1, 8), st.floats(-1.0, 1.0), st.data())
+def test_sampled_residuals_sum_like_einsum(n_theta, half_phi, rho0, data):
+    n_phi = 2 * half_phi
+    noise = data.draw(arrays(float, (n_theta, n_phi), elements=unit))
+    surface = SampledGridSurface(rho0 + 1e-3 * noise, n_theta, n_phi)
+    fields = geometry.evaluate_on_grid(surface)
+    assert np.array_equal(
+        geometry.sampled_pre_integral_residual(surface, fields),
+        reference_forms.sampled_pre_integral_residual(surface, fields),
+    )
+    assert np.array_equal(
+        geometry.sampled_newton_residual(surface, fields, min_sin_theta=0.0),
+        reference_forms.sampled_newton_residual(surface, fields, min_sin_theta=0.0),
+    )
+
+
+@deterministic
+@given(nodes.flatmap(lambda n: arrays(float, (n, 8), elements=unit)))
+def test_conformal_check_sums_like_einsum(draws):
+    rho, theta = 1.5 * draws[:, 0], 1.5 + 1.3 * draws[:, 1]
+    u, w = draws[:, 2:5], draws[:, 5:8]
+    assert np.array_equal(
+        ambient.lie_derivative_residual(rho, theta, u, w),
+        reference_forms.lie_derivative_residual(rho, theta, u, w),
+    )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsrigidity import ambient, geometry, kernels, transport
-from dsrigidity.errors import NotAGraph
+from dsrigidity.errors import DsRigidityError, NotAGraph
 from dsrigidity.quadrature import gauss_sphere_rule
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 
@@ -269,6 +269,12 @@ def test_transform_surface_rejects_non_graphs():
             regraph_grid=(16, 32),
             t_max=6.0,
         )
+
+
+def test_transform_surface_needs_an_analytic_source():
+    sampled = SampledGridSurface.from_height(AnalyticSurface(0.5), 16, 32)
+    with pytest.raises(DsRigidityError, match="regraphing needs an analytic source"):
+        transport.transform_surface(sampled, ambient.boost(0.2, [1.0, 0, 0]), regraph_grid=(16, 32))
 
 
 def test_transformed_grid_passes_geometry_checks(perturbed_surface):
