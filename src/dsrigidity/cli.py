@@ -63,6 +63,10 @@ DEFAULT_TOLERANCES = {
 
 GEOMETRY_CHECKS = ("pre_integral", "gauss", "newton", "deriv_v", "reflection", "normal")
 
+#: configured heights stay within |y| <= HEIGHT_BOUND; a boost of rapidity
+#: |a| <= 1 moves them by at most |a|, and cosh(177)^4 = 3e306 is a float
+HEIGHT_BOUND = 176.0
+
 
 # -- inline matrix parsing -------------------------------------------------
 
@@ -137,12 +141,27 @@ def _parse_modes(section):
     return modes
 
 
+def _analytic(section, modes=()):
+    """The analytic surface of a section, its heights inside the domain."""
+    surface = AnalyticSurface(_number(section, "rho0"), modes)
+    # |Re Y_l^m| <= sqrt((2l + 1) / (4 pi)) bounds every height
+    bound = abs(surface.rho0) + sum(
+        abs(m.amplitude) * math.sqrt((2 * m.degree + 1) / (4.0 * math.pi)) for m in modes
+    )
+    if bound > HEIGHT_BOUND:
+        raise ConfigError(
+            f"[{section.name}] rho0: heights up to |y| = {bound:.6g} leave the "
+            f"domain |y| <= {HEIGHT_BOUND:g}, past which cosh(y)^4 overflows"
+        )
+    return surface
+
+
 def _parse_surface(section) -> object:
     kind = section.get("kind", "slice").strip()
     if kind == "slice":
-        return AnalyticSurface(_number(section, "rho0"))
+        return _analytic(section)
     if kind == "perturbed_slice":
-        return AnalyticSurface(_number(section, "rho0"), _parse_modes(section))
+        return _analytic(section, _parse_modes(section))
     if kind == "sampled":
         res = section.get("resolution", "64x128")
         try:
@@ -158,10 +177,16 @@ def _parse_surface(section) -> object:
             path = section.get("samples")
             try:
                 values = np.load(path) if path.endswith(".npy") else np.loadtxt(path)
-                return SampledGridSurface(values, n_theta, n_phi)
+                surface = SampledGridSurface(values, n_theta, n_phi)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"samples file {path}: {exc}") from exc
-        base = AnalyticSurface(_number(section, "rho0"), _parse_modes(section))
+            if not np.all(np.abs(surface.values) <= HEIGHT_BOUND):
+                raise ConfigError(
+                    f"[{section.name}] samples: a height leaves the domain "
+                    f"|y| <= {HEIGHT_BOUND:g}, past which cosh(y)^4 overflows"
+                )
+            return surface
+        base = _analytic(section, _parse_modes(section))
         return SampledGridSurface.from_height(base, n_theta, n_phi)
     raise ConfigError(f"unknown surface kind {kind!r}")
 

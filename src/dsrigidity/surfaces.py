@@ -20,6 +20,10 @@ from .ambient import POLE_MARGIN
 from .errors import ChartPole
 
 
+#: (l + m)! with m <= l stays below the float maximum (171! does not)
+MAX_DEGREE = 85
+
+
 @dataclass(frozen=True)
 class HarmonicMode:
     """One perturbation term: amplitude times Re Y_l^m."""
@@ -32,6 +36,11 @@ class HarmonicMode:
         if self.degree < 0 or not 0 <= self.order <= self.degree:
             raise ValueError(
                 f"invalid mode (l={self.degree}, m={self.order}); need 0 <= m <= l"
+            )
+        if self.degree > MAX_DEGREE:
+            raise ValueError(
+                f"invalid mode (l={self.degree}, m={self.order}); need l <= {MAX_DEGREE}, "
+                "where the (l + m)! of the Re Y_l^m normalization is a float"
             )
 
 

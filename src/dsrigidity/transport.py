@@ -1,12 +1,17 @@
-"""Isometric pairs: exact jet transport, regraphing, pulled-back data.
+"""Isometric pairs: closed-form second-order transport, regraphing, pulled-back data.
 
 An ambient isometry maps a graph surface to another surface; points
-correspond through the Lorentz matrix on the pseudosphere.  The image
-surface's height jets at corresponded points are obtained exactly by
-pushing the source jets through the isometry and inverting the induced
-chart map to second order, so tilde quantities carry no grid error.  A pair
-enters the argument only through second-order data (shape operators,
-potential Hessians), so neither surface's curvature fields are formed here.
+correspond through the Lorentz matrix on the pseudosphere.  A pair enters
+the argument only through second-order data (shape operators, potential
+Hessians), so the transport carries values, chart gradients and Hessians
+and nothing more, and neither surface's curvature fields are formed here.
+The embedded point x = (sinh y, cosh y omega) gets its jets in closed form
+from the height jet; the Lorentz matrix maps every jet component by the
+same matrix; rho~ = arcsinh x~_0, theta~ = atan2(|(x~_1, x~_2)|, x~_3) and
+phi~ = atan2(x~_2, x~_1) each take one chain rule (``jets``); inverting the
+chart map to second order gives the image height's jets on its own chart.
+So tilde quantities are exact, with no grid error.  Every 2x2 product is a
+sum of node arrays in a fixed order, so no digit depends on a BLAS kernel.
 
 The regraphing root-finder re-expresses the image as heights over the
 standard sampled grid (and certifies the image is a graph at all); the
@@ -24,61 +29,57 @@ from .geometry import node_text
 from .surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets, node_arrays
 
 
-def _direction_jets(jtheta, jphi):
-    st = jets.sin(jtheta)
-    return (
-        st * jets.cos(jphi),
-        st * jets.sin(jphi),
-        jets.cos(jtheta),
+def _embedding(y, theta, phi):
+    """Jets of the pseudosphere point x = (sinh y, cosh y omega(theta, phi))
+    of a graph surface with height jet y, in closed form."""
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    s, c = np.sinh(y.f), np.cosh(y.f)
+    yy = y.d[:, None] * y.d[None, :]
+    zero = np.zeros_like(theta)
+    # omega with its chart gradient and Hessian
+    omega = (
+        (st * cp, [ct * cp, -st * sp], [[-st * cp, -ct * sp], [-ct * sp, -st * cp]]),
+        (st * sp, [ct * sp, st * cp], [[-st * sp, ct * cp], [ct * cp, -st * sp]]),
+        (ct, [-st, zero], [[-ct, zero], [zero, zero]]),
     )
+    # cosh(y) omega by the product rule
+    dc, d2c = s * y.d, c * yy + s * y.d2
+    x = [jets.Jet3(s, c * y.d, s * yy + c * y.d2)]
+    for w, dw, d2w in omega:
+        dw = np.array(dw)
+        cross = dc[:, None] * dw[None, :]
+        d2 = d2c * w + (cross + np.swapaxes(cross, 0, 1)) + c * np.array(d2w)
+        x.append(jets.Jet3(c * w, dc * w + c * dw, d2))
+    return x
 
 
-def _embedded_jets(y, theta, phi):
-    """Jet of the pseudosphere embedding of a graph surface with height jet y."""
-    jt = jets.Jet3.variable(theta, 0)
-    jp = jets.Jet3.variable(phi, 1)
-    wx, wy, wz = _direction_jets(jt, jp)
-    c = jets.cosh(y)
-    return jets.sinh(y), c * wx, c * wy, c * wz
-
-
-def _invert_chart_map(rho_jet, u_jets):
+def _invert_chart_map(rho, u):
     """Height jets with respect to the image chart.
 
-    ``rho_jet`` is the image height and ``u_jets = (theta~, phi~)`` the image
-    chart coordinates, all as jets in the source chart.  Returns the arrays
+    ``rho`` is the image height and ``u = (theta~, phi~)`` the image chart
+    coordinates, all as jets in the source chart.  Returns the arrays
     (y, dy, d2y) of the image height as a function of its own chart, node
     axis first, by inverting the chart map through second order, and the
-    chart map's Jacobian (n, a, i).
+    chart map's Jacobian as components ``jac[a][i]``.
     """
-    u1 = np.stack([np.moveaxis(u.d, 0, -1) for u in u_jets], axis=-2)  # (n, a, i)
-    u2 = np.stack(
-        [np.moveaxis(u.d2, (0, 1), (-2, -1)) for u in u_jets], axis=-3
-    )  # (n, a, i, j)
-    r1 = np.moveaxis(rho_jet.d, 0, -1)  # (n, i)
-    r2 = np.moveaxis(rho_jet.d2, (0, 1), (-2, -1))
-
-    det = u1[..., 0, 0] * u1[..., 1, 1] - u1[..., 0, 1] * u1[..., 1, 0]
+    jac = [[ua.d[i] for i in range(2)] for ua in u]
+    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     if np.any(np.abs(det) < 1e-12):
         raise CorrespondenceInvalid("chart map of the image surface is singular")
-    ainv = np.empty_like(u1)  # (n, i, a): inverse of u1 as a matrix in (a, i)
-    ainv[..., 0, 0] = u1[..., 1, 1] / det
-    ainv[..., 0, 1] = -u1[..., 0, 1] / det
-    ainv[..., 1, 0] = -u1[..., 1, 0] / det
-    ainv[..., 1, 1] = u1[..., 0, 0] / det
+    # ai[i][a]: the inverse of the Jacobian as a matrix in (a, i)
+    ai = [[jac[1][1] / det, -jac[0][1] / det], [-jac[1][0] / det, jac[0][0] / det]]
 
     # dy and d2y keep einsum's summation order, which the rigidity report's
     # residual digits depend on: d2y = A^T m2 A sums its (i, j) terms from 0
     # in order, as np.einsum("nia,nij,njb->nab") does
-    dy = np.einsum("ni,nia->na", r1, ainv)
-    m2 = r2 - np.einsum("na,naij->nij", dy, u2)
-    ai, m = np.moveaxis(ainv, 0, -1), np.moveaxis(m2, 0, -1)
-    d2y = _stack([
+    dy = [rho.d[0] * ai[0][a] + rho.d[1] * ai[1][a] for a in range(2)]
+    m = [[rho.d2[i, j] - (dy[0] * u[0].d2[i, j] + dy[1] * u[1].d2[i, j]) for j in range(2)]
+         for i in range(2)]
+    d2y = [
         [sum(ai[i][a] * m[i][j] * ai[j][b] for i, j in np.ndindex(2, 2)) for b in range(2)]
         for a in range(2)
-    ])
-    y = np.atleast_1d(np.asarray(rho_jet.f, dtype=float))
-    return y, dy, d2y, u1
+    ]
+    return rho.f, np.stack(dy, axis=-1), _stack(d2y), jac
 
 
 def _stack(t):
@@ -93,7 +94,6 @@ class PairNodeData:
     base: geometry.SurfaceFields
     tilde: geometry.SurfaceFields
     jacobian: np.ndarray  # (n, a, i): image chart by source chart
-    pushed_frame: np.ndarray  # (n, a, image-chart index)
     metric_pullback_residual: np.ndarray  # max |g~(e_a, e_b) - delta| per node
     w_tilde_frame: np.ndarray  # image shape operator in the pushed frame
     phi_prime_tilde: np.ndarray  # sinh of the image height at f(x)
@@ -102,25 +102,33 @@ class PairNodeData:
 
 
 def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
-    # frame rows e_r pushed into image chart components: (n, r, a)
-    pushed = base.frame @ np.swapaxes(jac, 1, 2)
-    pulled_g = pushed @ tilde.g @ np.swapaxes(pushed, 1, 2)
-    metric_res = np.abs(pulled_g - np.eye(2)).max(axis=(1, 2))
-    # einsum's order, like d2y in _invert_chart_map, keeps the rigidity digits
-    w_tilde = _stack(kernels.congruence(*(np.moveaxis(a, 0, -1) for a in (pushed, tilde.h))))
+    """Pair data from the fields, the chart map's Jacobian ``jac[a][i]`` and
+    the pulled-back potential's chart gradient and Hessian, as components.
 
-    hess = pot_d2 - np.einsum("nkij,nk->nij", base.gamma, pot_d)
-    hess_frame = base.frame @ hess @ np.swapaxes(base.frame, 1, 2)
+    Every 2x2 product is a component sum (``kernels._matmul``,
+    ``kernels.congruence``), so no digit depends on a BLAS kernel.
+    """
+    frame, gamma, g_t, h_t = (
+        np.moveaxis(a, 0, -1) for a in (base.frame, base.gamma, tilde.g, tilde.h)
+    )
+    # frame rows e_r pushed into image chart components: pushed[r][a]
+    pushed = kernels._matmul(frame, [[jac[a][i] for a in range(2)] for i in range(2)])
+    pulled_g = kernels.congruence(pushed, g_t)
+    metric_res = np.maximum(
+        np.maximum(np.abs(pulled_g[0][0] - 1.0), np.abs(pulled_g[0][1])),
+        np.maximum(np.abs(pulled_g[1][0]), np.abs(pulled_g[1][1] - 1.0)),
+    )
+    hess = [[pot_d2[i][j] - (gamma[0][i][j] * pot_d[0] + gamma[1][i][j] * pot_d[1])
+             for j in range(2)] for i in range(2)]
     return PairNodeData(
         base=base,
         tilde=tilde,
-        jacobian=jac,
-        pushed_frame=pushed,
+        jacobian=_stack(jac),
         metric_pullback_residual=metric_res,
-        w_tilde_frame=w_tilde,
+        w_tilde_frame=_stack(kernels.congruence(pushed, h_t)),
         phi_prime_tilde=np.sinh(tilde.y),
         support_tilde=tilde.support,
-        hess_phi_tilde_frame=hess_frame,
+        hess_phi_tilde_frame=_stack(kernels.congruence(frame, hess)),
     )
 
 
@@ -138,28 +146,18 @@ class IsometryCorrespondence:
         base = geometry.evaluate_fields(theta, phi, node_arrays(y_jet))
 
         lam = self.iso.matrix
-        x = _embedded_jets(y_jet, theta, phi)
-        xt = [
-            sum((lam[a, b] * x[b] for b in range(1, 4)), lam[a, 0] * x[0])
-            for a in range(4)
-        ]
-        r = jets.sqrt(xt[1] * xt[1] + xt[2] * xt[2] + xt[3] * xt[3])
+        x = _embedding(y_jet, theta, phi)
+        xt = [sum((x[b] * lam[a, b] for b in range(1, 4)), x[0] * lam[a, 0]) for a in range(4)]
         rho_t = jets.arcsinh(xt[0])
         # atan2 keeps theta~ and its derivatives accurate next to the image
         # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)
-        theta_t = jets.azimuth(xt[3], jets.sqrt(xt[1] * xt[1] + xt[2] * xt[2]))
-        phi_t = jets.azimuth(xt[1] / r, xt[2] / r)
+        theta_t = jets.atan2(jets.hypot(xt[1], xt[2]), xt[3])
+        phi_t = jets.atan2(xt[2], xt[1])
 
         y, dy, d2y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))
-        tilde = geometry.evaluate_fields(
-            np.ascontiguousarray(theta_t.f), np.ascontiguousarray(phi_t.f), (y, dy, d2y)
-        )
-
+        tilde = geometry.evaluate_fields(theta_t.f, phi_t.f, (y, dy, d2y))
         # pulled-back potential -sinh(rho~) = -x~_0, with chart jets on M
-        pot = -xt[0]
-        pot_d = np.moveaxis(pot.d, 0, -1)
-        pot_d2 = np.moveaxis(pot.d2, (0, 1), (-2, -1))
-        return _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2)
+        return _pair_data_from_parts(base, tilde, jac, -xt[0].d, -xt[0].d2)
 
 
 class IdentityCorrespondence:
@@ -175,19 +173,14 @@ class IdentityCorrespondence:
         base = geometry.evaluate_fields(
             theta, phi, node_arrays(self.surface.height_jet(theta, phi))
         )
-        other_jets = node_arrays(self.other.height_jet(theta, phi))
-        tilde = geometry.evaluate_fields(theta, phi, other_jets)
-        n = theta.shape[0]
-        jac = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+        other = self.other.height_jet(theta, phi)
+        tilde = geometry.evaluate_fields(theta, phi, node_arrays(other))
+        one, zero = np.ones_like(theta), np.zeros_like(theta)
 
-        yy, dyy, d2yy = other_jets
-        c, s = np.cosh(yy), np.sinh(yy)
-        pot_d = -c[:, None] * dyy
-        pot_d2 = -(
-            s[:, None, None] * dyy[:, :, None] * dyy[:, None, :]
-            + c[:, None, None] * d2yy
-        )
-        return _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2)
+        # the potential -sinh(y~) over the shared chart
+        c, s = np.cosh(other.f), np.sinh(other.f)
+        pot_d2 = -(s * other.d[:, None] * other.d[None, :] + c * other.d2)
+        return _pair_data_from_parts(base, tilde, [[one, zero], [zero, one]], -c * other.d, pot_d2)
 
 
 def isometry_pair(surface, iso) -> IsometryCorrespondence:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,9 +189,19 @@ def test_config_validation(tmp_path, capsys):
         ("rigidity", analytic + boost.replace("1 0 0", "1 0"), "axis: '1 0' is not a"),
         ("rigidity", analytic + boost.replace("boost", "rotation").replace("rapidity", "angle")
          .replace("0.1", "inf"), "[isometry] angle: 'inf' is not finite"),
+        # (l + m)! of the normalization leaves the float range from l + m = 171
+        ("geometry", perturbed + "modes = 0.01:86:86\n",
+         "[surface] modes: invalid mode (l=86, m=86)"),
+        # heights past the domain where cosh(y)^4 is a float
+        *(("geometry", analytic.replace("0.5", rho0), "[surface] rho0: heights up to")
+          for rho0 in ("300", "-300", "800", "-800")),
+        ("rigidity", analytic + "\n" + analytic.replace("[surface]", "[surface2]")
+         .replace("0.5", "-800"), "[surface2] rho0: heights up to"),
     ):
         bad = _write(tmp_path / "bad_number.cfg", text)
-        assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
         assert message in capsys.readouterr().err, text
     rigidity = str(REPO / "configs" / "rigidity.cfg")
     for item, message in (
@@ -319,6 +330,13 @@ def test_samples_file_roundtrip(tmp_path, capsys):
     np.save(path, values)
     assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
     assert "grid index [3, 4] (theta=0.4581, phi=0.5236)" in capsys.readouterr().err
+
+    values[3, 4] = -300.0  # past the height domain
+    np.save(path, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
+    assert "[surface] samples: a height leaves the domain" in capsys.readouterr().err
 
     path.unlink()
     assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2

@@ -1,9 +1,13 @@
 import gc
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jet_oracle
 from dsrigidity import ambient, geometry, kernels, transport
 from dsrigidity.errors import DsRigidityError, NotAGraph
 from dsrigidity.quadrature import gauss_sphere_rule
@@ -14,8 +18,9 @@ def target_angles(corr, theta, phi):
     """Image chart angles and height by arccos, independent of the jet route."""
     lam = corr.iso.matrix
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    y = corr.surface.height_jet(theta, phi)
-    x = np.stack([j.f for j in transport._embedded_jets(y, theta, phi)])
+    y = corr.surface.height(theta, phi)
+    omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    x = np.concatenate([np.sinh(y)[None], np.cosh(y) * omega])
     xt = np.einsum("ab,b...->a...", lam, x)
     r = np.sqrt(xt[1] ** 2 + xt[2] ** 2 + xt[3] ** 2)
     theta_t = np.arccos(np.clip(xt[3] / r, -1.0, 1.0))
@@ -68,6 +73,70 @@ def test_pullback_data_is_equivariant(perturbed_surface, scattered_nodes):
         np.testing.assert_allclose(
             data.phi_prime_tilde, np.sinh(data.tilde.y), atol=1e-12
         )
+
+
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: np.array(v) / np.linalg.norm(v)
+)
+modes = st.tuples(st.floats(-0.05, 0.05), st.integers(0, 4), st.integers(0, 4)).map(
+    lambda t: (t[0], t[1], min(t[2], t[1]))
+)
+boosts = st.builds(ambient.boost, st.floats(-0.8, 0.8), axes)
+rotations = st.builds(ambient.rotation, st.floats(-math.pi, math.pi), axes)
+isometries = st.one_of(
+    boosts,
+    rotations,
+    st.builds(lambda a, b: a @ b, rotations, boosts),
+    st.builds(
+        lambda a, b, r: (ambient.reflect_equator() @ a if r else a) @ b,
+        boosts, rotations, st.booleans(),
+    ),
+)
+
+
+def nodes_next_to_the_image_poles(iso, rho, count, rng):
+    """Source nodes whose point at height rho maps within 1e-2 of an image
+    chart pole, plus as many scattered nodes."""
+    theta_t = rng.uniform(1e-4, 1e-2, count) * rng.choice([1.0, -1.0], count) % math.pi
+    phi_t = rng.uniform(0.0, 2.0 * math.pi, count)
+    p = np.stack([
+        np.full(count, math.sinh(rho)),
+        math.cosh(rho) * np.sin(theta_t) * np.cos(phi_t),
+        math.cosh(rho) * np.sin(theta_t) * np.sin(phi_t),
+        math.cosh(rho) * np.cos(theta_t),
+    ])
+    x = iso.inverse().matrix @ p
+    theta = np.arctan2(np.hypot(x[1], x[2]), x[3])
+    phi = np.arctan2(x[2], x[1]) % (2.0 * math.pi)
+    theta = np.concatenate([theta, rng.uniform(0.05, math.pi - 0.05, count)])
+    phi = np.concatenate([phi, rng.uniform(0.0, 2.0 * math.pi, count)])
+    keep = np.sin(theta) > 0.05  # off the source chart's poles
+    return theta[keep], phi[keep]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.floats(-0.8, 0.8), st.lists(modes, max_size=2), isometries, st.integers(0, 2**32 - 1)
+)
+def test_closed_form_transport_matches_the_jet_oracle(rho0, mode_list, iso, seed):
+    surface = AnalyticSurface(rho0, mode_list)
+    theta, phi = nodes_next_to_the_image_poles(iso, rho0, 16, np.random.default_rng(seed))
+    # the second evaluation is the image surface's, on its own chart jets
+    with mock.patch.object(geometry, "evaluate_fields", wraps=geometry.evaluate_fields) as spy:
+        data = transport.IsometryCorrespondence(surface, iso).node_data(theta, phi)
+    y, dy, d2y = spy.call_args_list[1].args[2]
+    oracle = jet_oracle.transport_oracle(surface, iso, theta, phi)
+    for name, value in (
+        ("jacobian", data.jacobian),
+        ("y", y),
+        ("dy", dy),
+        ("d2y", d2y),
+        ("w_tilde_frame", data.w_tilde_frame),
+        ("hess_phi_tilde_frame", data.hess_phi_tilde_frame),
+    ):
+        expected = oracle[name]
+        assert np.abs(value - expected).max() <= 1e-11 * max(1.0, np.abs(expected).max()), name
+    assert np.abs(data.tilde.theta - oracle["theta"]).max() <= 1e-13
 
 
 def test_identity_pair_collapses(perturbed_surface, scattered_nodes):
