@@ -67,6 +67,16 @@ GEOMETRY_CHECKS = ("pre_integral", "gauss", "newton", "deriv_v", "reflection", "
 #: |a| <= 1 moves them by at most |a|, and cosh(177)^4 = 3e306 is a float
 HEIGHT_BOUND = 176.0
 
+#: grids of more nodes exit 2: at about 2.3 KB a node, 512x1024 takes 1.2 GB
+MAX_NODES = 512 * 1024
+
+
+def _check_nodes(where, n_theta, n_phi):
+    """ConfigError naming ``where`` for a grid past MAX_NODES, before any allocation."""
+    if n_theta * n_phi > MAX_NODES:
+        raise ConfigError(f"{where}: {n_theta}x{n_phi} has {n_theta * n_phi} nodes, "
+                          f"more than the {MAX_NODES} (512x1024) a run may allocate")
+
 
 # -- inline matrix parsing -------------------------------------------------
 
@@ -173,6 +183,7 @@ def _parse_surface(section) -> object:
                 f"[{section.name}] resolution: {res!r} needs n_theta >= 3 "
                 "and an even n_phi >= 2"
             )
+        _check_nodes(f"[{section.name}] resolution", n_theta, n_phi)
         if "samples" in section:
             path = section.get("samples")
             try:
@@ -255,10 +266,13 @@ class ExperimentConfig:
         quad = parser["quadrature"]
         n_theta = _number(quad, "n_theta", int, default=64)
         n_phi = _number(quad, "n_phi", int, default=128)
+        where = "[quadrature] n_theta, n_phi"
         if quad_override:
             n_theta, n_phi = quad_override
+            where = "--quad"
         if n_theta < 16 or n_phi < 16:
             raise ConfigError("quadrature degrees must be at least 16")
+        _check_nodes(where, n_theta, n_phi)
         self.quad_degrees = (n_theta, n_phi)
 
         self.tolerances = dict(DEFAULT_TOLERANCES)

@@ -76,24 +76,32 @@ def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
     phi = np.ascontiguousarray(phi, dtype=float)
     y, dy, d2y = node_jets[:3]
     core = kernels.surface_core(theta, y, dy, d2y)
-    margin = core["margin"]
-    if np.any(margin <= 0.0):
-        worst = int(np.argmin(margin))
-        raise NonSpacelike(
-            "gradient bound violated at "
-            + node_text(theta, phi, worst, margin=margin[worst])
-        )
-    dg = core.pop("dg")
+    _raise_unless_spacelike(theta, phi, core["margin"])
+    dg, t = core.pop("dg"), core.pop("t")
     k_norm = gauss = newton = None
     if len(node_jets) > 3:
         k_norm, gauss, newton = kernels.curvature_fields(
             theta, y, dy, d2y, node_jets[3], core["g"], core["g_inv"], core["det_g"],
-            core["w_chart"], core["gamma"], dg, core["sigma2"],
+            core["w_chart"], core["gamma"], dg, core["sigma2"], core["margin"], t,
         )
     return SurfaceFields(
         theta=theta, phi=phi, y=y, k_norm=k_norm, gauss_residual=gauss,
         newton_residual=newton, **core,
     )
+
+
+def check_spacelike(theta, phi, y, dy):
+    """``evaluate_fields``'s NonSpacelike check from y and dy alone, no field formed."""
+    c = np.cosh(y)
+    _raise_unless_spacelike(theta, phi, kernels.first_form(np.sin(theta), c * c, dy)[2])
+
+
+def _raise_unless_spacelike(theta, phi, margin):
+    """NonSpacelike naming the node of least (clipped) ``first_form`` margin."""
+    if np.any(margin <= 0.0):
+        worst = int(np.argmin(margin))
+        where = node_text(theta, phi, worst, margin=margin[worst])
+        raise NonSpacelike(f"gradient bound violated at {where}")
 
 
 def evaluate_surface(surface, theta, phi) -> SurfaceFields:

@@ -51,7 +51,8 @@ def gauss_sphere_rule(n_theta: int, n_phi: int) -> QuadratureRule:
 
 def reduce_sum(values) -> float:
     """Deterministic compensated reduction over a fixed node order."""
-    return math.fsum(np.asarray(values, dtype=float))
+    # fsum of a list of floats: iterating the array would box each element
+    return math.fsum(np.asarray(values, dtype=float).tolist())
 
 
 def integrate_sphere(rule: QuadratureRule, values) -> float:

@@ -287,9 +287,9 @@ def pole_extend(values, pad):
 def grid_scalar_derivatives(values, order=2):
     """Central-difference derivatives of a scalar grid field.
 
-    Returns a dict with keys 't', 'p', 'tt', 'tp', 'pp' (plus the third
-    derivatives 'ttt', 'ttp', 'tpp', 'ppp' when order = 3), every array
-    shaped like ``values``.  Second-order accurate everywhere.
+    Returns a dict with keys 't', 'p' (plus 'tt', 'tp', 'pp' when order >= 2
+    and the third derivatives 'ttt', 'ttp', 'tpp', 'ppp' when order = 3),
+    every array shaped like ``values``.  Second-order accurate everywhere.
     """
     n_theta, n_phi = values.shape
     pad = 3
@@ -330,32 +330,28 @@ def grid_scalar_derivatives(values, order=2):
             - np.roll(arr, 2, axis=1)
         ) / (2 * hp**3)
 
-    out = {
-        "t": d_theta(ext),
-        "p": d_phi(values),
-        "tt": d2_theta(ext),
-        "tp": d_phi(d_theta(ext)),
-        "pp": d2_phi(values),
-    }
+    out = {"t": d_theta(ext), "p": d_phi(values)}
+    if order >= 2:
+        out.update(tt=d2_theta(ext), tp=d_phi(d_theta(ext)), pp=d2_phi(values))
     if order >= 3:
-        out["ttt"] = d3_theta(ext)
-        out["ttp"] = d_phi(d2_theta(ext))
-        out["tpp"] = d2_phi(d_theta(ext))
-        out["ppp"] = d3_phi(values)
+        out.update(ttt=d3_theta(ext), ttp=d_phi(d2_theta(ext)), tpp=d2_phi(d_theta(ext)),
+                   ppp=d3_phi(values))
     return out
 
 
 def grid_scalar_jets(values, order=3):
-    """Node-major jet arrays (y, dy, d2y[, d3y]) for a sampled scalar field;
-    d3y only when order = 3."""
+    """Node-major jet arrays (y, dy[, d2y[, d3y]]) for a sampled scalar field,
+    through the given order (1, 2 or 3)."""
     d = grid_scalar_derivatives(values, order)
     n = values.size
+    y = np.ascontiguousarray(values.ravel(), dtype=float)
     dy = np.stack([d["t"], d["p"]], axis=-1).reshape(n, 2)
+    if order < 2:
+        return y, dy
     d2y = np.empty((n, 2, 2))
     d2y[:, 0, 0] = d["tt"].ravel()
     d2y[:, 0, 1] = d2y[:, 1, 0] = d["tp"].ravel()
     d2y[:, 1, 1] = d["pp"].ravel()
-    y = np.ascontiguousarray(values.ravel(), dtype=float)
     if order < 3:
         return y, dy, d2y
     d3y = np.empty((n, 2, 2, 2))

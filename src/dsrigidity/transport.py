@@ -203,7 +203,9 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
     every zero of F crosses the same way: opposite end signs make exactly one.
     So the end signs, an Illinois secant bracketed to ``tol`` and the slope
     bound at each root's foot are checked; NotAGraph names the first line
-    that fails.  Returns the sampled surface plus the exact correspondence.
+    that fails.  NonSpacelike names the worst node where the stencil gradient
+    of the sampled image breaks the bound.  Returns the sampled surface plus
+    the exact correspondence.
     """
     if not isinstance(surface, AnalyticSurface):
         raise ConfigError("regraphing needs an analytic source surface, not a sampled grid")
@@ -267,6 +269,6 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
         )
 
     sampled = SampledGridSurface(heights.reshape(n_theta, n_phi))
-    # NonSpacelike past the gradient bound
-    geometry.evaluate_fields(*sampled.nodes(), grid_scalar_jets(sampled.values, order=2))
+    # NonSpacelike past the gradient bound: first-order stencils and the margin only
+    geometry.check_spacelike(theta, phi, *grid_scalar_jets(sampled.values, order=1))
     return sampled, IsometryCorrespondence(surface, iso)

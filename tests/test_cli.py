@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -235,6 +236,24 @@ def test_config_validation(tmp_path, capsys):
         else:
             assert code == 2, res
             assert f"[surface] resolution: '{res}'" in err, res
+
+    # grids past cli.MAX_NODES exit 2 naming the key, before anything is allocated
+    for text, extra, message in (
+        (analytic, ["--quad", "100000x100000"], "--quad: 100000x100000 has"),
+        (analytic + "[quadrature]\nn_theta = 100000\nn_phi = 100000\n", [],
+         "[quadrature] n_theta, n_phi: 100000x100000 has"),
+        ("[surface]\nkind = sampled\nrho0 = 0.5\nresolution = 100000x100000\n", [],
+         "[surface] resolution: 100000x100000 has"),
+    ):
+        cfg = _write(tmp_path / "huge.cfg", text)
+        tracemalloc.start()
+        try:
+            assert run(["geometry", "--config", cfg, *extra]) == 2, text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message in capsys.readouterr().err, text
+        assert peak < 10_000_000, text
 
 
 def test_quad_is_checked_under_python_optimizations():

@@ -3,10 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsrigidity import geometry
 from dsrigidity.errors import ChartPole, GateFailed, NonSpacelike
-from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets
 from dsrigidity.symfun import ConeLabel
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -150,6 +153,31 @@ def test_spacelike_violation_raises():
         geometry.evaluate_surface(steep, theta, phi)
     with pytest.raises(ChartPole):
         geometry.evaluate_surface(AnalyticSurface(0.5), [1e-8], [0.0])
+
+
+def _outcome(check, *args):
+    """None when ``check`` passes, else the NonSpacelike message."""
+    try:
+        check(*args)
+    except NonSpacelike as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(3, 10), st.integers(1, 8), st.floats(-1.0, 1.0), st.floats(0.0, 3.0),
+       st.data())
+def test_spacelike_check_agrees_with_the_surface_kernel(n_theta, half_phi, rho0, scale, data):
+    # drawn sampled grids, steep ones included, on their stencil jets
+    noise = data.draw(arrays(float, (n_theta, 2 * half_phi), elements=st.floats(-1.0, 1.0)))
+    surface = SampledGridSurface(rho0 + scale * noise)
+    theta, phi = surface.nodes()
+    y, dy, d2y = grid_scalar_jets(surface.values, order=2)
+    y1, dy1 = grid_scalar_jets(surface.values, order=1)
+    assert np.array_equal(y1, y) and np.array_equal(dy1, dy)
+    assert _outcome(geometry.check_spacelike, theta, phi, y1, dy1) == _outcome(
+        geometry.evaluate_fields, theta, phi, (y, dy, d2y)
+    )
 
 
 def test_curvature_gate(rule_32):

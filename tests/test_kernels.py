@@ -40,6 +40,9 @@ def test_surface_kernels_satisfy_their_invariants():
         warnings.simplefilter("error")
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
             geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
+        # the margin-only check of the regraph names the same node
+        with pytest.raises(NonSpacelike, match=f"at node {bad} "):
+            geometry.check_spacelike(theta, phi, y, dy)
 
 
 # -- component forms against the broadcast and einsum forms they replaced --
@@ -75,11 +78,15 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
     theta, y, dy, d2y, d3y = node_jets
     core = kernels.surface_core(theta, y, dy, d2y)
     expected = reference_forms.surface_core(theta, y, dy, d2y)
+    # T goes on to the curvature kernel
+    t = core.pop("t")
+    trig = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
+    assert np.array_equal(kernels._stack(t), reference_forms._second_form_parts(*trig, dy, d2y)[1])
     assert core.keys() == expected.keys()
     for name, value in expected.items():
         assert np.array_equal(core[name], value), name
     args = [core[k] for k in ("g", "g_inv", "det_g", "w_chart", "gamma", "dg", "sigma2")]
-    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, *args)
+    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, *args, core["margin"], t)
     want = reference_forms.curvature_fields(theta, y, dy, d2y, d3y, *args)
     for name, a, b in zip(("k_norm", "gauss", "newton"), got, want):
         assert np.array_equal(a, b), name
