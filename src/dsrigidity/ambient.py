@@ -168,9 +168,15 @@ def identity_isometry() -> AmbientIsometry:
     return AmbientIsometry(np.eye(4), IsometryKind.COMPOSITE)
 
 
-def rotation(angle: float, axis) -> AmbientIsometry:
+def unit_vector(axis):
+    """axis / |axis|, scaled first by a power of two (exact): no square over- or underflows."""
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = np.ldexp(axis, -np.frexp(np.abs(axis).max())[1])
+    return axis / np.linalg.norm(axis)
+
+
+def rotation(angle: float, axis) -> AmbientIsometry:
+    axis = unit_vector(axis)
     k = np.array(
         [
             [0.0, -axis[2], axis[1]],

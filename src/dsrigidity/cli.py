@@ -17,6 +17,7 @@ import argparse
 import configparser
 import functools
 import math
+import platform
 import sys
 
 import numpy as np
@@ -27,12 +28,10 @@ from .errors import (
     ChartPole,
     ConfigError,
     CorrespondenceInvalid,
-    DimensionMismatch,
     DsRigidityError,
     GateFailed,
     NonSpacelike,
     NotAGraph,
-    NotInCone,
     ParseError,
 )
 from .quadrature import gauss_sphere_rule
@@ -205,8 +204,7 @@ def _parse_surface(section) -> object:
 def _parse_axis(section):
     text = section.get("axis", "1 0 0")
     axis = np.array([_number(section, "axis", text=v) for v in text.split()])
-    norm = np.linalg.norm(axis) if axis.shape == (3,) else 0.0
-    if not 0.0 < norm < math.inf:
+    if axis.shape != (3,) or not axis.any():
         raise ConfigError(f"[{section.name}] axis: {text!r} is not a nonzero 3-vector")
     return axis
 
@@ -219,8 +217,7 @@ def _parse_isometry(section) -> ambient.AmbientIsometry:
         rapidity = _number(section, "rapidity")
         if abs(rapidity) > 1.0:
             raise ConfigError("rapidity outside the regraph safety range |a| <= 1")
-        axis = _parse_axis(section)
-        return ambient.boost(rapidity, axis / np.linalg.norm(axis))
+        return ambient.boost(rapidity, ambient.unit_vector(_parse_axis(section)))
     if kind == "rotation":
         return ambient.rotation(_number(section, "angle"), _parse_axis(section))
     if kind == "equator_reflection":
@@ -316,6 +313,7 @@ class ExperimentConfig:
         return {
             "version": __version__,
             "numpy": np.__version__,
+            "python": platform.python_version(),
             "backend": active_backend(),
             "config": self.digest,
             "quad": f"{nt}x{nphi}",
@@ -620,10 +618,9 @@ def _emit(report: RunReport, path):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(report.render())
-        print(report.summary())
     else:
         sys.stdout.write(report.render())
-        print(report.summary())
+    print(report.summary())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -657,9 +654,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, DimensionMismatch, NotInCone) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (GateFailed, NonSpacelike, NotAGraph, ChartPole, CorrespondenceInvalid) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_INVALID

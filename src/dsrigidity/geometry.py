@@ -4,6 +4,7 @@ This layer feeds height jets into the geometry kernels and exposes the
 results as arrays over a node set.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +26,21 @@ def node_text(theta, phi, k, **values):
 
 @dataclass(frozen=True, eq=False)
 class SurfaceFields:
-    """All pointwise geometric quantities over a set of chart nodes."""
+    """Pointwise geometric quantities over a set of chart nodes.
+
+    ``kernels.surface_core`` forms the fields on every surface.  One kernel
+    each forms the rest on first read: ``connection`` dg and gamma,
+    ``potential_hessian`` hess_phi_frame and pre_integral_residual,
+    ``curvature_fields`` k_norm and gauss_residual, ``newton_divergence``
+    newton_residual; the last three are None without third-order jets.
+    """
 
     theta: np.ndarray
     phi: np.ndarray
     y: np.ndarray
+    dy: np.ndarray
+    d2y: np.ndarray
+    d3y: np.ndarray  # None for second-order jets
     margin: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
@@ -37,24 +48,45 @@ class SurfaceFields:
     nu: np.ndarray
     support: np.ndarray
     h: np.ndarray
+    t: list  # components of T in h = (c / sqrt(margin)) T
     w_chart: np.ndarray
     frame: np.ndarray
     w_frame: np.ndarray
-    hess_phi_frame: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
-    pre_integral_residual: np.ndarray
-    gamma: np.ndarray
-    # the curvature fields need third-order jets; None without them
-    k_norm: np.ndarray
-    gauss_residual: np.ndarray
-    newton_residual: np.ndarray
     nu_norm_residual: np.ndarray
     nu_tangency_residual: np.ndarray
 
-    @property
-    def n_nodes(self):
-        return self.theta.shape[0]
+    @functools.cached_property
+    def _connection(self):
+        return kernels.connection(self.theta, self.y, self.dy, self.d2y, self.g_inv)
+
+    @functools.cached_property
+    def _potential_hessian(self):
+        return kernels.potential_hessian(
+            self.y, self.dy, self.d2y, self.gamma, self.frame, self.w_frame, self.support
+        )
+
+    @functools.cached_property
+    def _curvature(self):
+        return (None, None) if self.d3y is None else kernels.curvature_fields(
+            self.theta, self.y, self.dy, self.d2y, self.d3y, self.g, self.g_inv, self.det_g,
+            self.gamma, self.dg, self.sigma2,
+        )
+
+    @functools.cached_property
+    def newton_residual(self):
+        return None if self.d3y is None else kernels.newton_divergence(
+            self.theta, self.y, self.dy, self.d2y, self.d3y, self.g_inv, self.w_chart,
+            self.gamma, self.dg, self.margin, self.t,
+        )
+
+    dg = property(lambda self: self._connection[0])
+    gamma = property(lambda self: self._connection[1])
+    hess_phi_frame = property(lambda self: self._potential_hessian[0])
+    pre_integral_residual = property(lambda self: self._potential_hessian[1])
+    k_norm = property(lambda self: self._curvature[0])
+    gauss_residual = property(lambda self: self._curvature[1])
 
     @property
     def sqrt_det_g(self):
@@ -67,27 +99,17 @@ class SurfaceFields:
 
 
 def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
-    """Run the geometry kernels on precomputed jets at the given nodes.
+    """Run ``kernels.surface_core`` on precomputed jets at the given nodes.
 
-    ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y); the curvature
-    kernel runs only on the latter.
+    ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y); only the latter
+    lets the curvature and Newton fields be formed.
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
-    y, dy, d2y = node_jets[:3]
+    y, dy, d2y, d3y = (*node_jets, None)[:4]
     core = kernels.surface_core(theta, y, dy, d2y)
     _raise_unless_spacelike(theta, phi, core["margin"])
-    dg, t = core.pop("dg"), core.pop("t")
-    k_norm = gauss = newton = None
-    if len(node_jets) > 3:
-        k_norm, gauss, newton = kernels.curvature_fields(
-            theta, y, dy, d2y, node_jets[3], core["g"], core["g_inv"], core["det_g"],
-            core["w_chart"], core["gamma"], dg, core["sigma2"], core["margin"], t,
-        )
-    return SurfaceFields(
-        theta=theta, phi=phi, y=y, k_norm=k_norm, gauss_residual=gauss,
-        newton_residual=newton, **core,
-    )
+    return SurfaceFields(theta=theta, phi=phi, y=y, dy=dy, d2y=d2y, d3y=d3y, **core)
 
 
 def check_spacelike(theta, phi, y, dy):

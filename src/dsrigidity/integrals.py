@@ -45,7 +45,6 @@ class IdentityReport:
 
 @dataclass(frozen=True, eq=False)
 class RigidityReport:
-    integral_value: float
     integral_rel: float
     max_w_mismatch: float
     max_metric_residual: float
@@ -236,7 +235,6 @@ def rigidity_experiment(
     else:
         verdict = "ThresholdsMissed"
     return RigidityReport(
-        integral_value=integral,
         integral_rel=integral_rel,
         max_w_mismatch=mismatch,
         max_metric_residual=metric_res,

@@ -1,11 +1,16 @@
-"""Hot geometry kernels: surface assembly and intrinsic curvature.
+"""Hot geometry kernels: surface assembly, connection and curvature.
 
-``surface_core`` and ``curvature_fields`` take and return node-major
-arrays: node k's value of a field sits at index k of the leading axis,
-tensor indices follow it, ``(n, 2, 2[, 2[, 2]])``.  Each formula is
-evaluated one tensor component at a time on ``(n,)`` node arrays, nested
-as lists ``t[i][j]``, and stacked only for return.  Only the derivatives
-of the Christoffel symbols that enter R^a_{212} are formed.
+``surface_core`` forms the margin, metric, normal, W and frame of every
+surface.  ``connection`` (``dg``, ``gamma``), ``potential_hessian``
+(``hess_phi_frame``, ``pre_integral_residual``), ``curvature_fields``
+(``k_norm``, ``gauss_residual``) and ``newton_divergence``
+(``newton_residual``) each form their group of ``geometry.SurfaceFields``
+on its first read.  The kernels take and return node-major arrays: node
+k's value of a field sits at index k of the leading axis, tensor indices
+follow it, ``(n, 2, 2[, 2[, 2]])``; ``dg`` and ``t`` stay component lists.
+Each formula is evaluated one tensor component at a time on ``(n,)`` node
+arrays, nested as lists ``t[i][j]``, and stacked only for return.  Only
+the derivatives of the Christoffel symbols that enter R^a_{212} are formed.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -32,8 +37,16 @@ def _sym(a11, a12, a22):
 
 
 def _stack(t):
-    """Node-major (n, 2, 2[, 2]) array of a nested component list."""
-    return np.ascontiguousarray(np.moveaxis(np.array(t), -1, 0))
+    """Node-major (n, 2, 2[, 2]) array of a nested 2x2[x2] component list."""
+    if isinstance(t[0][0], list):
+        return np.stack([x for a in t for b in a for x in b], axis=-1).reshape(-1, 2, 2, 2)
+    return np.stack([*t[0], *t[1]], axis=-1).reshape(-1, 2, 2)
+
+
+def _trig(theta, y):
+    """sin, cos and sin^2 of theta, cosh, sinh and cosh^2 of y."""
+    st, ct, c, s = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
+    return st, ct, st * st, c, s, c * c
 
 
 def _matmul(a, b):
@@ -77,23 +90,17 @@ def first_form(st, c2, dy):
 
 
 def surface_core(theta, y, dy, d2y):
-    """Metric, normal, shape operator, frame and Hessian identity per node.
+    """Metric, normal, shape operator and frame per node.
 
     Returns a dict of node-major arrays keyed by the ``SurfaceFields`` names
     (``margin``, ``g``, ``g_inv``, ``det_g``, ``nu``, ``support``, ``h``,
-    ``w_chart``, ``frame``, ``w_frame``, ``hess_phi_frame``, ``sigma1``,
-    ``sigma2``, ``pre_integral_residual``, ``gamma``, ``nu_norm_residual``,
-    ``nu_tangency_residual``) plus ``dg`` = d_p g_ij as ``(n, p, i, j)`` and
-    ``t``, the components ``t[i][j]`` of T in h = (c / sqrt(margin)) T.
+    ``w_chart``, ``frame``, ``w_frame``, ``sigma1``, ``sigma2``,
+    ``nu_norm_residual``, ``nu_tangency_residual``) plus ``t``, the
+    components ``t[i][j]`` of T in h = (c / sqrt(margin)) T.
     If any node violates the spacelike bound, only ``margin`` is returned,
     clipped to at most 0 at the violating nodes (``first_form``).
     """
-    st = np.sin(theta)
-    ct = np.cos(theta)
-    sig22 = st * st
-    c = np.cosh(y)
-    s = np.sinh(y)
-    c2 = c * c
+    st, ct, sig22, c, s, c2 = _trig(theta, y)
     y1, y2 = dy[:, 0], dy[:, 1]
 
     ((g11, g12), (_, g22)), detg, margin = first_form(st, c2, dy)
@@ -127,7 +134,22 @@ def surface_core(theta, y, dy, d2y):
     e2a = -g12 / (g11 * ell)
     e2b = 1.0 / ell
     frame = np.stack([e1a, np.zeros_like(e1a), e2a, e2b], axis=-1).reshape(-1, 2, 2)
-    wf11, wf12, wf22 = _in_frame(e1a, e2a, e2b, h[0][0], h[0][1], h[1][1])
+    w_frame = _sym(*_in_frame(e1a, e2a, e2b, h[0][0], h[0][1], h[1][1]))
+    return {
+        "margin": margin, "g": _sym(g11, g12, g22), "g_inv": _sym(*ginv[0], ginv[1][1]),
+        "det_g": detg, "nu": np.stack([nu0, nu1, nu2], axis=-1), "support": support,
+        "h": _sym(*h[0], h[1][1]), "w_chart": _stack(wch), "frame": frame, "w_frame": w_frame,
+        "sigma1": symfun.sigma1(w_frame), "sigma2": symfun.sigma2(w_frame), "t": t,
+        "nu_norm_residual": nu_norm, "nu_tangency_residual": nu_tan,
+    }
+
+
+def connection(theta, y, dy, d2y, g_inv):
+    """d_p g_ij as components ``dg[p][i][j]`` and the induced Christoffel
+    symbols Gamma^m_ij as an ``(n, m, i, j)`` array, at spacelike nodes."""
+    st, ct, sig22, c, s, c2 = _trig(theta, y)
+    y1, y2 = dy[:, 0], dy[:, 1]
+    ginv = np.moveaxis(g_inv, 0, -1)
 
     # d_p g_ij = -y_ip y_j - y_i y_jp + 2 c s y_p sigma_ij + c^2 d_p sigma_ij
     cs2 = 2.0 * c * s
@@ -140,61 +162,43 @@ def surface_core(theta, y, dy, d2y):
             d22 = d22 + c2 * (2.0 * st * ct)
         dg.append([[-(y1p * y1 + y1p * y1) + cs2 * dy[:, p], d12], [d12, d22]])
 
-    # induced Christoffels Gamma^m_ij = 0.5 g^{ml} (d_i g_lj + d_j g_li - d_l g_ij)
+    # Gamma^m_ij = 0.5 g^{ml} (d_i g_lj + d_j g_li - d_l g_ij)
     def christoffel(i, j):
         b = [dg[i][l][j] + dg[j][l][i] - dg[l][i][j] for l in range(2)]
         return [0.5 * (ginv[m][0] * b[0] + ginv[m][1] * b[1]) for m in range(2)]
 
     gam11, gam12, gam22 = christoffel(0, 0), christoffel(0, 1), christoffel(1, 1)
-    gamma = [[[gam11[m], gam12[m]], [gam12[m], gam22[m]]] for m in range(2)]
+    return dg, _stack([[[gam11[m], gam12[m]], [gam12[m], gam22[m]]] for m in range(2)])
 
-    # Hessian of the radial-field potential on the surface.  With the
-    # mostly-plus signature the metric gradient of -sinh(rho) is
-    # V = cosh(rho) d_rho, so the potential carrying the identity
-    # Hess = phi' g + h <V, nu> is Phi = -sinh(y).
-    cy1, cy2 = -c * y1, -c * y2
+
+def potential_hessian(y, dy, d2y, gamma, frame, w_frame, support):
+    """Frame Hessian of the potential Phi = -sinh(y) and the residual of
+    Hess(Phi) = phi' g + h <V, nu> in the frame.  With the mostly-plus
+    signature V = cosh(rho) d_rho is the metric gradient of -sinh(rho)."""
+    c = np.cosh(y)
+    s = np.sinh(y)
+    gam = np.moveaxis(gamma, 0, -1)
+    cy1, cy2 = -c * dy[:, 0], -c * dy[:, 1]
     hp = [
-        -(s * dy[:, i] * dy[:, j] + c * d2y[:, i, j]) - gamma[0][i][j] * cy1
-        - gamma[1][i][j] * cy2
+        -(s * dy[:, i] * dy[:, j] + c * d2y[:, i, j]) - gam[0][i][j] * cy1
+        - gam[1][i][j] * cy2
         for i, j in ((0, 0), (0, 1), (1, 1))
     ]
-    hf11, hf12, hf22 = _in_frame(e1a, e2a, e2b, *hp)
-
-    # residual of Hess(Phi) = phi' g + h <V, nu> in the frame
+    hf11, hf12, hf22 = _in_frame(frame[:, 0, 0], frame[:, 1, 0], frame[:, 1, 1], *hp)
+    wf11, wf12, wf22 = w_frame[:, 0, 0], w_frame[:, 0, 1], w_frame[:, 1, 1]
     preint = np.maximum(
         np.maximum(np.abs(hf11 - (s + support * wf11)), np.abs(hf12 - support * wf12)),
         np.abs(hf22 - (s + support * wf22)),
     )
-    w_frame = _sym(wf11, wf12, wf22)
-    return {
-        "margin": margin, "g": _sym(g11, g12, g22), "g_inv": _sym(*ginv[0], ginv[1][1]),
-        "det_g": detg, "nu": np.stack([nu0, nu1, nu2], axis=-1), "support": support,
-        "h": _sym(*h[0], h[1][1]), "w_chart": _stack(wch), "frame": frame, "w_frame": w_frame,
-        "hess_phi_frame": _sym(hf11, hf12, hf22), "sigma1": symfun.sigma1(w_frame),
-        "sigma2": symfun.sigma2(w_frame), "pre_integral_residual": preint,
-        "gamma": _stack(gamma), "dg": _stack(dg), "t": t, "nu_norm_residual": nu_norm,
-        "nu_tangency_residual": nu_tan,
-    }
+    return _sym(hf11, hf12, hf22), preint
 
 
-def curvature_fields(
-    theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg, sigma2, margin, t
-):
-    """Intrinsic curvature K, |sigma2 - (1 - K)| and the Newton divergence.
-
-    Takes ``surface_core`` outputs for spacelike nodes, the margin and the
-    components of T included; returns the three node arrays
-    ``(K, gauss_residual, newton_residual)``.
-    """
-    st = np.sin(theta)
-    ct = np.cos(theta)
-    sig22 = st * st
+def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2):
+    """Intrinsic curvature K and |sigma2 - (1 - K)| per node, from the
+    ``surface_core`` and ``connection`` outputs of spacelike nodes."""
+    st, ct, sig22, c, s, c2 = _trig(theta, y)
     dsig22 = 2.0 * st * ct
-    c = np.cosh(y)
-    s = np.sinh(y)
-    c2 = c * c
-    y1, y2 = dy[:, 0], dy[:, 1]
-    gi, w, gam, dgc = (np.moveaxis(a, 0, -1) for a in (g_inv, w_chart, gamma, dg))
+    gi, gam = np.moveaxis(g_inv, 0, -1), np.moveaxis(gamma, 0, -1)
 
     @functools.cache
     def d2g(p, q, i, j):
@@ -220,8 +224,8 @@ def curvature_fields(
 
     def dgamma(p, i, j):
         """d_p Gamma^m_ij for both m."""
-        dginv = [[-x for x in row] for row in _matmul(_matmul(gi, dgc[p]), gi)]
-        bl = [dgc[i][l][j] + dgc[j][l][i] - dgc[l][i][j] for l in range(2)]
+        dginv = [[-x for x in row] for row in _matmul(_matmul(gi, dg[p]), gi)]
+        bl = [dg[i][l][j] + dg[j][l][i] - dg[l][i][j] for l in range(2)]
         dbl = [d2g(p, i, l, j) + d2g(p, j, l, i) - d2g(p, l, i, j) for l in range(2)]
         term = lambda m, l: dginv[m][l] * bl[l] + gi[m][l] * dbl[l]
         return [0.5 * (term(m, 0) + term(m, 1)) for m in range(2)]
@@ -234,7 +238,16 @@ def curvature_fields(
         for m in range(2)
     ]
     k_norm = (g[:, 0, 0] * r[0] + g[:, 0, 1] * r[1]) / det_g
-    gauss = np.abs(sigma2 - (1.0 - k_norm))
+    return k_norm, np.abs(sigma2 - (1.0 - k_norm))
+
+
+def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin, t):
+    """Largest component of the Newton tensor's covariant divergence per
+    node, from the ``surface_core`` and ``connection`` outputs."""
+    st, ct, sig22, c, s, c2 = _trig(theta, y)
+    dsig22 = 2.0 * st * ct
+    y1, y2 = dy[:, 0], dy[:, 1]
+    gi, w, gam = (np.moveaxis(a, 0, -1) for a in (g_inv, w_chart, gamma))
 
     # derivatives of h via h = (c/sqrt(m)) T
     sqm = np.sqrt(margin)
@@ -269,7 +282,7 @@ def curvature_fields(
         dh12 = dscale * t[0][1] + scale * dt12
         dh = [[dscale * t[0][0] + scale * dt11, dh12], [dh12, dscale * t[1][1] + scale * dt22]]
         # dW = ginv (dh - dg W)
-        dgw = _matmul(dgc[p], w)
+        dgw = _matmul(dg[p], w)
         dw.append(_matmul(gi, [[dh[i][j] - dgw[i][j] for j in range(2)] for i in range(2)]))
 
     # covariant divergence of the Newton tensor T^i_j = sigma1 delta - W^i_j:
@@ -285,4 +298,4 @@ def curvature_fields(
         - gam[0][1][j] * newton_t[1][0] - gam[1][1][j] * newton_t[1][1]
         for j in range(2)
     ]
-    return k_norm, gauss, np.maximum(np.abs(div[0]), np.abs(div[1]))
+    return np.maximum(np.abs(div[0]), np.abs(div[1]))

@@ -241,8 +241,7 @@ class SampledGridSurface:
             raise ValueError("n_phi must be even for pole reflection")
         self.values = values
         self.n_theta, self.n_phi = values.shape
-        self.theta_grid = (np.arange(self.n_theta) + 0.5) * math.pi / self.n_theta
-        self.phi_grid = np.arange(self.n_phi) * 2.0 * math.pi / self.n_phi
+        self.theta_grid, self.phi_grid = grid_axes(self.n_theta, self.n_phi)
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]
@@ -254,9 +253,7 @@ class SampledGridSurface:
     @classmethod
     def from_height(cls, surface, n_theta, n_phi):
         """Sample another surface's heights on the standard grid."""
-        grid = cls(np.zeros((n_theta, n_phi)))
-        tt, pp = np.meshgrid(grid.theta_grid, grid.phi_grid, indexing="ij")
-        return cls(surface.height(tt, pp))
+        return cls(surface.height(*np.meshgrid(*grid_axes(n_theta, n_phi), indexing="ij")))
 
     def nodes(self):
         tt, pp = np.meshgrid(self.theta_grid, self.phi_grid, indexing="ij")
@@ -269,6 +266,11 @@ class SampledGridSurface:
     def reflected(self):
         """Mirror image across the equator, y -> -y; W changes sign."""
         return SampledGridSurface(-self.values)
+
+
+def grid_axes(n_theta, n_phi):
+    """The cell-centred theta axis and the periodic phi axis of a sampled grid."""
+    return (np.arange(n_theta) + 0.5) * math.pi / n_theta, np.arange(n_phi) * 2.0 * math.pi / n_phi
 
 
 def pole_extend(values, pad):

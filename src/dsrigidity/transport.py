@@ -26,7 +26,7 @@ import numpy as np
 from . import geometry, jets, kernels
 from .errors import ConfigError, CorrespondenceInvalid, NotAGraph
 from .geometry import node_text
-from .surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets, node_arrays
+from .surfaces import AnalyticSurface, SampledGridSurface, grid_axes, grid_scalar_jets, node_arrays
 
 
 def _embedding(y, theta, phi):
@@ -79,12 +79,7 @@ def _invert_chart_map(rho, u):
         [sum(ai[i][a] * m[i][j] * ai[j][b] for i, j in np.ndindex(2, 2)) for b in range(2)]
         for a in range(2)
     ]
-    return rho.f, np.stack(dy, axis=-1), _stack(d2y), jac
-
-
-def _stack(t):
-    """Node-major (n, 2, 2) stack of a 2x2 component list."""
-    return np.stack([*t[0], *t[1]], axis=-1).reshape(-1, 2, 2)
+    return rho.f, np.stack(dy, axis=-1), kernels._stack(d2y), jac
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +118,12 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     return PairNodeData(
         base=base,
         tilde=tilde,
-        jacobian=_stack(jac),
+        jacobian=kernels._stack(jac),
         metric_pullback_residual=metric_res,
-        w_tilde_frame=_stack(kernels.congruence(pushed, h_t)),
+        w_tilde_frame=kernels._stack(kernels.congruence(pushed, h_t)),
         phi_prime_tilde=np.sinh(tilde.y),
         support_tilde=tilde.support,
-        hess_phi_tilde_frame=_stack(kernels.congruence(frame, hess)),
+        hess_phi_tilde_frame=kernels._stack(kernels.congruence(frame, hess)),
     )
 
 
@@ -210,7 +205,7 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
     if not isinstance(surface, AnalyticSurface):
         raise ConfigError("regraphing needs an analytic source surface, not a sampled grid")
     n_theta, n_phi = regraph_grid
-    theta, phi = SampledGridSurface(np.zeros((n_theta, n_phi))).nodes()
+    theta, phi = (a.ravel() for a in np.meshgrid(*grid_axes(n_theta, n_phi), indexing="ij"))
     omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     lam_inv = iso.inverse().matrix
     up = 1.0 if lam_inv[0, 0] > 0.0 else -1.0  # the sign of F' at the crossing

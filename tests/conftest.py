@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsrigidity import kernels
 from dsrigidity.quadrature import gauss_sphere_rule
 from dsrigidity.surfaces import AnalyticSurface
 
@@ -31,3 +32,24 @@ def scattered_nodes():
     theta = rng.uniform(0.1, np.pi - 0.1, 250)
     phi = rng.uniform(0.0, 2.0 * np.pi, 250)
     return theta, phi
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Node counts of the calls to each kernel that forms ``SurfaceFields``."""
+
+    def counted(kernel, seen):
+        def call(*args):
+            seen.append(len(args[0]))
+            return kernel(*args)
+
+        return call
+
+    calls = {}
+    for name in (
+        "surface_core", "connection", "potential_hessian", "curvature_fields",
+        "newton_divergence",
+    ):
+        calls[name] = []
+        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name), calls[name]))
+    return calls

@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -204,6 +205,15 @@ def test_config_validation(tmp_path, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
         assert message in capsys.readouterr().err, text
+    # axes whose squares leave the float range normalize exactly and run
+    rotation = boost.replace("boost", "rotation").replace("rapidity", "angle")
+    for axis in ("1e300 1e300 1e300", "1e-320 0 0"):
+        for isometry in (boost, rotation):
+            cfg = _write(tmp_path / "axis.cfg", analytic + isometry.replace("1 0 0", axis))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert run(["rigidity", "--config", cfg, "--quad", "16x32"]) in (0, 1), axis
+            assert "overall:" in capsys.readouterr().out, axis
     rigidity = str(REPO / "configs" / "rigidity.cfg")
     for item, message in (
         ("w_mismatch=nan", "--tol w_mismatch=nan: 'nan' is not finite"),
@@ -314,22 +324,35 @@ def test_sampled_geometry_builds_no_quadrature_rule(tmp_path, capsys, monkeypatc
     assert 'meta quad="20x40"' in capsys.readouterr().out
 
 
-def test_geometry_forms_curvature_fields_once(capsys, monkeypatch):
-    # the reflection check reads the mirror's W only, which needs no
-    # third-order jets and no curvature fields
-    from dsrigidity import kernels
-
-    calls = []
-    curvature_fields = kernels.curvature_fields
-
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return curvature_fields(*args)
-
-    monkeypatch.setattr(kernels, "curvature_fields", counted)
+def test_geometry_forms_curvature_fields_once(capsys, kernel_calls):
+    # each field group is formed once, on the configured surface: the
+    # reflection check reads the mirror's W only, which needs no group past
+    # the surface core and no third-order jets
     assert run(["geometry", "--config", str(REPO / "configs" / "geometry.cfg")]) == 0
     assert "reflection_parity" in capsys.readouterr().out
-    assert calls == [64 * 128]
+    nodes = 64 * 128
+    assert kernel_calls.pop("surface_core") == [nodes, nodes]
+    assert kernel_calls == dict.fromkeys(kernel_calls, [nodes])
+
+
+def test_sampled_geometry_forms_no_jet_route_newton(capsys, kernel_calls):
+    # the sampled suite differences the Newton tensor on the grid and reads
+    # the connection and the curvature once each
+    assert run(["geometry", "--config", str(REPO / "tests" / "golden" / "sampled.cfg")]) == 0
+    assert "newton_divergence.sampled" in capsys.readouterr().out
+    nodes = 40 * 80
+    assert kernel_calls == {
+        "surface_core": [nodes], "connection": [nodes], "potential_hessian": [],
+        "curvature_fields": [nodes], "newton_divergence": [],
+    }
+
+
+def test_report_meta_names_the_python_version(tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    assert run(["geometry", "--config", str(REPO / "configs" / "geometry.cfg"),
+                "--quad", "16x32", "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert f'meta python="{platform.python_version()}"\n' in report.read_text()
 
 
 def test_samples_file_roundtrip(tmp_path, capsys):

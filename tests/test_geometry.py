@@ -125,7 +125,7 @@ def test_geometry_against_embedded_finite_differences(perturbed_surface):
 
 def test_single_node_evaluation(perturbed_surface):
     f = geometry.evaluate_surface(perturbed_surface, 1.1, 2.3)
-    assert f.n_nodes == 1 and f.g.shape == (1, 2, 2)
+    assert f.theta.shape == (1,) and f.g.shape == (1, 2, 2)
     assert f.support[0] < 0
     assert abs(f.sigma2[0] - (1.0 - f.k_norm[0])) < 1e-9
     assert f.pre_integral_residual[0] < 1e-8

@@ -75,20 +75,35 @@ def spacelike_jets(draw):
 @deterministic
 @given(spacelike_jets())
 def test_component_kernels_match_the_broadcast_kernels(node_jets):
+    # the reference forms formed every field in two kernels; the package
+    # splits them into the surface core and the groups formed on first read
     theta, y, dy, d2y, d3y = node_jets
     core = kernels.surface_core(theta, y, dy, d2y)
     expected = reference_forms.surface_core(theta, y, dy, d2y)
-    # T goes on to the curvature kernel
+    # T goes on to the Newton kernel
     t = core.pop("t")
     trig = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
     assert np.array_equal(kernels._stack(t), reference_forms._second_form_parts(*trig, dy, d2y)[1])
+    dg, gamma = kernels.connection(theta, y, dy, d2y, core["g_inv"])
+    hess, preint = kernels.potential_hessian(
+        y, dy, d2y, gamma, core["frame"], core["w_frame"], core["support"]
+    )
+    core.update(dg=kernels._stack(dg), gamma=gamma, hess_phi_frame=hess,
+                pre_integral_residual=preint)
     assert core.keys() == expected.keys()
     for name, value in expected.items():
         assert np.array_equal(core[name], value), name
-    args = [core[k] for k in ("g", "g_inv", "det_g", "w_chart", "gamma", "dg", "sigma2")]
-    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, *args, core["margin"], t)
-    want = reference_forms.curvature_fields(theta, y, dy, d2y, d3y, *args)
-    for name, a, b in zip(("k_norm", "gauss", "newton"), got, want):
+    g, g_inv, det_g, w_chart, sigma2 = (
+        core[k] for k in ("g", "g_inv", "det_g", "w_chart", "sigma2")
+    )
+    want = reference_forms.curvature_fields(
+        theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, core["dg"], sigma2
+    )
+    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2)
+    got += (kernels.newton_divergence(
+        theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, core["margin"], t
+    ),)
+    for name, a, b in zip(("k_norm", "gauss", "newton"), got, want, strict=True):
         assert np.array_equal(a, b), name
 
 

@@ -153,26 +153,30 @@ def test_identity_pair_collapses(perturbed_surface, scattered_nodes):
 
 
 def test_pair_node_data_forms_no_curvature_fields(
-    perturbed_surface, scattered_nodes, monkeypatch
+    perturbed_surface, scattered_nodes, kernel_calls
 ):
-    # a pair enters the argument through second-order data only
-    def forbidden(*args):
-        raise AssertionError("curvature kernel called on the pair path")
-
-    monkeypatch.setattr(kernels, "curvature_fields", forbidden)
+    # a pair enters the argument through second-order data only, and of the
+    # fields past the surface core node_data reads the base connection only
     theta, phi = scattered_nodes
+    nodes = len(theta)
     boost = ambient.boost(0.25, [1.0, 0, 0])
     other = AnalyticSurface(0.65, [(0.03, 3, 2)])
     for pair in (
         transport.isometry_pair(perturbed_surface, boost),
         transport.identity_pair(perturbed_surface, other),
     ):
+        for seen in kernel_calls.values():
+            seen.clear()
         data = pair.node_data(theta, phi)
+        assert data.base.gamma is data.base.gamma
+        assert kernel_calls == {
+            "surface_core": [nodes, nodes], "connection": [nodes], "potential_hessian": [],
+            "curvature_fields": [], "newton_divergence": [],
+        }
         for fields in (data.base, data.tilde):
             assert fields.k_norm is fields.gauss_residual is fields.newton_residual is None
             assert fields.pre_integral_residual.max() < 1e-8
-    # the regraph's spacelike check needs the margin only
-    transport.transform_surface(perturbed_surface, boost, regraph_grid=(16, 32))
+        assert kernel_calls["curvature_fields"] == kernel_calls["newton_divergence"] == []
 
 
 def test_pair_data_follows_each_rule(perturbed_surface):
@@ -183,7 +187,7 @@ def test_pair_data_follows_each_rule(perturbed_surface):
         for degree in (16, 18, 16, 18, 20):
             rule = gauss_sphere_rule(degree, degree)
             data = pair.node_data(rule.theta, rule.phi)
-            assert data.base.n_nodes == data.tilde.n_nodes == degree * degree
+            assert data.base.theta.size == data.tilde.theta.size == degree * degree
             np.testing.assert_array_equal(data.base.theta, rule.theta)
             del rule, data
             gc.collect()
