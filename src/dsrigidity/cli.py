@@ -36,7 +36,7 @@ from .errors import (
 )
 from .quadrature import gauss_sphere_rule
 from .reports import RunReport, config_digest
-from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface, node_arrays
+from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -290,7 +290,10 @@ class ExperimentConfig:
                 f"unknown check {unknown[0]!r} in [suite] checks; "
                 f"known: {' '.join(GEOMETRY_CHECKS)}"
             )
+        where = "--seed" if seed is not None else "[suite] seed"
         self.seed = seed if seed is not None else _number(suite, "seed", int, default=0)
+        if self.seed < 0:
+            raise ConfigError(f"{where}: {self.seed} is negative; a seed is an integer >= 0")
 
     @functools.cached_property
     def rule(self):
@@ -301,9 +304,9 @@ class ExperimentConfig:
     def pair_data(self):
         """Node data of the configured pair at the quadrature nodes."""
         if self.surface2 is not None:
-            pair = transport.identity_pair(self.surface, self.surface2)
+            pair = transport.IdentityCorrespondence(self.surface, self.surface2)
         elif self.iso is not None:
-            pair = transport.isometry_pair(self.surface, self.iso)
+            pair = transport.IsometryCorrespondence(self.surface, self.iso)
         else:
             raise ConfigError("pair suites need an [isometry] or [surface2] section")
         return pair.node_data(self.rule.theta, self.rule.phi)
@@ -420,8 +423,8 @@ def _geometry_report(config) -> tuple:
         )
     if "reflection" in checks and not sampled:
         # the parity check reads W only, so second-order jets suffice
-        mirror_jets = node_arrays(surface.reflected().height_jet(fields.theta, fields.phi))
-        mirrored = geometry.evaluate_fields(fields.theta, fields.phi, mirror_jets)
+        m = surface.reflected().height_jet(fields.theta, fields.phi)
+        mirrored = geometry.evaluate_fields(fields.theta, fields.phi, (m.f, m.d, m.d2))
         report.add(
             "reflection_parity",
             "W(-y) = -W(y) at corresponding nodes",
@@ -441,7 +444,7 @@ def _geometry_report(config) -> tuple:
             float(fields.nu_tangency_residual.max()),
             tol["normal"],
         )
-        gram = kernels.congruence(np.moveaxis(fields.frame, 0, -1), np.moveaxis(fields.g, 0, -1))
+        gram = kernels.congruence(fields.frame, fields.g)
         report.add(
             "frame_orthonormal",
             "g(e_a, e_b) = delta_ab",
@@ -623,7 +626,9 @@ def _emit(report: RunReport, path):
     print(report.summary())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dsrigidity",
         description="numerical verification lab for spacelike hypersurface rigidity",

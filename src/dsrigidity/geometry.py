@@ -1,7 +1,8 @@
 """Pointwise surface geometry: fields, invariant checks, curvature gate.
 
 This layer feeds height jets into the geometry kernels and exposes the
-results as arrays over a node set.
+results as arrays over a node set, each tensor component-first with the
+node axis last (``kernels``).
 """
 
 import functools
@@ -101,8 +102,9 @@ class SurfaceFields:
 def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
     """Run ``kernels.surface_core`` on precomputed jets at the given nodes.
 
-    ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y); only the latter
-    lets the curvature and Newton fields be formed.
+    ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y), derivative axes
+    first and nodes last; only the latter lets the curvature and Newton
+    fields be formed.
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
@@ -151,16 +153,16 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     from .surfaces import grid_scalar_jets
 
     _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
-    gam, frame, w = (np.moveaxis(a, 0, -1) for a in (fields.gamma, fields.frame, fields.w_frame))
+    gamma, w = fields.gamma, fields.w_frame
     # a sum from 0 over the index, as np.einsum("nkij,nk->nij") sums
     hess = [
-        [d2p[:, i, j] - sum(gam[k][i][j] * dp[:, k] for k in range(2)) for j in range(2)]
+        [d2p[i, j] - sum(gamma[k, i, j] * dp[k] for k in range(2)) for j in range(2)]
         for i in range(2)
     ]
-    hess_frame = kernels.congruence(frame, hess)
+    hess_frame = kernels.congruence(fields.frame, hess)
     phi_prime = fields.phi_prime
     return np.max([
-        np.abs(hess_frame[a][b] - (phi_prime * float(a == b) + fields.support * w[a][b]))
+        np.abs(hess_frame[a][b] - (phi_prime * float(a == b) + fields.support * w[a, b]))
         for a, b in np.ndindex(2, 2)
     ], axis=0)
 
@@ -178,12 +180,12 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     convergence order of the discretization itself.
     """
     nt, npk = surface.n_theta, surface.n_phi
-    w = np.moveaxis(fields.w_chart.reshape(nt, npk, 2, 2), (2, 3), (0, 1))
-    tr = w[0][0] + w[1][1]
-    newton = [[tr * float(i == j) - w[i][j] for j in range(2)] for i in range(2)]
+    w = fields.w_chart.reshape(2, 2, nt, npk)
+    tr = w[0, 0] + w[1, 1]
+    newton = [[tr * float(i == j) - w[i, j] for j in range(2)] for i in range(2)]
     ht = math.pi / nt
     hp = 2.0 * math.pi / npk
-    gam = np.moveaxis(fields.gamma.reshape(nt, npk, 2, 2, 2)[1:-1], (2, 3, 4), (0, 1, 2))
+    gam = fields.gamma.reshape(2, 2, 2, nt, npk)[..., 1:-1, :]
     core = [[t[1:-1] for t in row] for row in newton]
 
     # div_j = d_i T^i_j + Gamma^i_ia T^a_j - Gamma^a_ij T^i_a, each contraction
@@ -192,8 +194,8 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     d_phi = lambda f: (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * hp)
     div = [
         sum((d_theta(newton[0][j]), d_phi(core[1][j])))
-        + sum(gam[i][i][a] * core[a][j] for i, a in np.ndindex(2, 2))
-        - sum(gam[a][i][j] * core[i][a] for a, i in np.ndindex(2, 2))
+        + sum(gam[i, i, a] * core[a][j] for i, a in np.ndindex(2, 2))
+        - sum(gam[a, i, j] * core[i][a] for a, i in np.ndindex(2, 2))
         for j in range(2)
     ]
     keep = np.sin(surface.theta_grid[1:-1]) >= min_sin_theta

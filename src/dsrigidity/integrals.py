@@ -106,12 +106,11 @@ def pair_integrand_tables(data):
     s2wt = symfun.sigma2(wt)
     s11 = symfun.sigma11(w, wt)
 
-    contract = lambda d, h: np.einsum("nij,nij->n", d, h)
     lhs = {
-        "a": ppt * contract(dw, hess),
-        "b": ppt * contract(dwt, hess),
-        "c": pp * contract(dw, hess_t),
-        "d": pp * contract(dwt, hess_t),
+        "a": ppt * symfun.contract(dw, hess),
+        "b": ppt * symfun.contract(dwt, hess),
+        "c": pp * symfun.contract(dw, hess_t),
+        "d": pp * symfun.contract(dwt, hess_t),
     }
     first = {
         "a": ppt * pp * s1w,

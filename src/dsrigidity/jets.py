@@ -3,9 +3,11 @@
 A :class:`Jet3` carries a value with its gradient and Hessian with respect
 to the chart variables (theta, phi): the pair suites read nothing beyond
 second order.  (The class keeps its name because perfbench traces its
-operators as ``jets.Jet3``.)  ``f`` is a node array, ``d[i]`` and
-``d2[i, j]`` put the derivative axes first, so every component is a node
-array too.  ``AnalyticSurface.height_jet`` returns one.
+operators as ``jets.Jet3``.)  ``f`` is a node array, ``d`` ``(2, n)`` and
+``d2`` ``(2, 2, n)`` put the derivative axes first and the nodes last, the
+layout of every stored tensor, so ``(f, d, d2)`` are the node jets
+``geometry.evaluate_fields`` takes as they stand.
+``AnalyticSurface.height_jet`` returns one.
 
 The isometric transport builds the embedded point in closed form, applies
 the Lorentz matrix through the two linear operations of the class (a sum of

@@ -5,12 +5,13 @@ surface.  ``connection`` (``dg``, ``gamma``), ``potential_hessian``
 (``hess_phi_frame``, ``pre_integral_residual``), ``curvature_fields``
 (``k_norm``, ``gauss_residual``) and ``newton_divergence``
 (``newton_residual``) each form their group of ``geometry.SurfaceFields``
-on its first read.  The kernels take and return node-major arrays: node
-k's value of a field sits at index k of the leading axis, tensor indices
-follow it, ``(n, 2, 2[, 2[, 2]])``; ``dg`` and ``t`` stay component lists.
-Each formula is evaluated one tensor component at a time on ``(n,)`` node
-arrays, nested as lists ``t[i][j]``, and stacked only for return.  Only
-the derivatives of the Christoffel symbols that enter R^a_{212} are formed.
+on its first read.  Every tensor is stored component-first with the node
+axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
+``(n,)`` node array of one component.  Each formula is evaluated one
+component at a time on those node arrays, nested as lists ``t[i][j]``
+(``dg`` and ``t`` are returned so), and a stored tensor is built from its
+nested list with ``np.array``.  Only the derivatives of the Christoffel
+symbols that enter R^a_{212} are formed.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -29,18 +30,6 @@ import functools
 import numpy as np
 
 from . import symfun
-
-
-def _sym(a11, a12, a22):
-    """Stack three component arrays into symmetric (n, 2, 2) matrices."""
-    return np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2)
-
-
-def _stack(t):
-    """Node-major (n, 2, 2[, 2]) array of a nested 2x2[x2] component list."""
-    if isinstance(t[0][0], list):
-        return np.stack([x for a in t for b in a for x in b], axis=-1).reshape(-1, 2, 2, 2)
-    return np.stack([*t[0], *t[1]], axis=-1).reshape(-1, 2, 2)
 
 
 def _trig(theta, y):
@@ -66,7 +55,7 @@ def _in_frame(e1a, e2a, e2b, m11, m12, m22):
     f11 = e1a * e1a * m11
     f12 = e1a * (e2a * m11 + e2b * m12)
     f22 = e2a * e2a * m11 + 2.0 * e2a * e2b * m12 + e2b * e2b * m22
-    return f11, f12, f22
+    return [[f11, f12], [f12, f22]]
 
 
 def first_form(st, c2, dy):
@@ -76,7 +65,7 @@ def first_form(st, c2, dy):
     A node is not spacelike where margin <= 0 or det g <= 0; the margin is
     clipped to at most 0 there, so ``margin > 0`` is the whole test.
     """
-    y1, y2 = dy[:, 0], dy[:, 1]
+    y1, y2 = dy
     sig22 = st * st
     g11 = -y1 * y1 + c2
     g12 = -y1 * y2
@@ -92,7 +81,7 @@ def first_form(st, c2, dy):
 def surface_core(theta, y, dy, d2y):
     """Metric, normal, shape operator and frame per node.
 
-    Returns a dict of node-major arrays keyed by the ``SurfaceFields`` names
+    Returns a dict of component-first arrays keyed by the ``SurfaceFields`` names
     (``margin``, ``g``, ``g_inv``, ``det_g``, ``nu``, ``support``, ``h``,
     ``w_chart``, ``frame``, ``w_frame``, ``sigma1``, ``sigma2``,
     ``nu_norm_residual``, ``nu_tangency_residual``) plus ``t``, the
@@ -101,17 +90,18 @@ def surface_core(theta, y, dy, d2y):
     clipped to at most 0 at the violating nodes (``first_form``).
     """
     st, ct, sig22, c, s, c2 = _trig(theta, y)
-    y1, y2 = dy[:, 0], dy[:, 1]
+    y1, y2 = dy
 
-    ((g11, g12), (_, g22)), detg, margin = first_form(st, c2, dy)
+    g, detg, margin = first_form(st, c2, dy)
+    (g11, g12), (_, g22) = g
     if np.any(margin <= 0.0):
         return {"margin": margin}
     # h = (c / sqrt(margin)) T, T_ij = HS_ij + cs sigma_ij - 2 (s/c) y_i y_j with
     # HS the Hessian of y in the round metric sigma = diag(1, sin^2 theta)
     soc = s / c
-    t12 = d2y[:, 0, 1] - ct / st * y2 - 2.0 * soc * y1 * y2
-    t = [[d2y[:, 0, 0] + c * s - 2.0 * soc * y1 * y1, t12],
-         [t12, d2y[:, 1, 1] + st * ct * y1 + c * s * sig22 - 2.0 * soc * y2 * y2]]
+    t12 = d2y[0, 1] - ct / st * y2 - 2.0 * soc * y1 * y2
+    t = [[d2y[0, 0] + c * s - 2.0 * soc * y1 * y1, t12],
+         [t12, d2y[1, 1] + st * ct * y1 + c * s * sig22 - 2.0 * soc * y2 * y2]]
     gi12 = -g12 / detg
     ginv = [[g22 / detg, gi12], [gi12, g11 / detg]]
 
@@ -122,7 +112,7 @@ def surface_core(theta, y, dy, d2y):
     nu2 = y2 / (sig22 * c * sqm)
     support = -c2 / sqm
     nu_norm = np.abs(-nu0 * nu0 + c2 * (nu1 * nu1 + sig22 * nu2 * nu2) + 1.0)
-    nu_tan = np.abs(np.stack([-nu0 * y1 + c2 * nu1, -nu0 * y2 + c2 * sig22 * nu2], axis=-1))
+    nu_tan = np.abs(np.array([-nu0 * y1 + c2 * nu1, -nu0 * y2 + c2 * sig22 * nu2]))
 
     h = [[nu0 * x for x in row] for row in t]
     wch = _matmul(ginv, h)
@@ -133,12 +123,12 @@ def surface_core(theta, y, dy, d2y):
     ell = np.sqrt(detg / g11)
     e2a = -g12 / (g11 * ell)
     e2b = 1.0 / ell
-    frame = np.stack([e1a, np.zeros_like(e1a), e2a, e2b], axis=-1).reshape(-1, 2, 2)
-    w_frame = _sym(*_in_frame(e1a, e2a, e2b, h[0][0], h[0][1], h[1][1]))
+    frame = np.array([[e1a, np.zeros_like(e1a)], [e2a, e2b]])
+    w_frame = np.array(_in_frame(e1a, e2a, e2b, h[0][0], h[0][1], h[1][1]))
     return {
-        "margin": margin, "g": _sym(g11, g12, g22), "g_inv": _sym(*ginv[0], ginv[1][1]),
-        "det_g": detg, "nu": np.stack([nu0, nu1, nu2], axis=-1), "support": support,
-        "h": _sym(*h[0], h[1][1]), "w_chart": _stack(wch), "frame": frame, "w_frame": w_frame,
+        "margin": margin, "g": np.array(g), "g_inv": np.array(ginv), "det_g": detg,
+        "nu": np.array([nu0, nu1, nu2]), "support": support, "h": np.array(h),
+        "w_chart": np.array(wch), "frame": frame, "w_frame": w_frame,
         "sigma1": symfun.sigma1(w_frame), "sigma2": symfun.sigma2(w_frame), "t": t,
         "nu_norm_residual": nu_norm, "nu_tangency_residual": nu_tan,
     }
@@ -146,29 +136,28 @@ def surface_core(theta, y, dy, d2y):
 
 def connection(theta, y, dy, d2y, g_inv):
     """d_p g_ij as components ``dg[p][i][j]`` and the induced Christoffel
-    symbols Gamma^m_ij as an ``(n, m, i, j)`` array, at spacelike nodes."""
+    symbols Gamma^m_ij as an ``(m, i, j, n)`` array, at spacelike nodes."""
     st, ct, sig22, c, s, c2 = _trig(theta, y)
-    y1, y2 = dy[:, 0], dy[:, 1]
-    ginv = np.moveaxis(g_inv, 0, -1)
+    y1, y2 = dy
 
     # d_p g_ij = -y_ip y_j - y_i y_jp + 2 c s y_p sigma_ij + c^2 d_p sigma_ij
     cs2 = 2.0 * c * s
     dg = []
     for p in range(2):
-        y1p, y2p = d2y[:, p, 0], d2y[:, p, 1]
+        y1p, y2p = d2y[p]
         d12 = -(y1p * y2 + y2p * y1)
-        d22 = -(y2p * y2 + y2p * y2) + cs2 * dy[:, p] * sig22
+        d22 = -(y2p * y2 + y2p * y2) + cs2 * dy[p] * sig22
         if p == 0:
             d22 = d22 + c2 * (2.0 * st * ct)
-        dg.append([[-(y1p * y1 + y1p * y1) + cs2 * dy[:, p], d12], [d12, d22]])
+        dg.append([[-(y1p * y1 + y1p * y1) + cs2 * dy[p], d12], [d12, d22]])
 
     # Gamma^m_ij = 0.5 g^{ml} (d_i g_lj + d_j g_li - d_l g_ij)
     def christoffel(i, j):
         b = [dg[i][l][j] + dg[j][l][i] - dg[l][i][j] for l in range(2)]
-        return [0.5 * (ginv[m][0] * b[0] + ginv[m][1] * b[1]) for m in range(2)]
+        return [0.5 * (g_inv[m, 0] * b[0] + g_inv[m, 1] * b[1]) for m in range(2)]
 
     gam11, gam12, gam22 = christoffel(0, 0), christoffel(0, 1), christoffel(1, 1)
-    return dg, _stack([[[gam11[m], gam12[m]], [gam12[m], gam22[m]]] for m in range(2)])
+    return dg, np.array([[[gam11[m], gam12[m]], [gam12[m], gam22[m]]] for m in range(2)])
 
 
 def potential_hessian(y, dy, d2y, gamma, frame, w_frame, support):
@@ -177,20 +166,19 @@ def potential_hessian(y, dy, d2y, gamma, frame, w_frame, support):
     signature V = cosh(rho) d_rho is the metric gradient of -sinh(rho)."""
     c = np.cosh(y)
     s = np.sinh(y)
-    gam = np.moveaxis(gamma, 0, -1)
-    cy1, cy2 = -c * dy[:, 0], -c * dy[:, 1]
+    cy1, cy2 = -c * dy
     hp = [
-        -(s * dy[:, i] * dy[:, j] + c * d2y[:, i, j]) - gam[0][i][j] * cy1
-        - gam[1][i][j] * cy2
+        -(s * dy[i] * dy[j] + c * d2y[i, j]) - gamma[0, i, j] * cy1 - gamma[1, i, j] * cy2
         for i, j in ((0, 0), (0, 1), (1, 1))
     ]
-    hf11, hf12, hf22 = _in_frame(frame[:, 0, 0], frame[:, 1, 0], frame[:, 1, 1], *hp)
-    wf11, wf12, wf22 = w_frame[:, 0, 0], w_frame[:, 0, 1], w_frame[:, 1, 1]
+    hf = _in_frame(frame[0, 0], frame[1, 0], frame[1, 1], *hp)
+    (hf11, hf12), (_, hf22) = hf
+    (wf11, wf12), (_, wf22) = w_frame
     preint = np.maximum(
         np.maximum(np.abs(hf11 - (s + support * wf11)), np.abs(hf12 - support * wf12)),
         np.abs(hf22 - (s + support * wf22)),
     )
-    return _sym(hf11, hf12, hf22), preint
+    return np.array(hf), preint
 
 
 def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2):
@@ -198,46 +186,45 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2)
     ``surface_core`` and ``connection`` outputs of spacelike nodes."""
     st, ct, sig22, c, s, c2 = _trig(theta, y)
     dsig22 = 2.0 * st * ct
-    gi, gam = np.moveaxis(g_inv, 0, -1), np.moveaxis(gamma, 0, -1)
 
     @functools.cache
     def d2g(p, q, i, j):
         """d_p d_q g_ij; sigma_ij depends on theta only through sigma_22."""
         val = (
-            -d3y[:, i, p, q] * dy[:, j]
-            - d2y[:, i, p] * d2y[:, j, q]
-            - d2y[:, i, q] * d2y[:, j, p]
-            - dy[:, i] * d3y[:, j, p, q]
+            -d3y[i, p, q] * dy[j]
+            - d2y[i, p] * d2y[j, q]
+            - d2y[i, q] * d2y[j, p]
+            - dy[i] * d3y[j, p, q]
         )
         if i != j:
             return val
         sij = 1.0 if i == 0 else sig22
-        val = val + 2.0 * (c2 + s * s) * dy[:, q] * dy[:, p] * sij
-        val = val + 2.0 * c * s * d2y[:, p, q] * sij
+        val = val + 2.0 * (c2 + s * s) * dy[q] * dy[p] * sij
+        val = val + 2.0 * c * s * d2y[p, q] * sij
         if i == 1 and q == 0:
-            val = val + 2.0 * c * s * dy[:, p] * dsig22
+            val = val + 2.0 * c * s * dy[p] * dsig22
         if i == 1 and p == 0:
-            val = val + 2.0 * c * s * dy[:, q] * dsig22
+            val = val + 2.0 * c * s * dy[q] * dsig22
         if i == 1 and p == q == 0:
             val = val + c2 * (2.0 * (ct * ct - st * st))
         return val
 
     def dgamma(p, i, j):
         """d_p Gamma^m_ij for both m."""
-        dginv = [[-x for x in row] for row in _matmul(_matmul(gi, dg[p]), gi)]
+        dginv = [[-x for x in row] for row in _matmul(_matmul(g_inv, dg[p]), g_inv)]
         bl = [dg[i][l][j] + dg[j][l][i] - dg[l][i][j] for l in range(2)]
         dbl = [d2g(p, i, l, j) + d2g(p, j, l, i) - d2g(p, l, i, j) for l in range(2)]
-        term = lambda m, l: dginv[m][l] * bl[l] + gi[m][l] * dbl[l]
+        term = lambda m, l: dginv[m][l] * bl[l] + g_inv[m][l] * dbl[l]
         return [0.5 * (term(m, 0) + term(m, 1)) for m in range(2)]
 
     # intrinsic curvature: K = g_{1a} R^a_{212} / det g
     d011, d101 = dgamma(0, 1, 1), dgamma(1, 0, 1)
     r = [
-        d011[m] - d101[m] + gam[m][0][0] * gam[0][1][1] + gam[m][0][1] * gam[1][1][1]
-        - gam[m][1][0] * gam[0][0][1] - gam[m][1][1] * gam[1][0][1]
+        d011[m] - d101[m] + gamma[m, 0, 0] * gamma[0, 1, 1] + gamma[m, 0, 1] * gamma[1, 1, 1]
+        - gamma[m, 1, 0] * gamma[0, 0, 1] - gamma[m, 1, 1] * gamma[1, 0, 1]
         for m in range(2)
     ]
-    k_norm = (g[:, 0, 0] * r[0] + g[:, 0, 1] * r[1]) / det_g
+    k_norm = (g[0, 0] * r[0] + g[0, 1] * r[1]) / det_g
     return k_norm, np.abs(sigma2 - (1.0 - k_norm))
 
 
@@ -246,8 +233,8 @@ def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin,
     node, from the ``surface_core`` and ``connection`` outputs."""
     st, ct, sig22, c, s, c2 = _trig(theta, y)
     dsig22 = 2.0 * st * ct
-    y1, y2 = dy[:, 0], dy[:, 1]
-    gi, w, gam = (np.moveaxis(a, 0, -1) for a in (g_inv, w_chart, gamma))
+    y1, y2 = dy
+    w = w_chart
 
     # derivatives of h via h = (c/sqrt(m)) T
     sqm = np.sqrt(margin)
@@ -259,13 +246,13 @@ def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin,
     dgam212 = -1.0 / sig22
     dw = []
     for p in range(2):
-        yp = dy[:, p]
-        y1p = d2y[:, 0, p]
-        y2p = d2y[:, 1, p]
+        yp = dy[p]
+        y1p = d2y[0, p]
+        y2p = d2y[1, p]
         # d_p of |grad y|^2 and of the margin
         dgrad2 = 2.0 * (y1 * y1p + y2 * y2p / sig22)
-        dhs12 = d3y[:, 0, 1, p] - gam212 * y2p
-        dhs22 = d3y[:, 1, 1, p] - gam122 * y1p
+        dhs12 = d3y[0, 1, p] - gam212 * y2p
+        dhs22 = d3y[1, 1, p] - gam122 * y1p
         dsig_t = 0.0
         if p == 0:
             dgrad2 = dgrad2 - y2 * y2 * dsig22 / (sig22 * sig22)
@@ -276,26 +263,26 @@ def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin,
         dscale = s * yp / sqm - 0.5 * c * dmargin / (sqm * margin)
         csp = (c2 + s * s) * yp
         dsoc = yp / c2
-        dt11 = d3y[:, 0, 0, p] + csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
+        dt11 = d3y[0, 0, p] + csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
         dt12 = dhs12 - 2.0 * (dsoc * y1 * y2 + soc * (y1p * y2 + y1 * y2p))
         dt22 = dhs22 + csp * sig22 + dsig_t - 2.0 * (dsoc * y2 * y2 + soc * 2.0 * y2 * y2p)
         dh12 = dscale * t[0][1] + scale * dt12
         dh = [[dscale * t[0][0] + scale * dt11, dh12], [dh12, dscale * t[1][1] + scale * dt22]]
         # dW = ginv (dh - dg W)
         dgw = _matmul(dg[p], w)
-        dw.append(_matmul(gi, [[dh[i][j] - dgw[i][j] for j in range(2)] for i in range(2)]))
+        dw.append(_matmul(g_inv, [[dh[i][j] - dgw[i][j] for j in range(2)] for i in range(2)]))
 
     # covariant divergence of the Newton tensor T^i_j = sigma1 delta - W^i_j:
     # div_j = tr(d_j W) - sum_i d_i W^i_j
     #         + sum_p Gamma^i_{ip} T^p_j - sum_{i,p} Gamma^p_{ij} T^i_p
     tr_w = w[0][0] + w[1][1]
     newton_t = [[tr_w * float(i == j) - w[i][j] for j in range(2)] for i in range(2)]
-    gc = [gam[0][0][p] + gam[1][1][p] for p in range(2)]
+    gc = [gamma[0, 0, p] + gamma[1, 1, p] for p in range(2)]
     div = [
         dw[j][0][0] + dw[j][1][1] - dw[0][0][j] - dw[1][1][j]
         + gc[0] * newton_t[0][j] + gc[1] * newton_t[1][j]
-        - gam[0][0][j] * newton_t[0][0] - gam[1][0][j] * newton_t[0][1]
-        - gam[0][1][j] * newton_t[1][0] - gam[1][1][j] * newton_t[1][1]
+        - gamma[0, 0, j] * newton_t[0][0] - gamma[1, 0, j] * newton_t[0][1]
+        - gamma[0, 1, j] * newton_t[1][0] - gamma[1, 1, j] * newton_t[1][1]
         for j in range(2)
     ]
     return np.maximum(np.abs(div[0]), np.abs(div[1]))

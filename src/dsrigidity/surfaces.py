@@ -8,6 +8,10 @@ the single-surface suite.  Heights are built from constant slices plus real
 spherical harmonic perturbations; each harmonic is a product of a theta
 factor and a phi factor, so every jet entry is a product of closed-form
 derivatives.
+
+Jets are stored derivative axes first and the node axis last: ``dy`` is
+``(2, n)``, ``d2y`` ``(2, 2, n)`` and ``d3y`` ``(2, 2, 2, n)``, each
+C-contiguous, so ``d2y[i, j]`` is the node array of one component.
 """
 
 import math
@@ -162,12 +166,9 @@ class AnalyticSurface:
         return jets.Jet3(part[0][0], _derivative_tensor(part, 1), _derivative_tensor(part, 2))
 
     def jets(self, theta, phi):
-        """Closed-form (y, dy, d2y, d3y) arrays with the node axis first."""
+        """Closed-form (y, dy, d2y, d3y) arrays, derivative axes first."""
         part = self._derivative_table(theta, phi, 3)
-        return (part[0][0],) + tuple(
-            np.moveaxis(_derivative_tensor(part, n), range(n), range(-n, 0))
-            for n in (1, 2, 3)
-        )
+        return (part[0][0],) + tuple(_derivative_tensor(part, n) for n in (1, 2, 3))
 
     def height(self, theta, phi):
         """Height values only; safe at the chart poles."""
@@ -210,15 +211,6 @@ def _derivative_tensor(part, n):
     for idx in np.ndindex(*(2,) * n):
         out[idx] = part[n - sum(idx)][sum(idx)]
     return out
-
-
-def node_arrays(jet):
-    """Jet components as (y, dy, d2y) arrays with the node axis first."""
-    return (
-        np.asarray(jet.f, dtype=float),
-        np.moveaxis(np.asarray(jet.d), 0, -1),
-        np.moveaxis(np.asarray(jet.d2), (0, 1), (-2, -1)),
-    )
 
 
 class SampledGridSurface:
@@ -286,12 +278,10 @@ def pole_extend(values, pad):
     return np.concatenate([top, values, bot], axis=0)
 
 
-def grid_scalar_derivatives(values, order=2):
-    """Central-difference derivatives of a scalar grid field.
-
-    Returns a dict with keys 't', 'p' (plus 'tt', 'tp', 'pp' when order >= 2
-    and the third derivatives 'ttt', 'ttp', 'tpp', 'ppp' when order = 3),
-    every array shaped like ``values``.  Second-order accurate everywhere.
+def grid_scalar_jets(values, order=3):
+    """Jets (y, dy[, d2y[, d3y]]) of a sampled scalar field through the given
+    order (1, 2 or 3), by central differences, second-order accurate
+    everywhere; the nodes are flattened theta-major onto the last axis.
     """
     n_theta, n_phi = values.shape
     pad = 3
@@ -332,33 +322,14 @@ def grid_scalar_derivatives(values, order=2):
             - np.roll(arr, 2, axis=1)
         ) / (2 * hp**3)
 
-    out = {"t": d_theta(ext), "p": d_phi(values)}
+    t = d_theta(ext)
+    tensors = [np.array([t, d_phi(values)])]
     if order >= 2:
-        out.update(tt=d2_theta(ext), tp=d_phi(d_theta(ext)), pp=d2_phi(values))
+        tt, tp = d2_theta(ext), d_phi(t)
+        tensors.append(np.array([[tt, tp], [tp, d2_phi(values)]]))
     if order >= 3:
-        out.update(ttt=d3_theta(ext), ttp=d_phi(d2_theta(ext)), tpp=d2_phi(d_theta(ext)),
-                   ppp=d3_phi(values))
-    return out
-
-
-def grid_scalar_jets(values, order=3):
-    """Node-major jet arrays (y, dy[, d2y[, d3y]]) for a sampled scalar field,
-    through the given order (1, 2 or 3)."""
-    d = grid_scalar_derivatives(values, order)
-    n = values.size
+        ttp, tpp = d_phi(tt), d2_phi(t)
+        tensors.append(np.array([[[d3_theta(ext), ttp], [ttp, tpp]],
+                                 [[ttp, tpp], [tpp, d3_phi(values)]]]))
     y = np.ascontiguousarray(values.ravel(), dtype=float)
-    dy = np.stack([d["t"], d["p"]], axis=-1).reshape(n, 2)
-    if order < 2:
-        return y, dy
-    d2y = np.empty((n, 2, 2))
-    d2y[:, 0, 0] = d["tt"].ravel()
-    d2y[:, 0, 1] = d2y[:, 1, 0] = d["tp"].ravel()
-    d2y[:, 1, 1] = d["pp"].ravel()
-    if order < 3:
-        return y, dy, d2y
-    d3y = np.empty((n, 2, 2, 2))
-    d3y[:, 0, 0, 0] = d["ttt"].ravel()
-    d3y[:, 0, 0, 1] = d3y[:, 0, 1, 0] = d3y[:, 1, 0, 0] = d["ttp"].ravel()
-    d3y[:, 0, 1, 1] = d3y[:, 1, 0, 1] = d3y[:, 1, 1, 0] = d["tpp"].ravel()
-    d3y[:, 1, 1, 1] = d["ppp"].ravel()
-    return y, dy, d2y, d3y
+    return (y, *(a.reshape(a.shape[:-2] + (values.size,)) for a in tensors))

@@ -9,6 +9,10 @@ which is basis-independent and exact for rational input (no eigensolver).
 The positivity cone of sigma2 relative to the identity direction is read
 off the quadratic t -> sigma2(W + t I), whose roots are real for every
 symmetric W.
+
+The functions take one ``(k, k)`` operator or a ``(k, k, ...)`` stack of
+them, the matrix indices first, as the geometry stores its tensors; a
+stack gives one result per trailing index.
 """
 
 from dataclasses import dataclass
@@ -94,15 +98,16 @@ def _out(x):
 
 def sigma1(w):
     """Trace of the operator (first symmetric function)."""
-    return _out(np.trace(_mat(w), axis1=-2, axis2=-1))
+    m = _mat(w)
+    return _out(sum((m[i, i] for i in range(1, m.shape[0])), m[0, 0]))
 
 
 def sigma2(w):
     """Second symmetric function via the entrywise pair formula."""
     m = _mat(w)
     terms = [
-        m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
-        for i, j in combinations(range(m.shape[-1]), 2)
+        m[i, i] * m[j, j] - m[i, j] * m[j, i]
+        for i, j in combinations(range(m.shape[0]), 2)
     ]
     return _out(sum(terms[1:], terms[0]))
 
@@ -132,7 +137,15 @@ def sigma_all(w) -> list:
 def d_sigma2(w) -> np.ndarray:
     """Entrywise derivative of sigma2: sigma1(W) I - W^T."""
     m = _mat(w)
-    return np.multiply.outer(sigma1(m), np.eye(m.shape[-1])) - np.swapaxes(m, -1, -2)
+    eye = np.eye(m.shape[0]).reshape(m.shape[:2] + (1,) * (m.ndim - 2))
+    return sigma1(m) * eye - np.swapaxes(m, 0, 1)
+
+
+def contract(a, b):
+    """sum_ij a_ij b_ij, summed from 0 down each column, then across the
+    columns from 0.  On 2x2 stacks that is (p00 + p10) + (p01 + p11), the
+    bits, signed zeros too, of ``np.einsum("nij,nij->n")`` on node-major stacks."""
+    return sum(sum(a * b))
 
 
 def sigma11(w, wt):
@@ -140,7 +153,7 @@ def sigma11(w, wt):
     a, b = _mat(w), _mat(wt)
     if a.shape != b.shape:
         raise DimensionMismatch(f"operator shapes differ: {a.shape} vs {b.shape}")
-    return _out(0.5 * np.einsum("...ij,...ij->...", d_sigma2(a), b))
+    return _out(0.5 * contract(d_sigma2(a), b))
 
 
 def cone_roots(w):
@@ -152,7 +165,7 @@ def cone_roots(w):
     negative beyond roundoff, which symmetric input cannot produce.
     """
     m = _mat(w)
-    n = m.shape[-1]
+    n = m.shape[0]
     a = n * (n - 1) / 2.0
     b = (n - 1) * sigma1(m)
     c = sigma2(m)

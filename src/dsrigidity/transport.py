@@ -26,7 +26,7 @@ import numpy as np
 from . import geometry, jets, kernels
 from .errors import ConfigError, CorrespondenceInvalid, NotAGraph
 from .geometry import node_text
-from .surfaces import AnalyticSurface, SampledGridSurface, grid_axes, grid_scalar_jets, node_arrays
+from .surfaces import AnalyticSurface, SampledGridSurface, grid_axes, grid_scalar_jets
 
 
 def _embedding(y, theta, phi):
@@ -58,9 +58,9 @@ def _invert_chart_map(rho, u):
 
     ``rho`` is the image height and ``u = (theta~, phi~)`` the image chart
     coordinates, all as jets in the source chart.  Returns the arrays
-    (y, dy, d2y) of the image height as a function of its own chart, node
-    axis first, by inverting the chart map through second order, and the
-    chart map's Jacobian as components ``jac[a][i]``.
+    (y, dy, d2y) of the image height as a function of its own chart, by
+    inverting the chart map through second order, and the chart map's
+    Jacobian as components ``jac[a][i]``.
     """
     jac = [[ua.d[i] for i in range(2)] for ua in u]
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
@@ -79,7 +79,7 @@ def _invert_chart_map(rho, u):
         [sum(ai[i][a] * m[i][j] * ai[j][b] for i, j in np.ndindex(2, 2)) for b in range(2)]
         for a in range(2)
     ]
-    return rho.f, np.stack(dy, axis=-1), kernels._stack(d2y), jac
+    return rho.f, np.array(dy), np.array(d2y), jac
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,7 @@ class PairNodeData:
 
     base: geometry.SurfaceFields
     tilde: geometry.SurfaceFields
-    jacobian: np.ndarray  # (n, a, i): image chart by source chart
+    jacobian: np.ndarray  # (a, i, n): image chart by source chart
     metric_pullback_residual: np.ndarray  # max |g~(e_a, e_b) - delta| per node
     w_tilde_frame: np.ndarray  # image shape operator in the pushed frame
     phi_prime_tilde: np.ndarray  # sinh of the image height at f(x)
@@ -103,27 +103,25 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     Every 2x2 product is a component sum (``kernels._matmul``,
     ``kernels.congruence``), so no digit depends on a BLAS kernel.
     """
-    frame, gamma, g_t, h_t = (
-        np.moveaxis(a, 0, -1) for a in (base.frame, base.gamma, tilde.g, tilde.h)
-    )
+    frame, gamma = base.frame, base.gamma
     # frame rows e_r pushed into image chart components: pushed[r][a]
     pushed = kernels._matmul(frame, [[jac[a][i] for a in range(2)] for i in range(2)])
-    pulled_g = kernels.congruence(pushed, g_t)
+    pulled_g = kernels.congruence(pushed, tilde.g)
     metric_res = np.maximum(
         np.maximum(np.abs(pulled_g[0][0] - 1.0), np.abs(pulled_g[0][1])),
         np.maximum(np.abs(pulled_g[1][0]), np.abs(pulled_g[1][1] - 1.0)),
     )
-    hess = [[pot_d2[i][j] - (gamma[0][i][j] * pot_d[0] + gamma[1][i][j] * pot_d[1])
+    hess = [[pot_d2[i][j] - (gamma[0, i, j] * pot_d[0] + gamma[1, i, j] * pot_d[1])
              for j in range(2)] for i in range(2)]
     return PairNodeData(
         base=base,
         tilde=tilde,
-        jacobian=kernels._stack(jac),
+        jacobian=np.array(jac),
         metric_pullback_residual=metric_res,
-        w_tilde_frame=kernels._stack(kernels.congruence(pushed, h_t)),
+        w_tilde_frame=np.array(kernels.congruence(pushed, tilde.h)),
         phi_prime_tilde=np.sinh(tilde.y),
         support_tilde=tilde.support,
-        hess_phi_tilde_frame=kernels._stack(kernels.congruence(frame, hess)),
+        hess_phi_tilde_frame=np.array(kernels.congruence(frame, hess)),
     )
 
 
@@ -138,7 +136,7 @@ class IsometryCorrespondence:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
         y_jet = self.surface.height_jet(theta, phi)
-        base = geometry.evaluate_fields(theta, phi, node_arrays(y_jet))
+        base = geometry.evaluate_fields(theta, phi, (y_jet.f, y_jet.d, y_jet.d2))
 
         lam = self.iso.matrix
         x = _embedding(y_jet, theta, phi)
@@ -165,25 +163,16 @@ class IdentityCorrespondence:
     def node_data(self, theta, phi) -> PairNodeData:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
-        base = geometry.evaluate_fields(
-            theta, phi, node_arrays(self.surface.height_jet(theta, phi))
-        )
+        y_jet = self.surface.height_jet(theta, phi)
+        base = geometry.evaluate_fields(theta, phi, (y_jet.f, y_jet.d, y_jet.d2))
         other = self.other.height_jet(theta, phi)
-        tilde = geometry.evaluate_fields(theta, phi, node_arrays(other))
+        tilde = geometry.evaluate_fields(theta, phi, (other.f, other.d, other.d2))
         one, zero = np.ones_like(theta), np.zeros_like(theta)
 
         # the potential -sinh(y~) over the shared chart
         c, s = np.cosh(other.f), np.sinh(other.f)
         pot_d2 = -(s * other.d[:, None] * other.d[None, :] + c * other.d2)
         return _pair_data_from_parts(base, tilde, [[one, zero], [zero, one]], -c * other.d, pot_d2)
-
-
-def isometry_pair(surface, iso) -> IsometryCorrespondence:
-    return IsometryCorrespondence(surface, iso)
-
-
-def identity_pair(surface, other) -> IdentityCorrespondence:
-    return IdentityCorrespondence(surface, other)
 
 
 # -- regraphing through the inverse isometry ------------------------------

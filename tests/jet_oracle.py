@@ -18,7 +18,7 @@ layout: ``d[i]`` and ``d2[i, j]`` with the derivative axes leading.
 import numpy as np
 
 from dsrigidity import geometry
-from dsrigidity.surfaces import node_arrays
+from reference_forms import component_first, node_major
 
 NVARS = 2
 
@@ -200,13 +200,18 @@ def embedded_jets(y, theta, phi):
 
 
 def transport_oracle(surface, iso, theta, phi):
-    """Image chart angles, image height arrays (y, dy, d2y) node axis first,
-    the chart map's Jacobian (n, a, i), the image shape operator in the pushed
-    frame and the frame Hessian of the pulled-back potential, by jet algebra."""
+    """Image chart angles, image height arrays (y, dy, d2y), the chart map's
+    Jacobian (a, i, n), the image shape operator in the pushed frame and the
+    frame Hessian of the pulled-back potential, by jet algebra.
+
+    The algebra runs on node-major stacks; the package's component-first
+    fields are converted on the way in and the results on the way out.
+    """
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
     y_jet = surface.height_jet(theta, phi)
-    base = geometry.evaluate_fields(theta, phi, node_arrays(y_jet))
+    base = geometry.evaluate_fields(theta, phi, (y_jet.f, y_jet.d, y_jet.d2))
+    frame, gamma = node_major(base.frame), node_major(base.gamma)
 
     lam = iso.matrix
     x = embedded_jets(y_jet, theta, phi)
@@ -224,20 +229,23 @@ def transport_oracle(surface, iso, theta, phi):
     dy = np.einsum("ni,nia->na", np.moveaxis(rho_t.d, 0, -1), ainv)
     m2 = np.moveaxis(rho_t.d2, (0, 1), (-2, -1)) - np.einsum("na,naij->nij", dy, u2)
     d2y = np.einsum("nia,nij,njb->nab", ainv, m2, ainv)
-    tilde = geometry.evaluate_fields(theta_t.f, phi_t.f, (rho_t.f, dy, d2y))
+    tilde = geometry.evaluate_fields(
+        theta_t.f, phi_t.f, (rho_t.f, component_first(dy), component_first(d2y))
+    )
 
-    pushed = base.frame @ np.swapaxes(u1, 1, 2)
+    pushed = frame @ np.swapaxes(u1, 1, 2)
     pot = -xt[0]
     hess = np.moveaxis(pot.d2, (0, 1), (-2, -1)) - np.einsum(
-        "nkij,nk->nij", base.gamma, np.moveaxis(pot.d, 0, -1)
+        "nkij,nk->nij", gamma, np.moveaxis(pot.d, 0, -1)
     )
+    w_tilde = np.einsum("nai,nij,nbj->nab", pushed, node_major(tilde.h), pushed)
     return {
         "theta": theta_t.f,
         "phi": phi_t.f,
         "y": rho_t.f,
-        "dy": dy,
-        "d2y": d2y,
-        "jacobian": u1,
-        "w_tilde_frame": np.einsum("nai,nij,nbj->nab", pushed, tilde.h, pushed),
-        "hess_phi_tilde_frame": base.frame @ hess @ np.swapaxes(base.frame, 1, 2),
+        "dy": component_first(dy),
+        "d2y": component_first(d2y),
+        "jacobian": component_first(u1),
+        "w_tilde_frame": component_first(w_tilde),
+        "hess_phi_tilde_frame": component_first(frame @ hess @ np.swapaxes(frame, 1, 2)),
     }

@@ -7,6 +7,11 @@ einsum forms of the sampled geometry residuals, of the conformal-field
 check and of the image height's second derivatives in the chart
 inversion.  ``tests/test_kernels.py`` requires the package to give the
 same bits as these.
+
+The forms compute on node-major stacks, node k at index k of the leading
+axis.  Each public function takes and returns the package's
+component-first arrays (node axis last) and converts them, contiguous,
+at its boundary only.
 """
 
 import math
@@ -14,6 +19,16 @@ import math
 import numpy as np
 
 from dsrigidity import ambient, symfun
+
+
+def node_major(a):
+    """A contiguous copy of a component-first array with the node axis first."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def component_first(a):
+    """A contiguous copy of a node-major array with the node axis last."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
 def _sym(a11, a12, a22):
@@ -56,6 +71,12 @@ def _second_form_parts(st, ct, c, s, dy, d2y):
 
 
 def surface_core(theta, y, dy, d2y):
+    """``_surface_core`` on component-first jets, its fields component-first."""
+    core = _surface_core(theta, y, node_major(dy), node_major(d2y))
+    return {name: component_first(value) for name, value in core.items()}
+
+
+def _surface_core(theta, y, dy, d2y):
     """Metric, normal, shape operator, frame and Hessian identity per node.
 
     Returns a dict of node-major arrays keyed by the ``SurfaceFields`` names
@@ -141,8 +162,8 @@ def surface_core(theta, y, dy, d2y):
         "margin": margin, "g": _sym(g11, g12, g22), "g_inv": ginv, "det_g": detg,
         "nu": np.stack([nu0, nu1, nu2], axis=-1), "support": support, "h": h,
         "w_chart": wch, "frame": frame, "w_frame": w_frame,
-        "hess_phi_frame": _sym(hf11, hf12, hf22), "sigma1": symfun.sigma1(w_frame),
-        "sigma2": symfun.sigma2(w_frame), "pre_integral_residual": preint,
+        "hess_phi_frame": _sym(hf11, hf12, hf22), "sigma1": symfun.sigma1(component_first(w_frame)),
+        "sigma2": symfun.sigma2(component_first(w_frame)), "pre_integral_residual": preint,
         "gamma": gamma, "dg": dg, "nu_norm_residual": nu_norm,
         "nu_tangency_residual": nu_tan,
     }
@@ -154,6 +175,9 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
     Takes ``surface_core`` outputs for spacelike nodes; returns the three
     node arrays ``(K, gauss_residual, newton_residual)``.
     """
+    dy, d2y, d3y, g, g_inv, w_chart, gamma, dg = (
+        node_major(a) for a in (dy, d2y, d3y, g, g_inv, w_chart, gamma, dg)
+    )
     st = np.sin(theta)
     ct = np.cos(theta)
     sig22 = st * st
@@ -265,19 +289,20 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
 def sampled_pre_integral_residual(surface, fields):
     from dsrigidity.surfaces import grid_scalar_jets
 
-    _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
-    hess = d2p - np.einsum("nkij,nk->nij", fields.gamma, dp)
-    hess_frame = np.einsum("nai,nij,nbj->nab", fields.frame, hess, fields.frame)
+    _, dp, d2p = (node_major(a) for a in grid_scalar_jets(-np.sinh(surface.values), order=2))
+    gamma, frame, w_frame = (node_major(a) for a in (fields.gamma, fields.frame, fields.w_frame))
+    hess = d2p - np.einsum("nkij,nk->nij", gamma, dp)
+    hess_frame = np.einsum("nai,nij,nbj->nab", frame, hess, frame)
     target = (
         fields.phi_prime[:, None, None] * np.eye(2)
-        + fields.support[:, None, None] * fields.w_frame
+        + fields.support[:, None, None] * w_frame
     )
     return np.abs(hess_frame - target).max(axis=(1, 2))
 
 
 def sampled_newton_residual(surface, fields, min_sin_theta=0.2):
     nt, npk = surface.n_theta, surface.n_phi
-    w = fields.w_chart.reshape(nt, npk, 2, 2)
+    w = node_major(fields.w_chart).reshape(nt, npk, 2, 2)
     tr = w[..., 0, 0] + w[..., 1, 1]
     newton = tr[..., None, None] * np.eye(2) - w
     ht = math.pi / nt
@@ -287,7 +312,7 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2):
     d_phi = (np.roll(newton, -1, axis=1) - np.roll(newton, 1, axis=1)) / (2 * hp)
     dT = np.stack([d_theta, d_phi[1:-1]], axis=2)  # (nt-2, np, p, i, j)
 
-    gamma = fields.gamma.reshape(nt, npk, 2, 2, 2)[1:-1]
+    gamma = node_major(fields.gamma).reshape(nt, npk, 2, 2, 2)[1:-1]
     core = newton[1:-1]
     div = np.einsum("tpiij->tpj", dT)
     div += np.einsum("tpiia,tpaj->tpj", gamma, core)
@@ -313,6 +338,7 @@ def lie_derivative_residual(rho, theta, u, w):
 
 def invert_chart_map_d2y(rho_jet, u_jets, dy):
     """d2y = A^T m2 A as np.einsum formed it, A the inverse chart Jacobian."""
+    dy = node_major(dy)
     u1 = np.stack([np.moveaxis(u.d, 0, -1) for u in u_jets], axis=-2)
     u2 = np.stack([np.moveaxis(u.d2, (0, 1), (-2, -1)) for u in u_jets], axis=-3)
     r2 = np.moveaxis(rho_jet.d2, (0, 1), (-2, -1))
@@ -323,4 +349,4 @@ def invert_chart_map_d2y(rho_jet, u_jets, dy):
     ainv[..., 1, 0] = -u1[..., 1, 0] / det
     ainv[..., 1, 1] = u1[..., 0, 0] / det
     m2 = r2 - np.einsum("na,naij->nij", dy, u2)
-    return np.einsum("nia,nij,njb->nab", ainv, m2, ainv)
+    return component_first(np.einsum("nia,nij,njb->nab", ainv, m2, ainv))

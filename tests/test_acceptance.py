@@ -35,22 +35,23 @@ def pair_set(rule):
     perturbed = AnalyticSurface(0.6, [(0.05, 2, 0)])
     boost = ambient.boost(0.25, [1.0, 0.0, 0.0])
     pairs = (
-        ("identity on perturbed slice", transport.identity_pair(perturbed, perturbed)),
-        ("boost of the 0.6 slice", transport.isometry_pair(AnalyticSurface(0.6), boost)),
-        ("boost of the perturbed slice", transport.isometry_pair(perturbed, boost)),
+        ("identity on perturbed slice", transport.IdentityCorrespondence(perturbed, perturbed)),
+        ("boost of the 0.6 slice", transport.IsometryCorrespondence(AnalyticSurface(0.6), boost)),
+        ("boost of the perturbed slice", transport.IsometryCorrespondence(perturbed, boost)),
     )
     return tuple((name, _data(pair, rule)) for name, pair in pairs)
 
 
 def _stacked_symmetric(rng, count, n, scale=5.0):
+    """An (n, n, count) stack of symmetric matrices, matrix indices first."""
     a = rng.uniform(-scale, scale, (count, n, n))
-    return 0.5 * (a + a.transpose(0, 2, 1))
+    return np.moveaxis(0.5 * (a + a.transpose(0, 2, 1)), 0, -1)
 
 
 def _cone_quadratic(w):
-    n = w.shape[-1]
-    tr = np.trace(w, axis1=-2, axis2=-1)
-    tr2 = np.einsum("bij,bji->b", w, w)
+    n = w.shape[0]
+    tr = np.trace(w)
+    tr2 = np.einsum("ijb,jib->b", w, w)
     s2 = 0.5 * (tr * tr - tr2)
     return n * (n - 1) / 2.0, (n - 1) * tr, s2
 
@@ -59,8 +60,8 @@ def _shift_into_plus_cone(w, rng):
     a, b, c = _cone_quadratic(w)
     disc = np.maximum(b * b - 4.0 * a * c, 0.0)
     t2 = (-b + np.sqrt(disc)) / (2.0 * a)
-    shift = t2 + rng.uniform(0.1, 2.0, w.shape[0])
-    return w + shift[:, None, None] * np.eye(w.shape[-1])
+    shift = t2 + rng.uniform(0.1, 2.0, w.shape[-1])
+    return w + shift * np.eye(w.shape[0])[:, :, None]
 
 
 def test_criterion_1_umbilic_slice_closed_forms():
@@ -70,14 +71,14 @@ def test_criterion_1_umbilic_slice_closed_forms():
     f = geometry.evaluate_surface(AnalyticSurface(0.5), theta, phi)
     c = math.cosh(0.5)
     t = math.tanh(0.5)
-    sigma = np.zeros((400, 2, 2))
-    sigma[:, 0, 0] = 1.0
-    sigma[:, 1, 1] = np.sin(theta) ** 2
+    sigma = np.zeros((2, 2, 400))
+    sigma[0, 0] = 1.0
+    sigma[1, 1] = np.sin(theta) ** 2
     checks = {
         "g = cosh^2(0.5) sigma": np.abs(f.g - c * c * sigma).max(),
-        "nu = d_rho": np.abs(f.nu - [1.0, 0.0, 0.0]).max(),
+        "nu = d_rho": np.abs(f.nu - np.array([1.0, 0.0, 0.0])[:, None]).max(),
         "<V,nu> = -cosh(0.5)": np.abs(f.support + c).max(),
-        "W = tanh(0.5) I": np.abs(f.w_frame - t * np.eye(2)).max(),
+        "W = tanh(0.5) I": np.abs(f.w_frame - t * np.eye(2)[:, :, None]).max(),
         "Hess Phi = 0": np.abs(f.hess_phi_frame).max(),
         "sigma2 = tanh^2(0.5)": np.abs(f.sigma2 - t * t).max(),
         "K = sech^2(0.5)": np.abs(f.k_norm - 1.0 / (c * c)).max(),
@@ -149,7 +150,7 @@ def test_criterion_4_cone_inequality_and_equality_case():
     equality_ok = True
     for _ in range(1000):
         n = int(rng.integers(2, 7))
-        w = _shift_into_plus_cone(_stacked_symmetric(rng, 1, n), rng)[0]
+        w = _shift_into_plus_cone(_stacked_symmetric(rng, 1, n), rng)[..., 0]
         c = float(rng.uniform(0.2, 5.0))
         wt = c * w
         report = symfun.garding_gap(w, wt)
@@ -179,7 +180,7 @@ def test_criterion_5_hyperbolicity_of_the_symmetric_functions():
     # determinant: symmetric eigenproblem has real spectrum
     worst_eig = 0.0
     for n in range(2, 7):
-        w = _stacked_symmetric(rng, 2000, n)
+        w = np.moveaxis(_stacked_symmetric(rng, 2000, n), -1, 0)
         kappa, vec = np.linalg.eigh(w)
         resid = np.einsum("bij,bjk->bik", w, vec) - kappa[:, None, :] * vec
         norms = np.linalg.norm(w, axis=(1, 2))
@@ -192,7 +193,7 @@ def test_criterion_5_hyperbolicity_of_the_symmetric_functions():
     worst_imag = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 5))
-        w = _stacked_symmetric(rng, 1, n)[0]
+        w = _stacked_symmetric(rng, 1, n)[..., 0]
         for k in range(1, n + 1):
             roots = np.roots(symfun.sigma_line_coefficients(w, k))
             if roots.size:
@@ -267,7 +268,7 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
         worst_mismatch = max(worst_mismatch, rep.max_w_mismatch)
         worst_integral = max(worst_integral, rep.integral_rel)
 
-    control = transport.identity_pair(
+    control = transport.IdentityCorrespondence(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
     control_rep = integrals.rigidity_experiment(_data(control, rule), rule)
@@ -277,7 +278,7 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
     )
 
     gate_ok = False
-    negative = transport.isometry_pair(
+    negative = transport.IsometryCorrespondence(
         AnalyticSurface(-0.3), ambient.boost(0.1, [1.0, 0.0, 0.0])
     )
     try:

@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,32 @@ REPO = Path(__file__).resolve().parents[1]
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_successive_main_calls_share_no_options(tmp_path, capsys):
+    # the parser is built once per process; each call parses its own options
+    assert cli.build_parser() is cli.build_parser()
+    cfg = str(REPO / "configs" / "geometry.cfg")
+    runs = []
+    for k, options in enumerate((
+        ["--tol", "gauss=1e-3", "--tol", "normal=1e-9", "--seed", "5"],
+        ["--tol", "newton=1e-4"],
+    )):
+        path = tmp_path / f"report{k}.txt"
+        argv = ["geometry", "--config", cfg, "--quad", "16x32", "--report", str(path)]
+        assert run(argv + options) == 0
+        text = path.read_text(encoding="utf-8")
+        tols = dict(re.findall(r"^record name=(\S+) .* tol=(\S+) pass=", text, re.M))
+        seed = re.search(r"^meta seed=(\d+)$", text, re.M).group(1)
+        runs.append((seed, {name: float(tols[name]) for name in ("gauss_relation",
+                                                                  "normal_unit",
+                                                                  "newton_divergence")}))
+    capsys.readouterr()
+    defaults = cli.DEFAULT_TOLERANCES
+    assert runs[0] == ("5", {"gauss_relation": 1e-3, "normal_unit": 1e-9,
+                             "newton_divergence": defaults["newton"]})
+    assert runs[1] == ("0", {"gauss_relation": defaults["gauss"],
+                             "normal_unit": defaults["normal"], "newton_divergence": 1e-4})
 
 
 def test_check_cone_single(capsys):
@@ -186,6 +213,7 @@ def test_config_validation(tmp_path, capsys):
         ("geometry", analytic + "[quadrature]\nn_theta = x\n", "[quadrature] n_theta: bad"),
         ("geometry", analytic + "[tolerances]\ngauss = tiny\n", "[tolerances] gauss: bad"),
         ("geometry", analytic + "[suite]\nseed = x\n", "[suite] seed: bad number 'x'"),
+        ("geometry", analytic + "[suite]\nseed = -3\n", "[suite] seed: -3 is negative"),
         ("rigidity", analytic + boost_without, "[isometry] rapidity is missing"),
         ("rigidity", analytic + boost.replace("1 0 0", "0 0 0"), "axis: '0 0 0' is not a"),
         ("rigidity", analytic + boost.replace("1 0 0", "1 0"), "axis: '1 0' is not a"),
@@ -205,6 +233,9 @@ def test_config_validation(tmp_path, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert run([command, "--config", bad, "--quad", "16x16"]) == 2, text
         assert message in capsys.readouterr().err, text
+    bad = _write(tmp_path / "seed.cfg", analytic + "[suite]\nseed = 4\n")
+    assert run(["geometry", "--config", bad, "--quad", "16x16", "--seed", "-1"]) == 2
+    assert "--seed: -1 is negative" in capsys.readouterr().err
     # axes whose squares leave the float range normalize exactly and run
     rotation = boost.replace("boost", "rotation").replace("rapidity", "angle")
     for axis in ("1e300 1e300 1e300", "1e-320 0 0"):

@@ -20,12 +20,12 @@ def test_umbilic_slice_closed_forms(slice_half, scattered_nodes):
     f = geometry.evaluate_surface(slice_half, theta, phi)
     c = math.cosh(0.5)
     t = math.tanh(0.5)
-    assert np.abs(f.g[:, 0, 0] - c * c).max() < 1e-9
-    assert np.abs(f.g[:, 1, 1] - c * c * np.sin(theta) ** 2).max() < 1e-9
-    assert np.abs(f.g[:, 0, 1]).max() < 1e-9
-    assert np.abs(f.nu - np.array([1.0, 0.0, 0.0])).max() < 1e-9
+    assert np.abs(f.g[0, 0] - c * c).max() < 1e-9
+    assert np.abs(f.g[1, 1] - c * c * np.sin(theta) ** 2).max() < 1e-9
+    assert np.abs(f.g[0, 1]).max() < 1e-9
+    assert np.abs(f.nu - np.array([1.0, 0.0, 0.0])[:, None]).max() < 1e-9
     assert np.abs(f.support + c).max() < 1e-9
-    assert np.abs(f.w_frame - t * np.eye(2)).max() < 1e-9
+    assert np.abs(f.w_frame - t * np.eye(2)[:, :, None]).max() < 1e-9
     assert np.abs(f.hess_phi_frame).max() < 1e-9
     assert np.abs(f.sigma2 - t * t).max() < 1e-9
     assert np.abs(f.k_norm - 1.0 / c**2).max() < 1e-9
@@ -33,9 +33,9 @@ def test_umbilic_slice_closed_forms(slice_half, scattered_nodes):
 
 
 def _round_metric(theta):
-    sig = np.zeros((theta.shape[0], 2, 2))
-    sig[:, 0, 0] = 1.0
-    sig[:, 1, 1] = np.sin(theta) ** 2
+    sig = np.zeros((2, 2, theta.shape[0]))
+    sig[0, 0] = 1.0
+    sig[1, 1] = np.sin(theta) ** 2
     return sig
 
 
@@ -62,9 +62,9 @@ def test_pointwise_identities_on_perturbed_surfaces(scattered_nodes):
         assert f.newton_residual.max() < 1e-6
         assert f.nu_norm_residual.max() < 1e-10
         assert f.nu_tangency_residual.max() < 1e-10
-        gram = np.einsum("nai,nij,nbj->nab", f.frame, f.g, f.frame)
-        assert np.abs(gram - np.eye(2)).max() < 1e-10
-        assert np.abs(f.w_frame - np.transpose(f.w_frame, (0, 2, 1))).max() < 1e-9
+        gram = np.einsum("ain,ijn,bjn->abn", f.frame, f.g, f.frame)
+        assert np.abs(gram - np.eye(2)[:, :, None]).max() < 1e-10
+        assert np.abs(f.w_frame - np.transpose(f.w_frame, (1, 0, 2))).max() < 1e-9
 
 
 def test_geometry_against_embedded_finite_differences(perturbed_surface):
@@ -94,7 +94,7 @@ def test_geometry_against_embedded_finite_differences(perturbed_surface):
         g_fd = np.array(
             [[x1 @ ETA @ x1, x1 @ ETA @ x2], [x2 @ ETA @ x1, x2 @ ETA @ x2]]
         )
-        assert np.abs(f.g[0] - g_fd).max() < 1e-8
+        assert np.abs(f.g[..., 0] - g_fd).max() < 1e-8
 
         def second(i, j):
             h2 = 1e-4  # balances truncation and roundoff for 2nd differences
@@ -120,12 +120,12 @@ def test_geometry_against_embedded_finite_differences(perturbed_surface):
                 [-(second(1, 0) @ ETA @ nu), -(second(1, 1) @ ETA @ nu)],
             ]
         )
-        assert np.abs(f.h[0] - h_fd).max() < 1e-6
+        assert np.abs(f.h[..., 0] - h_fd).max() < 1e-6
 
 
 def test_single_node_evaluation(perturbed_surface):
     f = geometry.evaluate_surface(perturbed_surface, 1.1, 2.3)
-    assert f.theta.shape == (1,) and f.g.shape == (1, 2, 2)
+    assert f.theta.shape == (1,) and f.g.shape == (2, 2, 1)
     assert f.support[0] < 0
     assert abs(f.sigma2[0] - (1.0 - f.k_norm[0])) < 1e-9
     assert f.pre_integral_residual[0] < 1e-8
@@ -192,7 +192,7 @@ def test_curvature_gate(rule_32):
     # positive sigma2 in both cones: the error names a node of each
     split = SimpleNamespace(
         theta=np.array([0.5, 1.0]), phi=np.array([0.0, 2.0]), sigma2=np.ones(2),
-        w_frame=np.stack([np.eye(2), -np.eye(2)]),
+        w_frame=np.stack([np.eye(2), -np.eye(2)], axis=-1),
     )
     message = (
         r"node 0 \(theta=0\.5000, phi=0\.0000\) is PlusCone, "

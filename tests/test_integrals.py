@@ -52,11 +52,11 @@ def pairs(rule_64):
     """Node data at ``rule_64`` of three pairs."""
     perturbed = AnalyticSurface(0.6, [(0.05, 2, 0)])
     pairs = {
-        "identity": transport.identity_pair(perturbed, perturbed),
-        "boost-slice": transport.isometry_pair(
+        "identity": transport.IdentityCorrespondence(perturbed, perturbed),
+        "boost-slice": transport.IsometryCorrespondence(
             AnalyticSurface(0.6), ambient.boost(0.25, [1.0, 0, 0])
         ),
-        "boost-perturbed": transport.isometry_pair(
+        "boost-perturbed": transport.IsometryCorrespondence(
             perturbed, ambient.boost(0.25, [1.0, 0, 0])
         ),
     }
@@ -99,7 +99,7 @@ def test_identity_residuals_decay_spectrally():
     # under-resolved rules see a high-frequency surface; doubling the
     # degrees must beat fourth-order decay until the rounding floor
     surf = AnalyticSurface(0.6, [(0.02, 8, 5)])
-    pair = transport.isometry_pair(surf, ambient.boost(0.25, [1.0, 0, 0]))
+    pair = transport.IsometryCorrespondence(surf, ambient.boost(0.25, [1.0, 0, 0]))
     resid = []
     for deg in ((16, 32), (32, 64)):
         rule = gauss_sphere_rule(*deg)
@@ -111,7 +111,7 @@ def test_identity_residuals_decay_spectrally():
 def test_identities_hold_for_the_reflection_pair(rule_64):
     # the mirrored partner sits in the minus cone (W~ = -W pulled back);
     # every identity uses the image's own future normal and still balances
-    pair = transport.isometry_pair(
+    pair = transport.IsometryCorrespondence(
         AnalyticSurface(0.5, [(0.04, 2, 0)]), ambient.reflect_equator()
     )
     data = pair_data(pair, rule_64)
@@ -138,7 +138,7 @@ def test_rigidity_on_isometric_pairs(pairs, rule_64):
 def test_rigidity_when_a_node_maps_next_to_the_image_chart_pole(rule_32):
     # one node lands within sin(theta~) = 5.7e-4 of the image chart pole
     axis = np.array([-0.8262995537662207, 0.5545146286727469, 0.09870447828579164])
-    pair = transport.isometry_pair(
+    pair = transport.IsometryCorrespondence(
         AnalyticSurface(0.7315501103780506, [(0.024414182769641336, 2, 1)]),
         ambient.boost(-0.46826574533131926, axis / np.linalg.norm(axis)),
     )
@@ -151,7 +151,7 @@ def test_rigidity_when_a_node_maps_next_to_the_image_chart_pole(rule_32):
 
 
 def test_rigidity_negative_control(rule_64):
-    pair = transport.identity_pair(
+    pair = transport.IdentityCorrespondence(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
     rep = integrals.rigidity_experiment(pair_data(pair, rule_64), rule_64)
@@ -162,21 +162,21 @@ def test_rigidity_negative_control(rule_64):
 
 
 def test_rigidity_gate_failures(rule_64):
-    negative = transport.isometry_pair(
+    negative = transport.IsometryCorrespondence(
         AnalyticSurface(-0.3), ambient.boost(0.1, [1.0, 0, 0])
     )
     with pytest.raises(GateFailed, match="positive-height region at node 0 "):
         integrals.rigidity_experiment(pair_data(negative, rule_64), rule_64)
     # positive height but sigma2 changes sign: the curvature gate fires
     saddled = AnalyticSurface(0.5, [(0.15, 5, 0)])
-    data = pair_data(transport.identity_pair(saddled, saddled), rule_64)
+    data = pair_data(transport.IdentityCorrespondence(saddled, saddled), rule_64)
     k = int(np.argmin(data.base.sigma2))
     with pytest.raises(GateFailed, match=rf"surface: sigma2 <= 1e-10 at node {k} \(theta="):
         integrals.rigidity_experiment(data, rule_64)
 
 
 def test_identities_reject_invalid_correspondence(rule_64):
-    pair = transport.identity_pair(
+    pair = transport.IdentityCorrespondence(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
     with pytest.raises(CorrespondenceInvalid, match=r"at node \d+ \(theta="):
@@ -187,10 +187,10 @@ def test_pointwise_garding_bound_under_the_gate(pairs, rule_64):
     data = pairs["boost-perturbed"]
     w = data.base.w_frame
     wt = data.w_tilde_frame
-    s2w = w[:, 0, 0] * w[:, 1, 1] - w[:, 0, 1] * w[:, 1, 0]
-    s2wt = wt[:, 0, 0] * wt[:, 1, 1] - wt[:, 0, 1] * wt[:, 1, 0]
-    tr = lambda m: m[:, 0, 0] + m[:, 1, 1]
-    s11 = 0.5 * (tr(w) * tr(wt) - np.einsum("nij,nji->n", w, wt))
+    s2w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+    s2wt = wt[0, 0] * wt[1, 1] - wt[0, 1] * wt[1, 0]
+    tr = lambda m: m[0, 0] + m[1, 1]
+    s11 = 0.5 * (tr(w) * tr(wt) - np.einsum("ijn,jin->n", w, wt))
     assert np.all(s11 - np.sqrt(s2w * s2wt) >= -1e-10)
     # matched sigma2 on isometric pairs
     assert np.abs(s2w - s2wt).max() < 1e-9
@@ -216,7 +216,7 @@ def isometric_pairs(draw):
     else:
         iso = ambient.rotation(draw(st.floats(0.0, 2.0 * math.pi)), axis)
     surface = AnalyticSurface(rho0, [(a, l, m) for (l, m), a in modes.items()])
-    return transport.isometry_pair(surface, iso)
+    return transport.IsometryCorrespondence(surface, iso)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)

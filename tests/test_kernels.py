@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_forms
+from reference_forms import component_first, node_major
 from dsrigidity import ambient, geometry, jets, kernels, transport
 from dsrigidity.errors import NonSpacelike
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
@@ -22,20 +23,21 @@ def test_surface_kernels_satisfy_their_invariants():
     y, dy, d2y, d3y = surf.jets(theta, phi)
 
     f = geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
-    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
-    np.testing.assert_allclose(f.g_inv @ f.g, eye, atol=1e-13)
-    frame_t = f.frame.transpose(0, 2, 1)
-    np.testing.assert_allclose(f.frame @ f.g @ frame_t, eye, atol=1e-13)
-    np.testing.assert_allclose(f.w_frame, f.frame @ f.h @ frame_t, atol=1e-13)
-    np.testing.assert_array_equal(f.w_frame, f.w_frame.transpose(0, 2, 1))
-    np.testing.assert_allclose(f.sigma1, np.trace(f.w_frame, axis1=1, axis2=2), atol=1e-14)
-    np.testing.assert_allclose(f.sigma2, np.linalg.det(f.w_frame), atol=1e-14)
-    np.testing.assert_allclose(f.gamma, f.gamma.transpose(0, 1, 3, 2), atol=1e-14)
+    eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))
+    mul = lambda a, b: np.einsum("ijn,jkn->ikn", a, b)
+    frame_t = f.frame.transpose(1, 0, 2)
+    np.testing.assert_allclose(mul(f.g_inv, f.g), eye, atol=1e-13)
+    np.testing.assert_allclose(mul(mul(f.frame, f.g), frame_t), eye, atol=1e-13)
+    np.testing.assert_allclose(f.w_frame, mul(mul(f.frame, f.h), frame_t), atol=1e-13)
+    np.testing.assert_array_equal(f.w_frame, f.w_frame.transpose(1, 0, 2))
+    np.testing.assert_allclose(f.sigma1, np.trace(f.w_frame), atol=1e-14)
+    np.testing.assert_allclose(f.sigma2, np.linalg.det(node_major(f.w_frame)), atol=1e-14)
+    np.testing.assert_allclose(f.gamma, f.gamma.transpose(0, 2, 1, 3), atol=1e-14)
 
     # one node with |grad y| >= cosh y; numpy must not warn on the way to the error
     bad = 123
     dy = dy.copy()
-    dy[bad, 0] = 2.0 * math.cosh(y[bad])
+    dy[0, bad] = 2.0 * math.cosh(y[bad])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
@@ -54,21 +56,17 @@ unit = st.floats(-1.0, 1.0)
 nodes = st.integers(1, 12)
 
 
-def _parts(a):
-    return np.moveaxis(a, 0, -1)
-
-
 @st.composite
 def spacelike_jets(draw):
     """theta and the jets (y, dy, d2y, d3y) at a few nodes, |grad y| < cosh y."""
     n = draw(nodes)
     theta = draw(arrays(float, n, elements=st.floats(0.2, math.pi - 0.2)))
     y = draw(arrays(float, n, elements=st.floats(-1.5, 1.5)))
-    u = draw(arrays(float, (n, 2), elements=unit))
+    u = draw(arrays(float, (2, n), elements=unit))
     # |grad y|^2 = 0.49^2 cosh^2(y) |u|^2 stays below cosh^2(y)
-    dy = 0.49 * np.cosh(y)[:, None] * u * np.stack([np.ones(n), np.sin(theta)], axis=-1)
-    d2y = draw(arrays(float, (n, 2, 2), elements=entries))
-    d3y = draw(arrays(float, (n, 2, 2, 2), elements=entries))
+    dy = 0.49 * np.cosh(y) * u * np.array([np.ones(n), np.sin(theta)])
+    d2y = draw(arrays(float, (2, 2, n), elements=entries))
+    d3y = draw(arrays(float, (2, 2, 2, n), elements=entries))
     return theta, y, dy, d2y, d3y
 
 
@@ -83,12 +81,13 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
     # T goes on to the Newton kernel
     t = core.pop("t")
     trig = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
-    assert np.array_equal(kernels._stack(t), reference_forms._second_form_parts(*trig, dy, d2y)[1])
+    t_ref = reference_forms._second_form_parts(*trig, node_major(dy), node_major(d2y))[1]
+    assert np.array_equal(np.array(t), component_first(t_ref))
     dg, gamma = kernels.connection(theta, y, dy, d2y, core["g_inv"])
     hess, preint = kernels.potential_hessian(
         y, dy, d2y, gamma, core["frame"], core["w_frame"], core["support"]
     )
-    core.update(dg=kernels._stack(dg), gamma=gamma, hess_phi_frame=hess,
+    core.update(dg=np.array(dg), gamma=gamma, hess_phi_frame=hess,
                 pre_integral_residual=preint)
     assert core.keys() == expected.keys()
     for name, value in expected.items():
@@ -108,12 +107,12 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
 
 
 @deterministic
-@given(nodes.flatmap(lambda n: arrays(float, (2, n, 2, 2), elements=entries)))
+@given(nodes.flatmap(lambda n: arrays(float, (2, 2, 2, n), elements=entries)))
 def test_matmul_and_congruence_sum_like_the_stacked_forms(stacks):
-    a, b = stacks
-    product = kernels._matmul(_parts(a), _parts(b))
-    assert np.array_equal(np.moveaxis(np.array(product), -1, 0), reference_forms._matmul(a, b))
-    congruent = np.moveaxis(np.array(kernels.congruence(_parts(a), _parts(b))), -1, 0)
+    product = np.array(kernels._matmul(*stacks))
+    a, b = (node_major(x) for x in stacks)
+    assert np.array_equal(node_major(product), reference_forms._matmul(a, b))
+    congruent = node_major(np.array(kernels.congruence(*stacks)))
     # the frame congruences of the residuals and the pushed shape operator
     assert np.array_equal(congruent, np.einsum("nai,nij,nbj->nab", a, b, a))
     assert np.array_equal(congruent, np.einsum("nia,nab,njb->nij", a, b, a))

@@ -1,0 +1,92 @@
+"""One array layout from jets to reports: tensor components first, nodes last.
+
+Every jet, ``SurfaceFields`` tensor and ``PairNodeData`` tensor keeps the
+node axis last and is C-contiguous, so each component ``a[i, j]`` is a
+contiguous node array, and no module of ``src/`` moves axes between two
+layouts.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+
+from dsrigidity import ambient, geometry, transport
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dsrigidity"
+
+#: tensor axes of every array field; the rest are (n,) node arrays
+FIELD_AXES = {
+    "dy": (2,), "d2y": (2, 2), "d3y": (2, 2, 2), "g": (2, 2), "g_inv": (2, 2), "h": (2, 2),
+    "w_chart": (2, 2), "frame": (2, 2), "w_frame": (2, 2), "hess_phi_frame": (2, 2),
+    "gamma": (2, 2, 2), "nu": (3,), "nu_tangency_residual": (2,),
+    "jacobian": (2, 2), "w_tilde_frame": (2, 2), "hess_phi_tilde_frame": (2, 2),
+}
+LAZY_FIELDS = ("gamma", "hess_phi_frame", "pre_integral_residual", "k_norm", "gauss_residual",
+               "newton_residual")
+
+
+def _assert_component_first(name, value, n):
+    assert value.shape == FIELD_AXES.get(name, ()) + (n,), name
+    assert value.flags.c_contiguous, name
+
+
+def _assert_fields_component_first(fields, n):
+    names = [f.name for f in dataclasses.fields(fields)] + list(LAZY_FIELDS)
+    for name in names:
+        value = getattr(fields, name)
+        if isinstance(value, np.ndarray):
+            _assert_component_first(name, value, n)
+
+
+def test_jets_put_the_node_axis_last(scattered_nodes):
+    theta, phi = scattered_nodes
+    surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
+    for name, value in zip(("y", "dy", "d2y", "d3y"), surface.jets(theta, phi), strict=True):
+        _assert_component_first(name, value, theta.size)
+    jet = surface.height_jet(theta, phi)
+    for name, value in (("y", jet.f), ("dy", jet.d), ("d2y", jet.d2)):
+        _assert_component_first(name, value, theta.size)
+    values = SampledGridSurface.from_height(surface, 6, 12).values
+    for order in (1, 2, 3):
+        node_jets = grid_scalar_jets(values, order)
+        assert len(node_jets) == order + 1
+        for name, value in zip(("y", "dy", "d2y", "d3y"), node_jets):
+            _assert_component_first(name, value, values.size)
+
+
+def test_surface_fields_put_the_node_axis_last(scattered_nodes):
+    theta, phi = scattered_nodes
+    surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
+    _assert_fields_component_first(geometry.evaluate_surface(surface, theta, phi), theta.size)
+    grid = SampledGridSurface.from_height(surface, 12, 24)
+    _assert_fields_component_first(geometry.evaluate_on_grid(grid), 12 * 24)
+
+
+def test_pair_node_data_puts_the_node_axis_last(perturbed_surface, scattered_nodes):
+    theta, phi = scattered_nodes
+    for pair in (
+        transport.IsometryCorrespondence(perturbed_surface, ambient.boost(0.25, [1.0, 0, 0])),
+        transport.IdentityCorrespondence(perturbed_surface, AnalyticSurface(0.65)),
+    ):
+        data = pair.node_data(theta, phi)
+        for field in dataclasses.fields(data):
+            value = getattr(data, field.name)
+            if isinstance(value, np.ndarray):
+                _assert_component_first(field.name, value, theta.size)
+        for fields in (data.base, data.tilde):
+            _assert_fields_component_first(fields, theta.size)
+
+
+def test_src_moves_no_axes():
+    # one layout everywhere: a moveaxis call would convert between two
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "moveaxis"
+    ]
+    assert not calls, f"np.moveaxis called in src/: {calls}"

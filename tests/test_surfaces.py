@@ -9,8 +9,7 @@ from dsrigidity.surfaces import (
     AnalyticSurface,
     HarmonicMode,
     SampledGridSurface,
-    grid_scalar_derivatives,
-    node_arrays,
+    grid_scalar_jets,
 )
 
 
@@ -116,12 +115,8 @@ def harmonic_by_composed_jets(l, m, theta, phi):
 
 
 def _assert_jets_close(ours, ref, rel):
-    """``ours`` is (y, dy, d2y, d3y) node-major; ``ref`` a Jet3rd."""
-    expected = [ref.f] + [
-        np.moveaxis(comp, range(n), range(-n, 0))
-        for n, comp in ((1, ref.d), (2, ref.d2), (3, ref.d3))
-    ]
-    for a, b in zip(ours, expected, strict=True):
+    """``ours`` is (y, dy, d2y, d3y); ``ref`` a Jet3rd, laid out alike."""
+    for a, b in zip(ours, (ref.f, ref.d, ref.d2, ref.d3), strict=True):
         a, b = np.broadcast_arrays(a, b)
         assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
@@ -157,7 +152,8 @@ def test_closed_form_jets_match_composed_jets():
         ours = surface.jets(theta, phi)
         _assert_jets_close(ours, ref, 1e-12)
         # the second-order jet reads the same table
-        for a, b in zip(node_arrays(surface.height_jet(theta, phi)), ours, strict=False):
+        jet = surface.height_jet(theta, phi)
+        for a, b in zip((jet.f, jet.d, jet.d2), ours, strict=False):
             assert np.array_equal(a, b)
 
 
@@ -173,16 +169,16 @@ def test_harmonic_jets_match_finite_differences():
 
     dt = (val(theta + h, phi) - val(theta - h, phi)) / (2 * h)
     dp = (val(theta, phi + h) - val(theta, phi - h)) / (2 * h)
-    assert np.abs(dy[:, 0] - dt).max() < 1e-9
-    assert np.abs(dy[:, 1] - dp).max() < 1e-9
+    assert np.abs(dy[0] - dt).max() < 1e-9
+    assert np.abs(dy[1] - dp).max() < 1e-9
     dtt = (val(theta + h, phi) - 2 * val(theta, phi) + val(theta - h, phi)) / h**2
-    assert np.abs(d2y[:, 0, 0] - dtt).max() < 1e-5
+    assert np.abs(d2y[0, 0] - dtt).max() < 1e-5
 
     def hess(t, p):
         return surf.jets(t, p)[2]
 
     d3_fd = (hess(theta + h, phi) - hess(theta - h, phi)) / (2 * h)
-    assert np.abs(d3y[:, :, :, 0].transpose(1, 2, 0) - d3_fd.transpose(1, 2, 0)).max() < 1e-6
+    assert np.abs(d3y[:, :, 0] - d3_fd).max() < 1e-6
 
 
 def test_height_values_agree_with_jets_and_allow_poles():
@@ -209,7 +205,7 @@ def test_slope_matches_jets_and_stays_finite_at_the_poles():
     height, slope2 = surf.slope(theta, phi)
     np.testing.assert_allclose(height, y, atol=1e-14)
     np.testing.assert_allclose(
-        slope2, dy[:, 0] ** 2 + (dy[:, 1] / np.sin(theta)) ** 2, rtol=1e-12, atol=1e-15
+        slope2, dy[0] ** 2 + (dy[1] / np.sin(theta)) ** 2, rtol=1e-12, atol=1e-15
     )
     # at a pole the value is the limit along the meridian phi
     phi_pole = np.array([0.3, 2.0, 0.3, 4.0])
@@ -255,12 +251,11 @@ def test_sampled_grid_jets_converge_at_second_order():
 def test_pole_reflection_extension_is_exact_for_smooth_fields():
     surf = AnalyticSurface(0.3, [(0.05, 3, 2)])
     grid = SampledGridSurface.from_height(surf, 24, 48)
-    d = grid_scalar_derivatives(grid.values, order=2)
+    _, dy, _ = grid_scalar_jets(grid.values, order=2)
     # first theta row uses ghost rows; compare against the analytic derivative
     tt, pp = grid.nodes()
     _, dy_t, _, _ = surf.jets(tt, pp)
-    dt = d["t"].ravel()
-    assert np.abs(dt - dy_t[:, 0]).max() < 5e-3
+    assert np.abs(dy[0] - dy_t[0]).max() < 5e-3
 
 
 def test_sampled_grid_validation():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dsrigidity import symfun
+from reference_forms import component_first, node_major
 from dsrigidity.errors import DimensionMismatch, NonHyperbolic, NotInCone
 from dsrigidity.symfun import ConeLabel, SymOperator
 
@@ -24,18 +25,19 @@ def shift_into_plus_cone(w, rng):
 
 # property tests draw from a fixed sequence so that every run sees the same cases
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+nodes = st.integers(1, 64)
 
 
 @st.composite
 def symmetric_stacks(draw, count=st.integers(1, 6), n=st.integers(2, 6)):
-    """A (count, n, n) stack of symmetric matrices with entries in [-5, 5]."""
-    shape = (draw(count), draw(n))
-    a = draw(arrays(float, shape + shape[1:], elements=st.floats(-5.0, 5.0)))
-    return 0.5 * (a + a.transpose(0, 2, 1))
+    """An (n, n, count) stack of symmetric matrices with entries in [-5, 5]."""
+    count, n = draw(count), draw(n)
+    a = draw(arrays(float, (n, n, count), elements=st.floats(-5.0, 5.0)))
+    return 0.5 * (a + a.transpose(1, 0, 2))
 
 
 def symmetric_matrices():
-    return symmetric_stacks(count=st.just(1)).map(lambda w: w[0])
+    return symmetric_stacks(count=st.just(1)).map(lambda w: w[..., 0])
 
 
 def test_sigma1_examples():
@@ -134,7 +136,7 @@ def test_sigma_all_vanishes_above_the_rank():
 def symmetric_pairs(draw, count=st.integers(1, 6)):
     """Two symmetric stacks of one shape."""
     wa = draw(symmetric_stacks(count=count))
-    wb = draw(symmetric_stacks(count=st.just(wa.shape[0]), n=st.just(wa.shape[1])))
+    wb = draw(symmetric_stacks(count=st.just(wa.shape[-1]), n=st.just(wa.shape[0])))
     return wa, wb
 
 
@@ -145,20 +147,33 @@ def test_stacked_calls_match_per_matrix_calls(pair):
     s1, s2, d = symfun.sigma1(wa), symfun.sigma2(wa), symfun.d_sigma2(wa)
     s11 = symfun.sigma11(wa, wb)
     t1, t2, labels = symfun.cone_roots(wa)
-    for k in range(wa.shape[0]):
-        assert s1[k] == symfun.sigma1(wa[k])
-        assert s2[k] == symfun.sigma2(wa[k])
-        np.testing.assert_array_equal(d[k], symfun.d_sigma2(wa[k]))
-        assert abs(s11[k] - symfun.sigma11(wa[k], wb[k])) < 1e-11
-        report = symfun.cone_classify(wa[k])
+    for k in range(wa.shape[-1]):
+        assert s1[k] == symfun.sigma1(wa[..., k])
+        assert s2[k] == symfun.sigma2(wa[..., k])
+        np.testing.assert_array_equal(d[..., k], symfun.d_sigma2(wa[..., k]))
+        assert abs(s11[k] - symfun.sigma11(wa[..., k], wb[..., k])) < 1e-11
+        report = symfun.cone_classify(wa[..., k])
         assert symfun.CONE_LABELS[labels[k]] is report.label
         assert (t1[k], t2[k]) == report.roots
 
 
 @deterministic
+@given(nodes.flatmap(lambda n: arrays(float, (2, n, 2, 2), elements=st.floats(-1e3, 1e3))))
+def test_contractions_sum_like_the_node_major_einsum(stacks):
+    # the integrands' D(W) : Hess contraction and sigma11 on 2x2 stacks give
+    # the bits, signed zeros too, of the einsum they replaced
+    a, b = stacks
+    old = np.einsum("nij,nij->n", a, b)
+    assert symfun.contract(component_first(a), component_first(b)).tobytes() == old.tobytes()
+    w, wt = component_first(0.5 * (a + a.transpose(0, 2, 1))), component_first(b)
+    old = 0.5 * np.einsum("nij,nij->n", node_major(symfun.d_sigma2(w)), b)
+    assert symfun.sigma11(w, wt).tobytes() == old.tobytes()
+
+
+@deterministic
 @given(symmetric_pairs(count=st.just(1)), st.floats(0.1, 2.0), st.floats(0.1, 2.0))
 def test_plus_cone_pairs_satisfy_the_cone_inequality(pair, shift, shift_t):
-    (w,), (wt,) = pair
+    w, wt = (m[..., 0] for m in pair)
     n = w.shape[0]
     w = w + (symfun.cone_roots(w)[1] + shift) * np.eye(n)
     wt = wt + (symfun.cone_roots(wt)[1] + shift_t) * np.eye(n)
