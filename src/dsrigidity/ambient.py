@@ -12,7 +12,6 @@ along rho is sinh(rho), and V is the metric gradient of that potential.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -134,19 +133,11 @@ def lie_derivative_residual(rho, theta, u, w) -> np.ndarray:
 # -- isometries -----------------------------------------------------------
 
 
-class IsometryKind(Enum):
-    ROTATION = "Rotation"
-    BOOST = "Boost"
-    EQUATOR_REFLECTION = "EquatorReflection"
-    COMPOSITE = "Composite"
-
-
 @dataclass(frozen=True, eq=False)
 class AmbientIsometry:
     matrix: np.ndarray
-    kind: IsometryKind
 
-    def __init__(self, matrix, kind):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (4, 4):
             raise ValueError("isometry matrix must be 4x4")
@@ -155,17 +146,16 @@ class AmbientIsometry:
         matrix = matrix.copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "kind", kind)
 
     def __matmul__(self, other):
-        return AmbientIsometry(self.matrix @ other.matrix, IsometryKind.COMPOSITE)
+        return AmbientIsometry(self.matrix @ other.matrix)
 
     def inverse(self):
-        return AmbientIsometry(ETA @ self.matrix.T @ ETA, self.kind)
+        return AmbientIsometry(ETA @ self.matrix.T @ ETA)
 
 
 def identity_isometry() -> AmbientIsometry:
-    return AmbientIsometry(np.eye(4), IsometryKind.COMPOSITE)
+    return AmbientIsometry(np.eye(4))
 
 
 def unit_vector(axis):
@@ -187,7 +177,7 @@ def rotation(angle: float, axis) -> AmbientIsometry:
     r3 = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
     mat = np.eye(4)
     mat[1:, 1:] = r3
-    return AmbientIsometry(mat, IsometryKind.ROTATION)
+    return AmbientIsometry(mat)
 
 
 def boost(rapidity: float, axis) -> AmbientIsometry:
@@ -204,9 +194,9 @@ def boost(rapidity: float, axis) -> AmbientIsometry:
     mat[0, 1:] = sh * u
     mat[1:, 0] = sh * u
     mat[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(u, u)
-    return AmbientIsometry(mat, IsometryKind.BOOST)
+    return AmbientIsometry(mat)
 
 
 def reflect_equator() -> AmbientIsometry:
     """The isometry rho -> -rho, fixing the equator slice pointwise."""
-    return AmbientIsometry(np.diag([-1.0, 1.0, 1.0, 1.0]), IsometryKind.EQUATOR_REFLECTION)
+    return AmbientIsometry(np.diag([-1.0, 1.0, 1.0, 1.0]))

@@ -7,7 +7,7 @@ geometry --config PATH        pointwise lemma checks on one surface
 verify-identities --config P  the four integral identities + symmetry
 rigidity --config PATH        rigidity experiment on a pair
 
-Exit codes: 0 all selected checks pass; 1 at least one check failed;
+Exit codes: 0 all checks pass; 1 at least one check failed;
 2 invalid input or a hypothesis violation (gate, spacelike bound).
 
 Configuration is flat INI text; see configs/ for canonical examples.
@@ -59,8 +59,6 @@ DEFAULT_TOLERANCES = {
     "w_mismatch": integrals.W_MISMATCH_TOL,
     "metric_pullback": integrals.METRIC_PULLBACK_TOL,
 }
-
-GEOMETRY_CHECKS = ("pre_integral", "gauss", "newton", "deriv_v", "reflection", "normal")
 
 #: configured heights stay within |y| <= HEIGHT_BOUND; a boost of rapidity
 #: |a| <= 1 moves them by at most |a|, and cosh(177)^4 = 3e306 is a float
@@ -250,12 +248,13 @@ class ExperimentConfig:
                 "pair suites need analytic surfaces (kind = slice or "
                 "perturbed_slice); a sampled surface has no jets off its grid"
             )
-        if self.surface2 is not None and self.iso is not None:
-            if self.iso.kind is not ambient.IsometryKind.COMPOSITE:
-                raise ConfigError(
-                    "a two-surface pair uses the identity correspondence; "
-                    "drop the [isometry] section or set kind = identity"
-                )
+        if self.surface2 is not None and (
+            parser.get("isometry", "kind", fallback="identity").strip() != "identity"
+        ):
+            raise ConfigError(
+                "a two-surface pair uses the identity correspondence; "
+                "drop the [isometry] section or set kind = identity"
+            )
 
         for name in ("quadrature", "tolerances", "suite"):
             if name not in parser:
@@ -283,21 +282,14 @@ class ExperimentConfig:
             self.tolerances[key] = value
 
         suite = parser["suite"]
-        self.checks = tuple(suite.get("checks", " ".join(GEOMETRY_CHECKS)).split())
-        unknown = [name for name in self.checks if name not in GEOMETRY_CHECKS]
-        if unknown:
-            raise ConfigError(
-                f"unknown check {unknown[0]!r} in [suite] checks; "
-                f"known: {' '.join(GEOMETRY_CHECKS)}"
-            )
         where = "--seed" if seed is not None else "[suite] seed"
         self.seed = seed if seed is not None else _number(suite, "seed", int, default=0)
         if self.seed < 0:
             raise ConfigError(f"{where}: {self.seed} is negative; a seed is an integer >= 0")
 
-    @functools.cached_property
+    @property
     def rule(self):
-        """The quadrature rule, built on first use: a sampled surface's suite
+        """The quadrature rule, looked up on use: a sampled surface's suite
         and the regraph never integrate."""
         return gauss_sphere_rule(*self.quad_degrees)
 
@@ -311,7 +303,7 @@ class ExperimentConfig:
             raise ConfigError("pair suites need an [isometry] or [surface2] section")
         return pair.node_data(self.rule.theta, self.rule.phi)
 
-    def environment(self, command):
+    def environment(self):
         nt, nphi = self.quad_degrees
         return {
             "version": __version__,
@@ -349,79 +341,71 @@ def _geometry_report(config) -> tuple:
     """Run the single-surface checks; returns (report, hypothesis_ok)."""
     surface = config.surface
     tol = config.tolerances
-    report = RunReport("geometry", config.environment("geometry"))
+    report = RunReport("geometry", config.environment())
     sampled = isinstance(surface, SampledGridSurface)
 
     if sampled:
         fields = geometry.evaluate_on_grid(surface)
+        res = float(geometry.sampled_pre_integral_residual(surface, fields).max())
+        report.add(
+            "pre_integral.sampled",
+            "Hess(Phi) = phi' g + <V,nu> h (two-route discretization)",
+            res,
+            tol["pre_integral_sampled"],
+        )
     else:
         fields = geometry.evaluate_surface(surface, config.rule.theta, config.rule.phi)
-
-    checks = config.checks
-    if "pre_integral" in checks:
-        if sampled:
-            res = float(geometry.sampled_pre_integral_residual(surface, fields).max())
-            report.add(
-                "pre_integral.sampled",
-                "Hess(Phi) = phi' g + <V,nu> h (two-route discretization)",
-                res,
-                tol["pre_integral_sampled"],
-            )
-        else:
-            report.add(
-                "pre_integral",
-                "Hess(Phi) = phi' g + <V,nu> h",
-                float(fields.pre_integral_residual.max()),
-                tol["pre_integral"],
-            )
-    if "gauss" in checks:
         report.add(
-            "gauss_relation",
-            "sigma2(W) = (n(n-1)/2)(Kbar - K), n = 2",
-            float(fields.gauss_residual.max()),
-            tol["gauss"],
+            "pre_integral",
+            "Hess(Phi) = phi' g + <V,nu> h",
+            float(fields.pre_integral_residual.max()),
+            tol["pre_integral"],
         )
-        flipped = float(np.abs(fields.sigma2 - (fields.k_norm - 1.0)).max())
+    report.add(
+        "gauss_relation",
+        "sigma2(W) = (n(n-1)/2)(Kbar - K), n = 2",
+        float(fields.gauss_residual.max()),
+        tol["gauss"],
+    )
+    flipped = float(np.abs(fields.sigma2 - (fields.k_norm - 1.0)).max())
+    report.add(
+        "gauss_relation.flipped_sign",
+        "sigma2(W) = (n(n-1)/2)(K - Kbar) [informational]",
+        flipped,
+        None,
+        passed=True,
+        note="opposite-sign form, recorded for comparison",
+    )
+    if sampled:
+        res = float(geometry.sampled_newton_residual(surface, fields).max())
         report.add(
-            "gauss_relation.flipped_sign",
-            "sigma2(W) = (n(n-1)/2)(K - Kbar) [informational]",
-            flipped,
-            None,
-            passed=True,
-            note="opposite-sign form, recorded for comparison",
+            "newton_divergence.sampled",
+            "div(sigma1(W) Id - W) = 0 (grid-differenced field)",
+            res,
+            tol["newton_sampled"],
         )
-    if "newton" in checks:
-        if sampled:
-            res = float(geometry.sampled_newton_residual(surface, fields).max())
-            report.add(
-                "newton_divergence.sampled",
-                "div(sigma1(W) Id - W) = 0 (grid-differenced field)",
-                res,
-                tol["newton_sampled"],
-            )
-        else:
-            report.add(
-                "newton_divergence",
-                "div(sigma1(W) Id - W) = 0",
-                float(fields.newton_residual.max()),
-                tol["newton"],
-            )
-    if "deriv_v" in checks:
-        # 100 points, one row each: rho, theta, phi (the chart check does
-        # not read phi), then the vectors u and w
-        low = [-1.5, 0.2, 0.0] + [-1.0] * 6
-        high = [1.5, math.pi - 0.2, 2.0 * math.pi] + [1.0] * 6
-        draws = np.random.default_rng(config.seed).uniform(low, high, size=(100, 9))
-        residual = ambient.lie_derivative_residual(
-            draws[:, 0], draws[:, 1], draws[:, 3:6], draws[:, 6:9]
-        )
+    else:
         report.add(
-            "conformal_field",
-            "<D_u V, w> + <D_w V, u> = 2 phi' <u, w>",
-            float(np.abs(residual).max()),
-            tol["deriv_v"],
+            "newton_divergence",
+            "div(sigma1(W) Id - W) = 0",
+            float(fields.newton_residual.max()),
+            tol["newton"],
         )
-    if "reflection" in checks and not sampled:
+    # 100 points, one row each: rho, theta, phi (the chart check does
+    # not read phi), then the vectors u and w
+    low = [-1.5, 0.2, 0.0] + [-1.0] * 6
+    high = [1.5, math.pi - 0.2, 2.0 * math.pi] + [1.0] * 6
+    draws = np.random.default_rng(config.seed).uniform(low, high, size=(100, 9))
+    residual = ambient.lie_derivative_residual(
+        draws[:, 0], draws[:, 1], draws[:, 3:6], draws[:, 6:9]
+    )
+    report.add(
+        "conformal_field",
+        "<D_u V, w> + <D_w V, u> = 2 phi' <u, w>",
+        float(np.abs(residual).max()),
+        tol["deriv_v"],
+    )
+    if not sampled:
         # the parity check reads W only, so second-order jets suffice
         m = surface.reflected().height_jet(fields.theta, fields.phi)
         mirrored = geometry.evaluate_fields(fields.theta, fields.phi, (m.f, m.d, m.d2))
@@ -431,26 +415,25 @@ def _geometry_report(config) -> tuple:
             float(np.abs(mirrored.w_frame + fields.w_frame).max()),
             tol["reflection"],
         )
-    if "normal" in checks:
-        report.add(
-            "normal_unit",
-            "<nu, nu> = -1, future-directed",
-            float(fields.nu_norm_residual.max()),
-            tol["normal"],
-        )
-        report.add(
-            "normal_tangency",
-            "<nu, X_i> = 0",
-            float(fields.nu_tangency_residual.max()),
-            tol["normal"],
-        )
-        gram = kernels.congruence(fields.frame, fields.g)
-        report.add(
-            "frame_orthonormal",
-            "g(e_a, e_b) = delta_ab",
-            max(float(np.abs(gram[a][b] - float(a == b)).max()) for a, b in np.ndindex(2, 2)),
-            tol["frame"],
-        )
+    report.add(
+        "normal_unit",
+        "<nu, nu> = -1, future-directed",
+        float(fields.nu_norm_residual.max()),
+        tol["normal"],
+    )
+    report.add(
+        "normal_tangency",
+        "<nu, X_i> = 0",
+        float(fields.nu_tangency_residual.max()),
+        tol["normal"],
+    )
+    gram = kernels.congruence(fields.frame, fields.g)
+    report.add(
+        "frame_orthonormal",
+        "g(e_a, e_b) = delta_ab",
+        max(float(np.abs(gram[a][b] - float(a == b)).max()) for a, b in np.ndindex(2, 2)),
+        tol["frame"],
+    )
 
     # curvature gate: a hypothesis on the surface, not a lemma check
     gate_ok, label = geometry.curvature_gate_fields(fields)
@@ -496,11 +479,10 @@ def cmd_verify_identities(args) -> int:
     config = _load_config(args)
     tol = config.tolerances
     data = config.pair_data()
-    report = RunReport("verify-identities", config.environment("verify-identities"))
+    report = RunReport("verify-identities", config.environment())
     idents, sym = integrals.verify_identities(
         data,
         config.rule,
-        rel_tol=tol["identity_rel"],
         metric_tol=tol["metric_pullback"],
     )
     for rep in idents:
@@ -530,12 +512,12 @@ def cmd_verify_identities(args) -> int:
 def cmd_rigidity(args) -> int:
     config = _load_config(args)
     tol = config.tolerances
-    report = RunReport("rigidity", config.environment("rigidity"))
+    report = RunReport("rigidity", config.environment())
     result = integrals.rigidity_experiment(
         config.pair_data(),
         config.rule,
         w_tol=tol["w_mismatch"],
-        integral_rel_tol=tol["rigidity_integral_rel"],
+        integral_tol=tol["rigidity_integral_rel"],
         metric_tol=tol["metric_pullback"],
     )
     report.add(

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import kernels, symfun
 from .errors import GateFailed, NonSpacelike
+from .surfaces import grid_scalar_jets
 
 #: sigma2 must exceed this at every node for the curvature gate
 GATE_SIGMA2_TOL = 1e-10
@@ -150,8 +151,6 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     the discretization error and decays at second order under grid
     refinement.
     """
-    from .surfaces import grid_scalar_jets
-
     _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
     gamma, w = fields.gamma, fields.w_frame
     # a sum from 0 over the index, as np.einsum("nkij,nk->nij") sums
@@ -212,7 +211,7 @@ def curvature_gate_fields(fields: SurfaceFields):
     """
     if not np.all(fields.sigma2 > GATE_SIGMA2_TOL):
         return False, None
-    _, _, labels = symfun.cone_roots(fields.w_frame)
+    _, _, labels = symfun.cone_roots_from_sums(2, fields.sigma1, fields.sigma2)
     other = np.flatnonzero(labels != labels[0])
     if other.size:
         k = other[0]

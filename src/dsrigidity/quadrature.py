@@ -8,6 +8,7 @@ sum(w * F * sqrt(det g)); reductions use exact compensated summation in
 a fixed node order for bit-stable reports.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +28,13 @@ class QuadratureRule:
         return self.theta.shape[0]
 
 
+@functools.lru_cache(maxsize=8)
 def gauss_sphere_rule(n_theta: int, n_phi: int) -> QuadratureRule:
-    """Build the (n_theta x n_phi) product rule, theta-major node order."""
+    """The (n_theta x n_phi) product rule, theta-major node order.
+
+    Built once per process and size; its arrays are read-only, so no
+    caller can alter a rule that others share.
+    """
     if n_theta < 2 or n_phi < 2:
         raise ConfigError("quadrature degrees must be at least 2 in each angle")
     x, w = np.polynomial.legendre.leggauss(n_theta)
@@ -42,11 +48,9 @@ def gauss_sphere_rule(n_theta: int, n_phi: int) -> QuadratureRule:
     phi = np.tile(phi_nodes, n_theta)
     # chart-measure weights: GL weight is against d cos(theta)
     weights = np.repeat(w / np.sin(theta_nodes), n_phi) * wphi
-    return QuadratureRule(
-        theta=np.ascontiguousarray(theta),
-        phi=np.ascontiguousarray(phi),
-        weights=np.ascontiguousarray(weights),
-    )
+    for array in (theta, phi, weights):
+        array.setflags(write=False)
+    return QuadratureRule(theta, phi, weights)
 
 
 def reduce_sum(values) -> float:

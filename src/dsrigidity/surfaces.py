@@ -255,10 +255,6 @@ class SampledGridSurface:
         """Jets (y, dy, d2y, d3y) at every grid node, flattened theta-major."""
         return grid_scalar_jets(self.values)
 
-    def reflected(self):
-        """Mirror image across the equator, y -> -y; W changes sign."""
-        return SampledGridSurface(-self.values)
-
 
 def grid_axes(n_theta, n_phi):
     """The cell-centred theta axis and the periodic phi axis of a sampled grid."""

@@ -62,10 +62,6 @@ class SymOperator:
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class ConeReport:
@@ -161,16 +157,21 @@ def cone_roots(w):
 
     The quadratic has coefficients a = n(n-1)/2, b = (n-1) sigma1(W) and
     c = sigma2(W).  The label index k names ``CONE_LABELS[k]``.  Takes one
-    operator or a stack; raises NonHyperbolic when a discriminant is
-    negative beyond roundoff, which symmetric input cannot produce.
+    operator or a stack.
     """
     m = _mat(w)
-    n = m.shape[0]
+    return cone_roots_from_sums(m.shape[0], sigma1(m), sigma2(m))
+
+
+def cone_roots_from_sums(n, s1, s2):
+    """``cone_roots`` of n x n operators whose sigma1 and sigma2 are ``s1``
+    and ``s2``; raises NonHyperbolic when a discriminant is negative beyond
+    roundoff, which symmetric input cannot produce.
+    """
     a = n * (n - 1) / 2.0
-    b = (n - 1) * sigma1(m)
-    c = sigma2(m)
-    disc = b * b - 4.0 * a * c
-    scale = np.maximum(b * b, np.abs(4.0 * a * c))
+    b = (n - 1) * s1
+    disc = b * b - 4.0 * a * s2
+    scale = np.maximum(b * b, np.abs(4.0 * a * s2))
     bad = np.flatnonzero(disc < -HYPERBOLICITY_TOL * np.maximum(scale, 1.0))
     if bad.size:
         k = bad[0]

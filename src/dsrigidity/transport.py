@@ -88,11 +88,8 @@ class PairNodeData:
 
     base: geometry.SurfaceFields
     tilde: geometry.SurfaceFields
-    jacobian: np.ndarray  # (a, i, n): image chart by source chart
     metric_pullback_residual: np.ndarray  # max |g~(e_a, e_b) - delta| per node
     w_tilde_frame: np.ndarray  # image shape operator in the pushed frame
-    phi_prime_tilde: np.ndarray  # sinh of the image height at f(x)
-    support_tilde: np.ndarray  # <V~, nu~> at f(x)
     hess_phi_tilde_frame: np.ndarray  # Hessian on M of the pulled-back potential
 
 
@@ -116,11 +113,8 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     return PairNodeData(
         base=base,
         tilde=tilde,
-        jacobian=np.array(jac),
         metric_pullback_residual=metric_res,
         w_tilde_frame=np.array(kernels.congruence(pushed, tilde.h)),
-        phi_prime_tilde=np.sinh(tilde.y),
-        support_tilde=tilde.support,
         hess_phi_tilde_frame=np.array(kernels.congruence(frame, hess)),
     )
 

@@ -245,7 +245,6 @@ def transport_oracle(surface, iso, theta, phi):
         "y": rho_t.f,
         "dy": component_first(dy),
         "d2y": component_first(d2y),
-        "jacobian": component_first(u1),
         "w_tilde_frame": component_first(w_tilde),
         "hess_phi_tilde_frame": component_first(frame @ hess @ np.swapaxes(frame, 1, 2)),
     }

@@ -1,8 +1,11 @@
 """Public API exists because the pipeline uses it.
 
 Every module-level public function or class in ``src/dsrigidity`` must be
-referenced somewhere in ``src/`` besides its own definition; the entries
-below are the deliberate exceptions.
+referenced somewhere in ``src/`` besides its own definition, and every
+public method, property or dataclass field of a non-enum class must be
+read as an attribute somewhere in ``src/`` (a keyword argument at
+construction is not a read); the entries below are the deliberate
+exceptions.
 """
 
 import ast
@@ -21,6 +24,14 @@ UNCALLED_ON_PURPOSE = {
     # works on chart jets, the ambient tests on points
     "embed": "chart point to pseudosphere coordinates",
     "unembed": "pseudosphere coordinates back to a chart point, off-shell checked",
+}
+
+#: class members that only the acceptance gate reads
+UNREAD_ON_PURPOSE = {
+    # acceptance criterion 1: the normal of an umbilic slice in closed form
+    "SurfaceFields.nu": "the unit normal, checked against the slice's closed form",
+    # acceptance criterion 11: the rule's size against its degrees
+    "QuadratureRule.n_nodes": "node count of the product rule",
 }
 
 
@@ -48,6 +59,38 @@ def _references(tree):
     return names
 
 
+def _is_enum(cls):
+    return any(getattr(base, "id", getattr(base, "attr", "")).endswith("Enum")
+               for base in cls.bases)
+
+
+def _public_members(tree):
+    """'Class.name' for each public method, property and field of a non-enum class."""
+    members = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or _is_enum(cls):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            elif isinstance(node, ast.Assign):  # name = property(...)
+                names = [target.id for target in node.targets]
+            else:
+                continue
+            members += [f"{cls.name}.{name}" for name in names if not name.startswith("_")]
+    return members
+
+
+def _attribute_loads(tree):
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_public_definition_has_a_caller_in_src():
     trees = _trees()
     referenced = set().union(*(_references(tree) for tree in trees.values()))
@@ -66,3 +109,23 @@ def test_exceptions_are_still_uncalled_and_defined():
     referenced = set().union(*(_references(tree) for tree in trees.values()))
     assert set(UNCALLED_ON_PURPOSE) <= defined
     assert not set(UNCALLED_ON_PURPOSE) & referenced
+
+
+def test_every_public_member_is_read_in_src():
+    trees = _trees()
+    read = set().union(*(_attribute_loads(tree) for tree in trees.values()))
+    unread = sorted(
+        f"{module}:{member}"
+        for module, tree in trees.items()
+        for member in _public_members(tree)
+        if member.split(".")[1] not in read and member not in UNREAD_ON_PURPOSE
+    )
+    assert not unread, f"public members that no code in src/ reads: {unread}"
+
+
+def test_member_exceptions_are_still_unread_and_defined():
+    trees = _trees()
+    defined = {member for tree in trees.values() for member in _public_members(tree)}
+    read = set().union(*(_attribute_loads(tree) for tree in trees.values()))
+    assert set(UNREAD_ON_PURPOSE) <= defined
+    assert not {member.split(".")[1] for member in UNREAD_ON_PURPOSE} & read

@@ -180,14 +180,6 @@ def test_config_validation(tmp_path, capsys):
     assert run(["rigidity", "--config", fast, "--quad", "24x48"]) == 2
     badtol = _write(tmp_path / "geo.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n")
     assert run(["geometry", "--config", badtol, "--quad", "24x48", "--tol", "nope=1"]) == 2
-    typo = _write(
-        tmp_path / "typo.cfg",
-        "[surface]\nkind = slice\nrho0 = 0.5\n\n[suite]\nchecks = gauss typo_check\n",
-    )
-    capsys.readouterr()
-    assert run(["geometry", "--config", typo, "--quad", "24x48"]) == 2
-    assert "'typo_check'" in capsys.readouterr().err
-
     sampled = "[surface]\nkind = sampled\nrho0 = 0.5\nresolution = 24x48\n"
     analytic = "[surface]\nkind = slice\nrho0 = 0.5\n"
     boost = "\n[isometry]\nkind = boost\nrapidity = 0.1\naxis = 1 0 0\n"
@@ -200,6 +192,16 @@ def test_config_validation(tmp_path, capsys):
         for command in ("verify-identities", "rigidity"):
             assert run([command, "--config", pair_cfg, "--quad", "16x16"]) == 2
             assert "analytic surfaces" in capsys.readouterr().err
+
+    # a [surface2] pair corresponds by chart identity; any other isometry exits 2
+    second = "\n" + analytic.replace("[surface]", "[surface2]")
+    for kind, code in (("boost", 2), ("identity", 0)):
+        pair_cfg = _write(tmp_path / "two_surface.cfg", analytic + second + boost.replace(
+            "boost", kind))
+        for command in ("verify-identities", "rigidity"):
+            assert run([command, "--config", pair_cfg, "--quad", "16x16"]) == code, kind
+            message = "a two-surface pair uses the identity correspondence"
+            assert (message in capsys.readouterr().err) == (code == 2), kind
 
     # malformed, missing and non-finite numbers name the section, key and text
     perturbed = "[surface]\nkind = perturbed_slice\nrho0 = 0.5\n"

@@ -189,10 +189,11 @@ def test_curvature_gate(rule_32):
     assert gate(AnalyticSurface(-0.5)) == (True, ConeLabel.MINUS)
     assert gate(AnalyticSurface(0.0)) == (False, None)
 
-    # positive sigma2 in both cones: the error names a node of each
+    # positive sigma2 in both cones (the sums of W = I and W = -I): the
+    # error names a node of each
     split = SimpleNamespace(
-        theta=np.array([0.5, 1.0]), phi=np.array([0.0, 2.0]), sigma2=np.ones(2),
-        w_frame=np.stack([np.eye(2), -np.eye(2)], axis=-1),
+        theta=np.array([0.5, 1.0]), phi=np.array([0.0, 2.0]), sigma1=np.array([2.0, -2.0]),
+        sigma2=np.ones(2),
     )
     message = (
         r"node 0 \(theta=0\.5000, phi=0\.0000\) is PlusCone, "

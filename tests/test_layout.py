@@ -22,7 +22,7 @@ FIELD_AXES = {
     "dy": (2,), "d2y": (2, 2), "d3y": (2, 2, 2), "g": (2, 2), "g_inv": (2, 2), "h": (2, 2),
     "w_chart": (2, 2), "frame": (2, 2), "w_frame": (2, 2), "hess_phi_frame": (2, 2),
     "gamma": (2, 2, 2), "nu": (3,), "nu_tangency_residual": (2,),
-    "jacobian": (2, 2), "w_tilde_frame": (2, 2), "hess_phi_tilde_frame": (2, 2),
+    "w_tilde_frame": (2, 2), "hess_phi_tilde_frame": (2, 2),
 }
 LAZY_FIELDS = ("gamma", "hess_phi_frame", "pre_integral_residual", "k_norm", "gauss_residual",
                "newton_residual")

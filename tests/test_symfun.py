@@ -316,7 +316,7 @@ def test_near_equality_perturbation():
 def test_sym_operator_validation():
     op = SymOperator([[1.0, 2.0], [0.0, 3.0]])
     np.testing.assert_allclose(op.entries, [[1.0, 1.0], [1.0, 3.0]])
-    assert op.dim == 2
+    assert op.entries.shape == (2, 2)
     with pytest.raises(DimensionMismatch):
         SymOperator(np.eye(9))
     with pytest.raises(DimensionMismatch):

@@ -41,19 +41,20 @@ def test_boosted_slice_heights_match_closed_form(scattered_nodes):
 
 
 def test_correspondence_jacobian_matches_finite_differences(perturbed_surface):
+    # the image height's gradient on its own chart, carried through the
+    # finite-difference Jacobian of the chart map, is d rho~ / d theta
     iso = ambient.boost(0.3, [0.0, 1.0, 0.0])
     corr = transport.IsometryCorrespondence(perturbed_surface, iso)
     rng = np.random.default_rng(2)
     theta = rng.uniform(0.5, 2.6, 20)
     phi = rng.uniform(0.0, 2 * math.pi, 20)
-    data = corr.node_data(theta, phi)
+    dy = corr.node_data(theta, phi).tilde.dy
     h = 1e-6
-    tp, pp, _ = target_angles(corr, theta + h, phi)
-    tm, pm, _ = target_angles(corr, theta - h, phi)
+    tp, pp, rp = target_angles(corr, theta + h, phi)
+    tm, pm, rm = target_angles(corr, theta - h, phi)
     dt = (tp - tm) / (2 * h)
     dp = (np.unwrap(pp - pm + math.pi) - math.pi) / (2 * h)
-    assert np.abs(data.jacobian[0, 0] - dt).max() < 1e-8
-    assert np.abs(data.jacobian[1, 0] - dp).max() < 1e-8
+    assert np.abs(dy[0] * dt + dy[1] * dp - (rp - rm) / (2 * h)).max() < 1e-8
 
 
 def test_pullback_data_is_equivariant(perturbed_surface, scattered_nodes):
@@ -70,10 +71,6 @@ def test_pullback_data_is_equivariant(perturbed_surface, scattered_nodes):
         assert np.abs(data.w_tilde_frame - data.base.w_frame).max() < 1e-6
         # image surface satisfies its own pointwise identities
         assert data.tilde.pre_integral_residual.max() < 1e-8
-        # pulled-back potential matches sinh of the image height
-        np.testing.assert_allclose(
-            data.phi_prime_tilde, np.sinh(data.tilde.y), atol=1e-12
-        )
 
 
 axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(
@@ -128,7 +125,6 @@ def test_closed_form_transport_matches_the_jet_oracle(rho0, mode_list, iso, seed
     y, dy, d2y = spy.call_args_list[1].args[2]
     oracle = jet_oracle.transport_oracle(surface, iso, theta, phi)
     for name, value in (
-        ("jacobian", data.jacobian),
         ("y", y),
         ("dy", dy),
         ("d2y", d2y),
