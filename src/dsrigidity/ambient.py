@@ -4,7 +4,8 @@ The chart is (rho, theta, phi) with metric
     ds^2 = -d rho^2 + cosh^2(rho) (d theta^2 + sin^2 theta d phi^2),
 a Lorentzian space form of sectional curvature +1.  Points are also
 represented on the unit pseudosphere {<x, x>_eta = 1} in R^{1,3} with
-eta = diag(-1, 1, 1, 1), where isometries are plain Lorentz matrices.
+eta = diag(-1, 1, 1, 1), where isometries are plain Lorentz matrices;
+``embed`` and ``unembed`` are the map there and back that the regraph uses.
 
 The distinguished radial field is V = cosh(rho) d/d rho; its potential
 along rho is sinh(rho), and V is the metric gradient of that potential.
@@ -15,52 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartPole, OffShell, PolarDegeneracy
+from .errors import ChartPole
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 POLE_MARGIN = 1e-6
-SHELL_TOL = 1e-9
 
 
-# -- points and the pseudosphere model ----------------------------------
+# -- the pseudosphere model ----------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DeSitterPoint:
-    rho: float
-    omega: np.ndarray
-
-    def __init__(self, rho, omega):
-        omega = np.asarray(omega, dtype=float)
-        if omega.shape != (3,):
-            raise ValueError("omega must be a 3-vector")
-        if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
-            raise ValueError("omega must be a unit vector")
-        if not math.isfinite(rho):
-            raise ValueError("rho must be finite")
-        object.__setattr__(self, "rho", float(rho))
-        object.__setattr__(self, "omega", omega)
+def embed(rho, omega):
+    """Pseudosphere points x = (sinh rho, cosh rho omega), the unit
+    directions ``omega`` and the points on axis 0."""
+    return np.concatenate([np.sinh(rho)[None], np.cosh(rho) * omega])
 
 
-def embed(point: DeSitterPoint) -> np.ndarray:
-    """Pseudosphere coordinates x = (sinh rho, cosh rho * omega)."""
-    x = np.empty(4)
-    x[0] = math.sinh(point.rho)
-    x[1:] = math.cosh(point.rho) * point.omega
-    return x
-
-
-def unembed(x) -> DeSitterPoint:
-    """Invert the pseudosphere embedding."""
-    x = np.asarray(x, dtype=float)
-    norm2 = float(x @ ETA @ x)
-    if abs(norm2 - 1.0) > SHELL_TOL:
-        raise OffShell(f"<x,x> = {norm2:.12g}, not on the unit pseudosphere")
-    spatial = x[1:]
-    r = np.linalg.norm(spatial)
-    if r < 1e-12:
-        raise PolarDegeneracy("spatial part vanishes; no direction defined")
-    return DeSitterPoint(math.asinh(x[0]), spatial / r)
+def unembed(x):
+    """(rho, theta, phi) of pseudosphere points ``x`` on axis 0, phi in [0, 2 pi)."""
+    r = np.sqrt(x[1] ** 2 + x[2] ** 2 + x[3] ** 2)
+    theta = np.arccos(np.clip(x[3] / r, -1.0, 1.0))
+    return np.arcsinh(x[0]), theta, np.arctan2(x[2], x[1]) % (2.0 * math.pi)
 
 
 # -- chart metric and Christoffel symbols --------------------------------

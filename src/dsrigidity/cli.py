@@ -64,6 +64,10 @@ DEFAULT_TOLERANCES = {
 #: |a| <= 1 moves them by at most |a|, and cosh(177)^4 = 3e306 is a float
 HEIGHT_BOUND = 176.0
 
+#: larger matrix entries exit 2: at 1e75 sigma2 of an 8x8 operator stays below
+#: 6e151, so the pair gap's product sigma2(W) sigma2(W~) is a float
+MAX_ENTRY = 1e75
+
 #: grids of more nodes exit 2: at about 2.3 KB a node, 512x1024 takes 1.2 GB
 MAX_NODES = 512 * 1024
 
@@ -84,11 +88,13 @@ def parse_matrix(text: str) -> np.ndarray:
     if not text:
         raise ParseError("empty matrix input")
     tokens = text.split()
+    kind = tokens[0].lower()
     try:
-        if tokens[0].lower() == "diag":
-            mat = np.diag([float(t) for t in tokens[1:]])
-        elif tokens[0].lower() in ("identity", "eye"):
-            mat = np.eye(int(tokens[1]))
+        if kind in ("diag", "identity", "eye"):
+            n = len(tokens) - 1 if kind == "diag" else int(tokens[1])
+            if n not in symfun.DIMENSIONS:  # before n^2 entries are allocated
+                raise ParseError(f"matrix text {text!r} has dimension {n}, outside 2..8")
+            mat = np.diag([float(t) for t in tokens[1:]]) if kind == "diag" else np.eye(n)
         else:
             mat = np.array([[float(v) for v in row.split()] for row in text.split(";")])
     except (ValueError, IndexError) as exc:
@@ -97,6 +103,8 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ParseError(f"matrix text {text!r} is not square")
     if not np.isfinite(mat).all():
         raise ParseError(f"matrix text {text!r} has a non-finite entry")
+    if np.abs(mat).max() > MAX_ENTRY:
+        raise ParseError(f"matrix text {text!r} has an entry larger than {MAX_ENTRY:g} in size")
     return mat
 
 
@@ -408,7 +416,7 @@ def _geometry_report(config) -> tuple:
     if not sampled:
         # the parity check reads W only, so second-order jets suffice
         m = surface.reflected().height_jet(fields.theta, fields.phi)
-        mirrored = geometry.evaluate_fields(fields.theta, fields.phi, (m.f, m.d, m.d2))
+        mirrored = geometry.evaluate_fields(fields.theta, fields.phi, m)
         report.add(
             "reflection_parity",
             "W(-y) = -W(y) at corresponding nodes",

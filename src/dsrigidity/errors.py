@@ -21,14 +21,6 @@ class NotInCone(DsRigidityError):
     """An operator required to lie in the positive cone does not."""
 
 
-class OffShell(DsRigidityError):
-    """A 4-vector violates the unit pseudosphere constraint."""
-
-
-class PolarDegeneracy(DsRigidityError):
-    """Spatial part of an embedded point is too small to normalize."""
-
-
 class ChartPole(DsRigidityError):
     """Chart evaluation requested too close to a coordinate pole."""
 

@@ -152,14 +152,8 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     refinement.
     """
     _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
-    gamma, w = fields.gamma, fields.w_frame
-    # a sum from 0 over the index, as np.einsum("nkij,nk->nij") sums
-    hess = [
-        [d2p[i, j] - sum(gamma[k, i, j] * dp[k] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    hess_frame = kernels.congruence(fields.frame, hess)
-    phi_prime = fields.phi_prime
+    hess_frame = kernels.frame_hessian(fields.frame, fields.gamma, dp, d2p)
+    phi_prime, w = fields.phi_prime, fields.w_frame
     return np.max([
         np.abs(hess_frame[a][b] - (phi_prime * float(a == b) + fields.support * w[a, b]))
         for a, b in np.ndindex(2, 2)

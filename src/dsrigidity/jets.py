@@ -5,9 +5,10 @@ to the chart variables (theta, phi): the pair suites read nothing beyond
 second order.  (The class keeps its name because perfbench traces its
 operators as ``jets.Jet3``.)  ``f`` is a node array, ``d`` ``(2, n)`` and
 ``d2`` ``(2, 2, n)`` put the derivative axes first and the nodes last, the
-layout of every stored tensor, so ``(f, d, d2)`` are the node jets
-``geometry.evaluate_fields`` takes as they stand.
-``AnalyticSurface.height_jet`` returns one.
+layout of every stored tensor.  The class is internal to ``transport``:
+surfaces hand out their height jets as the plain tuple ``(y, dy, d2y)``
+that ``geometry.evaluate_fields`` takes, and only the embedded point and
+its image under the Lorentz matrix are carried as ``Jet3``.
 
 The isometric transport builds the embedded point in closed form, applies
 the Lorentz matrix through the two linear operations of the class (a sum of

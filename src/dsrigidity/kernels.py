@@ -11,7 +11,8 @@ axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
 component at a time on those node arrays, nested as lists ``t[i][j]``
 (``dg`` and ``t`` are returned so), and a stored tensor is built from its
 nested list with ``np.array``.  Only the derivatives of the Christoffel
-symbols that enter R^a_{212} are formed.
+symbols that enter R^a_{212} are formed.  ``frame_hessian`` serves potentials
+known only by chart jets: a pair's pulled-back one, a sampled grid's stencil one.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -48,6 +49,15 @@ def congruence(f, m):
     ``np.einsum("nai,nij,nbj->nab")`` sums stacks: from 0, one row i at a time."""
     row = lambda a, b, i: f[a][i] * m[i][0] * f[b][0] + f[a][i] * m[i][1] * f[b][1]
     return [[sum(row(a, b, i) for i in range(2)) for b in range(2)] for a in range(2)]
+
+
+def frame_hessian(frame, gamma, d, d2):
+    """Components of the covariant Hessian d2_ij - Gamma^k_ij d_k of a function
+    in the frame, from its chart gradient ``d`` and Hessian ``d2``; Gamma^k_ij d_k
+    is summed from k = 0, as ``np.einsum("nkij,nk->nij")`` sums stacks."""
+    hess = [[d2[i][j] - (gamma[0, i, j] * d[0] + gamma[1, i, j] * d[1]) for j in range(2)]
+            for i in range(2)]
+    return congruence(frame, hess)
 
 
 def _in_frame(e1a, e2a, e2b, m11, m12, m22):

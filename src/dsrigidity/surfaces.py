@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .ambient import POLE_MARGIN
 from .errors import ChartPole
 
@@ -96,14 +95,14 @@ def _legendre_theta_derivatives(l, m, x, s, order):
     """
     p = {mu: _legendre_any_order(l, mu, x, s) for mu in range(m - order, m + order + 1)}
     coeffs = {m: 1.0}
-    out = []
-    for _ in range(order + 1):
-        out.append(sum(c * p[mu] for mu, c in coeffs.items()))
+    out = [p[m]]
+    for _ in range(order):
         step = {}
         for mu, c in coeffs.items():
             step[mu + 1] = step.get(mu + 1, 0.0) + 0.5 * c
             step[mu - 1] = step.get(mu - 1, 0.0) - 0.5 * c * (l + mu) * (l - mu + 1)
         coeffs = step
+        out.append(sum(c * p[mu] for mu, c in coeffs.items()))
     return out
 
 
@@ -136,52 +135,46 @@ class AnalyticSurface:
         )
         return f"AnalyticSurface(rho0={self.rho0:g}{', ' + terms if terms else ''})"
 
-    def _derivative_table(self, theta, phi, order):
+    def _derivative_table(self, x, s, phi, order):
         """part[k][j]: the height with k theta and j phi derivatives, k + j <=
-        order.  Each mode is separable, so an entry is (d/dtheta)^k P_l^m
-        times (d/dphi)^j cos(m phi)."""
-        theta = np.asarray(theta, dtype=float)
+        order, from x = cos(theta) and s = sin(theta).  Each mode is separable,
+        so an entry is (d/dtheta)^k P_l^m times (d/dphi)^j cos(m phi)."""
         phi = np.asarray(phi, dtype=float)
-        x, s = np.cos(theta), np.sin(theta)
-        if np.any(s < POLE_MARGIN):
-            raise ChartPole("node too close to a chart pole")
-        part = [
-            [np.zeros(theta.shape) for _ in range(order + 1 - k)] for k in range(order + 1)
-        ]
+        part = [[np.zeros(np.shape(x)) for _ in range(order + 1 - k)] for k in range(order + 1)]
         part[0][0] += self.rho0
         for mode in self.modes:
             l, m = mode.degree, mode.order
             scale = mode.amplitude * _sph_norm(l, m)
             p_theta = _legendre_theta_derivatives(l, m, x, s, order)
-            c, sn = np.cos(m * phi), np.sin(m * phi)
-            p_phi = (c, -m * sn, -m * m * c, m**3 * sn)
+            c = np.cos(m * phi)
+            p_phi = (c,)
+            if order:  # height values need no phi derivative
+                sn = np.sin(m * phi)
+                p_phi = (c, -m * sn, -m * m * c, m**3 * sn)
             for k in range(order + 1):
                 for j in range(order + 1 - k):
                     part[k][j] = part[k][j] + scale * p_theta[k] * p_phi[j]
         return part
 
-    def height_jet(self, theta, phi) -> jets.Jet3:
-        """Closed-form second-order jet of the height."""
-        part = self._derivative_table(theta, phi, 2)
-        return jets.Jet3(part[0][0], _derivative_tensor(part, 1), _derivative_tensor(part, 2))
+    def _jets(self, theta, phi, order):
+        """Closed-form (y, dy, d2y[, d3y]) through ``order``, derivative axes first."""
+        x, s = np.cos(theta), np.sin(theta)
+        if np.any(s < POLE_MARGIN):
+            raise ChartPole("node too close to a chart pole")
+        part = self._derivative_table(x, s, phi, order)
+        return (part[0][0], *(_derivative_tensor(part, n) for n in range(1, order + 1)))
+
+    def height_jet(self, theta, phi):
+        """Closed-form second-order jet (y, dy, d2y) of the height."""
+        return self._jets(theta, phi, 2)
 
     def jets(self, theta, phi):
-        """Closed-form (y, dy, d2y, d3y) arrays, derivative axes first."""
-        part = self._derivative_table(theta, phi, 3)
-        return (part[0][0],) + tuple(_derivative_tensor(part, n) for n in (1, 2, 3))
+        """Closed-form third-order jet (y, dy, d2y, d3y) of the height."""
+        return self._jets(theta, phi, 3)
 
     def height(self, theta, phi):
         """Height values only; safe at the chart poles."""
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        y = np.full(theta.shape, self.rho0)
-        x = np.cos(theta)
-        s = np.sin(theta)
-        for mode in self.modes:
-            l, m = mode.degree, mode.order
-            plm = assoc_legendre(l, m, x, s)
-            y = y + mode.amplitude * _sph_norm(l, m) * plm * np.cos(m * phi)
-        return y
+        return self._derivative_table(np.cos(theta), np.sin(theta), phi, 0)[0][0]
 
     def slope(self, theta, phi):
         """Height y and |grad y|^2 = y_theta^2 + (y_phi / sin theta)^2 on the

@@ -30,6 +30,8 @@ BOUNDARY_TOL = 1e-12
 EQUALITY_TOL = 1e-10
 #: discriminants below -HYPERBOLICITY_TOL * scale signal non-symmetric input
 HYPERBOLICITY_TOL = 1e-9
+#: the operator dimensions a SymOperator takes
+DIMENSIONS = range(2, 9)
 
 
 class ConeLabel(Enum):
@@ -54,7 +56,7 @@ class SymOperator:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got {entries.shape}")
         n = entries.shape[0]
-        if not 2 <= n <= 8:
+        if n not in DIMENSIONS:
             raise DimensionMismatch(f"dimension {n} outside supported range 2..8")
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix entries must be finite")

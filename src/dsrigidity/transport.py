@@ -6,7 +6,8 @@ the argument only through second-order data (shape operators, potential
 Hessians), so the transport carries values, chart gradients and Hessians
 and nothing more, and neither surface's curvature fields are formed here.
 The embedded point x = (sinh y, cosh y omega) gets its jets in closed form
-from the height jet; the Lorentz matrix maps every jet component by the
+from the height jet tuple (y, dy, d2y) as ``jets.Jet3`` values, a type
+internal to this module; the Lorentz matrix maps every jet component by the
 same matrix; rho~ = arcsinh x~_0, theta~ = atan2(|(x~_1, x~_2)|, x~_3) and
 phi~ = atan2(x~_2, x~_1) each take one chain rule (``jets``); inverting the
 chart map to second order gives the image height's jets on its own chart.
@@ -14,27 +15,28 @@ So tilde quantities are exact, with no grid error.  Every 2x2 product is a
 sum of node arrays in a fixed order, so no digit depends on a BLAS kernel.
 
 The regraphing root-finder re-expresses the image as heights over the
-standard sampled grid (and certifies the image is a graph at all); the
-exact transport is what the integral and rigidity checks consume.
+standard sampled grid (and certifies the image is a graph at all); it moves
+points with ``ambient.embed`` and ``ambient.unembed``, the pseudosphere map.
+The exact transport is what the integral and rigidity checks consume.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, jets, kernels
+from . import ambient, geometry, jets, kernels
 from .errors import ConfigError, CorrespondenceInvalid, NotAGraph
 from .geometry import node_text
 from .surfaces import AnalyticSurface, SampledGridSurface, grid_axes, grid_scalar_jets
 
 
-def _embedding(y, theta, phi):
+def _embedding(y_jet, theta, phi):
     """Jets of the pseudosphere point x = (sinh y, cosh y omega(theta, phi))
-    of a graph surface with height jet y, in closed form."""
+    of a graph surface with height jet (y, dy, d2y), in closed form."""
+    y, dy, d2y = y_jet
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    s, c = np.sinh(y.f), np.cosh(y.f)
-    yy = y.d[:, None] * y.d[None, :]
+    s, c = np.sinh(y), np.cosh(y)
+    yy = dy[:, None] * dy[None, :]
     zero = np.zeros_like(theta)
     # omega with its chart gradient and Hessian
     omega = (
@@ -43,8 +45,8 @@ def _embedding(y, theta, phi):
         (ct, [-st, zero], [[-ct, zero], [zero, zero]]),
     )
     # cosh(y) omega by the product rule
-    dc, d2c = s * y.d, c * yy + s * y.d2
-    x = [jets.Jet3(s, c * y.d, s * yy + c * y.d2)]
+    dc, d2c = s * dy, c * yy + s * d2y
+    x = [jets.Jet3(s, c * dy, s * yy + c * d2y)]
     for w, dw, d2w in omega:
         dw = np.array(dw)
         cross = dc[:, None] * dw[None, :]
@@ -100,7 +102,7 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     Every 2x2 product is a component sum (``kernels._matmul``,
     ``kernels.congruence``), so no digit depends on a BLAS kernel.
     """
-    frame, gamma = base.frame, base.gamma
+    frame = base.frame
     # frame rows e_r pushed into image chart components: pushed[r][a]
     pushed = kernels._matmul(frame, [[jac[a][i] for a in range(2)] for i in range(2)])
     pulled_g = kernels.congruence(pushed, tilde.g)
@@ -108,14 +110,12 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
         np.maximum(np.abs(pulled_g[0][0] - 1.0), np.abs(pulled_g[0][1])),
         np.maximum(np.abs(pulled_g[1][0]), np.abs(pulled_g[1][1] - 1.0)),
     )
-    hess = [[pot_d2[i][j] - (gamma[0, i, j] * pot_d[0] + gamma[1, i, j] * pot_d[1])
-             for j in range(2)] for i in range(2)]
     return PairNodeData(
         base=base,
         tilde=tilde,
         metric_pullback_residual=metric_res,
         w_tilde_frame=np.array(kernels.congruence(pushed, tilde.h)),
-        hess_phi_tilde_frame=np.array(kernels.congruence(frame, hess)),
+        hess_phi_tilde_frame=np.array(kernels.frame_hessian(frame, base.gamma, pot_d, pot_d2)),
     )
 
 
@@ -130,7 +130,7 @@ class IsometryCorrespondence:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
         y_jet = self.surface.height_jet(theta, phi)
-        base = geometry.evaluate_fields(theta, phi, (y_jet.f, y_jet.d, y_jet.d2))
+        base = geometry.evaluate_fields(theta, phi, y_jet)
 
         lam = self.iso.matrix
         x = _embedding(y_jet, theta, phi)
@@ -157,16 +157,15 @@ class IdentityCorrespondence:
     def node_data(self, theta, phi) -> PairNodeData:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
-        y_jet = self.surface.height_jet(theta, phi)
-        base = geometry.evaluate_fields(theta, phi, (y_jet.f, y_jet.d, y_jet.d2))
-        other = self.other.height_jet(theta, phi)
-        tilde = geometry.evaluate_fields(theta, phi, (other.f, other.d, other.d2))
+        base = geometry.evaluate_fields(theta, phi, self.surface.height_jet(theta, phi))
+        y, dy, d2y = self.other.height_jet(theta, phi)
+        tilde = geometry.evaluate_fields(theta, phi, (y, dy, d2y))
         one, zero = np.ones_like(theta), np.zeros_like(theta)
 
         # the potential -sinh(y~) over the shared chart
-        c, s = np.cosh(other.f), np.sinh(other.f)
-        pot_d2 = -(s * other.d[:, None] * other.d[None, :] + c * other.d2)
-        return _pair_data_from_parts(base, tilde, [[one, zero], [zero, one]], -c * other.d, pot_d2)
+        c, s = np.cosh(y), np.sinh(y)
+        pot_d2 = -(s * dy[:, None] * dy[None, :] + c * d2y)
+        return _pair_data_from_parts(base, tilde, [[one, zero], [zero, one]], -c * dy, pot_d2)
 
 
 # -- regraphing through the inverse isometry ------------------------------
@@ -195,11 +194,8 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
 
     def foot(t, lines):
         # rho, theta, phi of La^{-1} P(t); t has a column per line ``lines`` picks
-        x = np.concatenate([np.sinh(t)[None], np.cosh(t) * omega[:, None, lines]])
-        xs = np.einsum("ab,b...->a...", lam_inv, x)
-        rnorm = np.sqrt(xs[1] ** 2 + xs[2] ** 2 + xs[3] ** 2)
-        th = np.arccos(np.clip(xs[3] / rnorm, -1.0, 1.0))
-        return np.arcsinh(xs[0]), th, np.arctan2(xs[2], xs[1]) % (2.0 * math.pi)
+        x = ambient.embed(t, omega[:, None, lines])
+        return ambient.unembed(np.einsum("ab,b...->a...", lam_inv, x))
 
     def rising(t, lines):
         # up * F: negative below the crossing, nonnegative from it on

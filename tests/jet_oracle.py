@@ -190,8 +190,9 @@ def azimuth(jx, jy):
 
 
 def embedded_jets(y, theta, phi):
-    """Jets of the pseudosphere embedding of a graph surface with height jet y."""
-    y = Jet3(y.f, y.d, y.d2)
+    """Jets of the pseudosphere embedding of a graph surface with height jet
+    y = (y, dy, d2y)."""
+    y = Jet3(*y)
     jt = Jet3.variable(theta, 0)
     jp = Jet3.variable(phi, 1)
     st = sin(jt)
@@ -210,7 +211,7 @@ def transport_oracle(surface, iso, theta, phi):
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
     y_jet = surface.height_jet(theta, phi)
-    base = geometry.evaluate_fields(theta, phi, (y_jet.f, y_jet.d, y_jet.d2))
+    base = geometry.evaluate_fields(theta, phi, y_jet)
     frame, gamma = node_major(base.frame), node_major(base.gamma)
 
     lam = iso.matrix

@@ -20,10 +20,6 @@ UNCALLED_ON_PURPOSE = {
     "sigma_line_coefficients": "sigma_k(W + t I) coefficients of Garding's theory",
     # the regraph entry point that library callers and the benchmark use
     "transform_surface": "re-expresses an isometric image as a sampled graph",
-    # the pseudosphere model in which isometries act on points; the pipeline
-    # works on chart jets, the ambient tests on points
-    "embed": "chart point to pseudosphere coordinates",
-    "unembed": "pseudosphere coordinates back to a chart point, off-shell checked",
 }
 
 #: class members that only the acceptance gate reads

@@ -66,6 +66,23 @@ def test_check_cone_rejects_garbage(capsys):
     for text in ("diag nan 1", "diag 1 inf", "1 0; 0 -inf"):
         assert run(["check-cone", text]) == 2, text
         assert f"matrix text {text!r} has a non-finite entry" in capsys.readouterr().err
+    # finite entries whose sigma2 products overflow once read 'Outside (roots nan, nan)'
+    for text in ("diag 1e200 1e200", "1 0; 0 -1e76"):
+        assert run(["check-cone", text]) == 2, text
+        assert f"matrix text {text!r} has an entry larger than 1e+75" in capsys.readouterr().err
+    largest = "diag" + " 1e75" * 8
+    assert run(["check-cone", largest, largest]) == 0
+    out = capsys.readouterr().out
+    assert "PlusCone" in out and "nan" not in out and "inf" not in out
+    # the dimension is read from the text before np.eye allocates N^2 entries
+    tracemalloc.start()
+    try:
+        assert run(["check-cone", "identity 3000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "matrix text 'identity 3000' has dimension 3000, outside 2..8" in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 def test_matrix_parser():
