@@ -280,13 +280,14 @@ class ExperimentConfig:
         self.quad_degrees = (n_theta, n_phi)
 
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        for key in parser["tolerances"]:
+        given = [("[tolerances]", key, None) for key in parser["tolerances"]]
+        for where, key, value in given + [("--tol", *item) for item in tol_overrides]:
             if key not in self.tolerances:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            self.tolerances[key] = _number(parser["tolerances"], key)
-        for key, value in tol_overrides:
-            if key not in self.tolerances:
-                raise ConfigError(f"unknown tolerance {key!r}")
+            if value is None:
+                value = _number(parser["tolerances"], key)
+            if value < 0.0:
+                raise ConfigError(f"{where} {key}: {value:g} is negative; a tolerance is >= 0")
             self.tolerances[key] = value
 
         suite = parser["suite"]
@@ -435,11 +436,10 @@ def _geometry_report(config) -> tuple:
         float(fields.nu_tangency_residual.max()),
         tol["normal"],
     )
-    gram = kernels.congruence(fields.frame, fields.g)
     report.add(
         "frame_orthonormal",
         "g(e_a, e_b) = delta_ab",
-        max(float(np.abs(gram[a][b] - float(a == b)).max()) for a, b in np.ndindex(2, 2)),
+        float(kernels.orthonormality_residual(fields.frame, fields.g).max()),
         tol["frame"],
     )
 

@@ -1,8 +1,8 @@
 """Pointwise surface geometry: fields, invariant checks, curvature gate.
 
-This layer feeds height jets into the geometry kernels and exposes the
-results as arrays over a node set, each tensor component-first with the
-node axis last (``kernels``).
+This layer feeds height jets into the geometry kernels, and a sampled grid's
+stencil jets of the potential into the same frame Hessian and residual; the
+results are arrays over a node set, tensors component-first (``kernels``).
 """
 
 import functools
@@ -30,9 +30,9 @@ def node_text(theta, phi, k, **values):
 class SurfaceFields:
     """Pointwise geometric quantities over a set of chart nodes.
 
-    ``kernels.surface_core`` forms the fields on every surface.  One kernel
-    each forms the rest on first read: ``connection`` dg and gamma,
-    ``potential_hessian`` hess_phi_frame and pre_integral_residual,
+    ``kernels.surface_core`` forms the fields on every surface.  The rest are
+    formed on first read: ``connection`` dg and gamma, ``frame_hessian``
+    hess_phi_frame (of ``potential_jets``) and ``pre_integral_residual``,
     ``curvature_fields`` k_norm and gauss_residual, ``newton_divergence``
     newton_residual; the last three are None without third-order jets.
     """
@@ -64,9 +64,15 @@ class SurfaceFields:
         return kernels.connection(self.theta, self.y, self.dy, self.d2y, self.g_inv)
 
     @functools.cached_property
-    def _potential_hessian(self):
-        return kernels.potential_hessian(
-            self.y, self.dy, self.d2y, self.gamma, self.frame, self.w_frame, self.support
+    def hess_phi_frame(self):
+        return kernels.frame_hessian(
+            self.frame, self.gamma, *kernels.potential_jets(self.y, self.dy, self.d2y)
+        )
+
+    @functools.cached_property
+    def pre_integral_residual(self):
+        return kernels.pre_integral_residual(
+            self.hess_phi_frame, self.phi_prime, self.support, self.w_frame
         )
 
     @functools.cached_property
@@ -85,8 +91,6 @@ class SurfaceFields:
 
     dg = property(lambda self: self._connection[0])
     gamma = property(lambda self: self._connection[1])
-    hess_phi_frame = property(lambda self: self._potential_hessian[0])
-    pre_integral_residual = property(lambda self: self._potential_hessian[1])
     k_norm = property(lambda self: self._curvature[0])
     gauss_residual = property(lambda self: self._curvature[1])
 
@@ -153,11 +157,9 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     """
     _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
     hess_frame = kernels.frame_hessian(fields.frame, fields.gamma, dp, d2p)
-    phi_prime, w = fields.phi_prime, fields.w_frame
-    return np.max([
-        np.abs(hess_frame[a][b] - (phi_prime * float(a == b) + fields.support * w[a, b]))
-        for a, b in np.ndindex(2, 2)
-    ], axis=0)
+    return kernels.pre_integral_residual(
+        hess_frame, fields.phi_prime, fields.support, fields.w_frame
+    )
 
 
 def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:

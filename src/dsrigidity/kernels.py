@@ -1,8 +1,7 @@
 """Hot geometry kernels: surface assembly, connection and curvature.
 
 ``surface_core`` forms the margin, metric, normal, W and frame of every
-surface.  ``connection`` (``dg``, ``gamma``), ``potential_hessian``
-(``hess_phi_frame``, ``pre_integral_residual``), ``curvature_fields``
+surface.  ``connection`` (``dg``, ``gamma``), ``curvature_fields``
 (``k_norm``, ``gauss_residual``) and ``newton_divergence``
 (``newton_residual``) each form their group of ``geometry.SurfaceFields``
 on its first read.  Every tensor is stored component-first with the node
@@ -11,8 +10,8 @@ axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
 component at a time on those node arrays, nested as lists ``t[i][j]``
 (``dg`` and ``t`` are returned so), and a stored tensor is built from its
 nested list with ``np.array``.  Only the derivatives of the Christoffel
-symbols that enter R^a_{212} are formed.  ``frame_hessian`` serves potentials
-known only by chart jets: a pair's pulled-back one, a sampled grid's stencil one.
+symbols that enter R^a_{212} are formed.  ``frame_hessian`` takes any potential by
+chart jets: ``potential_jets``' own, a pair's pulled-back one or a grid's stencil one.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -49,15 +48,6 @@ def congruence(f, m):
     ``np.einsum("nai,nij,nbj->nab")`` sums stacks: from 0, one row i at a time."""
     row = lambda a, b, i: f[a][i] * m[i][0] * f[b][0] + f[a][i] * m[i][1] * f[b][1]
     return [[sum(row(a, b, i) for i in range(2)) for b in range(2)] for a in range(2)]
-
-
-def frame_hessian(frame, gamma, d, d2):
-    """Components of the covariant Hessian d2_ij - Gamma^k_ij d_k of a function
-    in the frame, from its chart gradient ``d`` and Hessian ``d2``; Gamma^k_ij d_k
-    is summed from k = 0, as ``np.einsum("nkij,nk->nij")`` sums stacks."""
-    hess = [[d2[i][j] - (gamma[0, i, j] * d[0] + gamma[1, i, j] * d[1]) for j in range(2)]
-            for i in range(2)]
-    return congruence(frame, hess)
 
 
 def _in_frame(e1a, e2a, e2b, m11, m12, m22):
@@ -170,25 +160,35 @@ def connection(theta, y, dy, d2y, g_inv):
     return dg, np.array([[[gam11[m], gam12[m]], [gam12[m], gam22[m]]] for m in range(2)])
 
 
-def potential_hessian(y, dy, d2y, gamma, frame, w_frame, support):
-    """Frame Hessian of the potential Phi = -sinh(y) and the residual of
-    Hess(Phi) = phi' g + h <V, nu> in the frame.  With the mostly-plus
-    signature V = cosh(rho) d_rho is the metric gradient of -sinh(rho)."""
-    c = np.cosh(y)
-    s = np.sinh(y)
-    cy1, cy2 = -c * dy
-    hp = [
-        -(s * dy[i] * dy[j] + c * d2y[i, j]) - gamma[0, i, j] * cy1 - gamma[1, i, j] * cy2
-        for i, j in ((0, 0), (0, 1), (1, 1))
-    ]
-    hf = _in_frame(frame[0, 0], frame[1, 0], frame[1, 1], *hp)
-    (hf11, hf12), (_, hf22) = hf
+def potential_jets(y, dy, d2y):
+    """Chart gradient and Hessian of the potential Phi = -sinh(y).  With the
+    mostly-plus signature V = cosh(rho) d_rho is the metric gradient of -sinh(rho)."""
+    c, s = np.cosh(y), np.sinh(y)
+    return -c * dy, -(s * dy[:, None] * dy[None, :] + c * d2y)
+
+
+def frame_hessian(frame, gamma, d, d2):
+    """Covariant Hessian d2_ij - Gamma^k_ij d_k of a function in the
+    Gram-Schmidt frame, from its chart gradient ``d`` and Hessian ``d2``."""
+    hess = [d2[i, j] - gamma[0, i, j] * d[0] - gamma[1, i, j] * d[1]
+            for i, j in ((0, 0), (0, 1), (1, 1))]
+    return np.array(_in_frame(frame[0, 0], frame[1, 0], frame[1, 1], *hess))
+
+
+def pre_integral_residual(hess, phi_prime, support, w_frame):
+    """Largest entry of |Hess(Phi) - (phi' g + h <V, nu>)| in the frame per node."""
+    (hf11, hf12), (_, hf22) = hess
     (wf11, wf12), (_, wf22) = w_frame
-    preint = np.maximum(
-        np.maximum(np.abs(hf11 - (s + support * wf11)), np.abs(hf12 - support * wf12)),
-        np.abs(hf22 - (s + support * wf22)),
+    return np.maximum(
+        np.maximum(np.abs(hf11 - (phi_prime + support * wf11)), np.abs(hf12 - support * wf12)),
+        np.abs(hf22 - (phi_prime + support * wf22)),
     )
-    return np.array(hf), preint
+
+
+def orthonormality_residual(f, g):
+    """Largest entry of |g(e_a, e_b) - delta_ab| per node, e_a the rows of ``f``."""
+    gram = congruence(f, g)
+    return np.max([np.abs(gram[a][b] - float(a == b)) for a, b in np.ndindex(2, 2)], axis=0)
 
 
 def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2):

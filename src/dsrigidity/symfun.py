@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonHyperbolic, NotInCone
 
-#: absolute tolerance on cone roots for the Boundary label
+#: Boundary label: the smaller cone root is at most this times the larger in size
 BOUNDARY_TOL = 1e-12
-#: relative tolerance for detecting the equality case of the cone inequality
+#: equality case of the cone inequality: the gap is at most this times the mean
 EQUALITY_TOL = 1e-10
 #: discriminants below -HYPERBOLICITY_TOL * scale signal non-symmetric input
 HYPERBOLICITY_TOL = 1e-9
@@ -181,10 +181,11 @@ def cone_roots_from_sums(n, s1, s2):
             f"negative discriminant {np.ravel(disc)[k]:.3e} "
             f"at scale {np.ravel(scale)[k]:.3e}"
         )
-    root = np.sqrt(np.maximum(disc, 0.0))
-    t1 = (-b - root) / (2.0 * a)
-    t2 = (-b + root) / (2.0 * a)
-    boundary = (np.abs(t1) <= BOUNDARY_TOL) | (np.abs(t2) <= BOUNDARY_TOL)
+    # the larger root first, the smaller from the product s2 / a: no cancellation
+    big = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)) / (2.0 * a)
+    small = np.divide(s2, a * big, out=np.zeros(np.shape(big)), where=big != 0.0)
+    t1, t2 = np.minimum(big, small), np.maximum(big, small)
+    boundary = np.abs(small) <= BOUNDARY_TOL * np.abs(big)
     # indices into CONE_LABELS: plus 0, minus 1, outside 2, boundary 3
     label = np.select([boundary, t2 < 0.0, t1 > 0.0], [3, 0, 1], 2)
     return _out(t1), _out(t2), label
@@ -212,7 +213,7 @@ def garding_gap(w, wt) -> GardingGap:
     s11 = sigma11(a, b)
     geo = float(np.sqrt(sigma2(a) * sigma2(b)))
     gap = s11 - geo
-    equality = gap <= EQUALITY_TOL * max(1.0, abs(geo))
+    equality = gap <= EQUALITY_TOL * geo
     return GardingGap(sigma11=s11, geo_mean=geo, gap=gap, equality=equality)
 
 

@@ -102,20 +102,14 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     Every 2x2 product is a component sum (``kernels._matmul``,
     ``kernels.congruence``), so no digit depends on a BLAS kernel.
     """
-    frame = base.frame
     # frame rows e_r pushed into image chart components: pushed[r][a]
-    pushed = kernels._matmul(frame, [[jac[a][i] for a in range(2)] for i in range(2)])
-    pulled_g = kernels.congruence(pushed, tilde.g)
-    metric_res = np.maximum(
-        np.maximum(np.abs(pulled_g[0][0] - 1.0), np.abs(pulled_g[0][1])),
-        np.maximum(np.abs(pulled_g[1][0]), np.abs(pulled_g[1][1] - 1.0)),
-    )
+    pushed = kernels._matmul(base.frame, [[jac[a][i] for a in range(2)] for i in range(2)])
     return PairNodeData(
         base=base,
         tilde=tilde,
-        metric_pullback_residual=metric_res,
+        metric_pullback_residual=kernels.orthonormality_residual(pushed, tilde.g),
         w_tilde_frame=np.array(kernels.congruence(pushed, tilde.h)),
-        hess_phi_tilde_frame=np.array(kernels.frame_hessian(frame, base.gamma, pot_d, pot_d2)),
+        hess_phi_tilde_frame=kernels.frame_hessian(base.frame, base.gamma, pot_d, pot_d2),
     )
 
 
@@ -158,14 +152,13 @@ class IdentityCorrespondence:
         theta = np.ascontiguousarray(theta, dtype=float)
         phi = np.ascontiguousarray(phi, dtype=float)
         base = geometry.evaluate_fields(theta, phi, self.surface.height_jet(theta, phi))
-        y, dy, d2y = self.other.height_jet(theta, phi)
-        tilde = geometry.evaluate_fields(theta, phi, (y, dy, d2y))
+        y_jet = self.other.height_jet(theta, phi)
+        tilde = geometry.evaluate_fields(theta, phi, y_jet)
         one, zero = np.ones_like(theta), np.zeros_like(theta)
-
         # the potential -sinh(y~) over the shared chart
-        c, s = np.cosh(y), np.sinh(y)
-        pot_d2 = -(s * dy[:, None] * dy[None, :] + c * d2y)
-        return _pair_data_from_parts(base, tilde, [[one, zero], [zero, one]], -c * dy, pot_d2)
+        return _pair_data_from_parts(
+            base, tilde, [[one, zero], [zero, one]], *kernels.potential_jets(*y_jet)
+        )
 
 
 # -- regraphing through the inverse isometry ------------------------------

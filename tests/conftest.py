@@ -47,7 +47,7 @@ def kernel_calls(monkeypatch):
 
     calls = {}
     for name in (
-        "surface_core", "connection", "potential_hessian", "curvature_fields",
+        "surface_core", "connection", "potential_jets", "curvature_fields",
         "newton_divergence",
     ):
         calls[name] = []

@@ -3,10 +3,10 @@
 ``surface_core`` and ``curvature_fields`` are the whole-array kernels as
 they were before each 2x2 product, congruence and contraction was written
 one component at a time on node arrays.  The other functions are the
-einsum forms of the sampled geometry residuals, of the conformal-field
-check and of the image height's second derivatives in the chart
-inversion.  ``tests/test_kernels.py`` requires the package to give the
-same bits as these.
+broadcast and einsum forms of the sampled geometry residuals, of the
+conformal-field check and of the image height's second derivatives in the
+chart inversion.  ``tests/test_kernels.py`` requires the package to give
+the same bits as these.
 
 The forms compute on node-major stacks, node k at index k of the leading
 axis.  Each public function takes and returns the package's
@@ -291,8 +291,10 @@ def sampled_pre_integral_residual(surface, fields):
 
     _, dp, d2p = (node_major(a) for a in grid_scalar_jets(-np.sinh(surface.values), order=2))
     gamma, frame, w_frame = (node_major(a) for a in (fields.gamma, fields.frame, fields.w_frame))
-    hess = d2p - np.einsum("nkij,nk->nij", gamma, dp)
-    hess_frame = np.einsum("nai,nij,nbj->nab", frame, hess, frame)
+    hp = d2p - gamma[:, 0] * dp[:, 0, None, None] - gamma[:, 1] * dp[:, 1, None, None]
+    hess_frame = _sym(*_in_frame(
+        frame[:, 0, 0], frame[:, 1, 0], frame[:, 1, 1], hp[:, 0, 0], hp[:, 0, 1], hp[:, 1, 1]
+    ))
     target = (
         fields.phi_prime[:, None, None] * np.eye(2)
         + fields.support[:, None, None] * w_frame

@@ -231,6 +231,7 @@ def test_config_validation(tmp_path, capsys):
         ("geometry", perturbed + "modes = 0.05:2:3\n", "[surface] modes: invalid mode"),
         ("geometry", analytic + "[quadrature]\nn_theta = x\n", "[quadrature] n_theta: bad"),
         ("geometry", analytic + "[tolerances]\ngauss = tiny\n", "[tolerances] gauss: bad"),
+        ("geometry", analytic + "[tolerances]\ngauss = -1\n", "[tolerances] gauss: -1 is neg"),
         ("geometry", analytic + "[suite]\nseed = x\n", "[suite] seed: bad number 'x'"),
         ("geometry", analytic + "[suite]\nseed = -3\n", "[suite] seed: -3 is negative"),
         ("rigidity", analytic + boost_without, "[isometry] rapidity is missing"),
@@ -269,9 +270,14 @@ def test_config_validation(tmp_path, capsys):
         ("w_mismatch=nan", "--tol w_mismatch=nan: 'nan' is not finite"),
         ("metric_pullback=inf", "--tol metric_pullback=inf: 'inf' is not finite"),
         ("w_mismatch=tiny", "--tol w_mismatch=tiny: bad number 'tiny'"),
+        # a negative tolerance would fail every check, an isometric pair's too
+        ("metric_pullback=-1", "--tol metric_pullback: -1 is negative"),
     ):
         assert run(["rigidity", "--config", rigidity, "--tol", item]) == 2, item
         assert message in capsys.readouterr().err, item
+    # a zero tolerance is allowed
+    assert run(["rigidity", "--config", rigidity, "--quad", "16x16", "--tol", "w_mismatch=0"]) != 2
+    assert "overall:" in capsys.readouterr().out
 
     # sampled grids the stencils cannot run on: odd n_phi, empty, negative
     # and too-small grids, from heights or from a samples file
@@ -392,7 +398,7 @@ def test_sampled_geometry_forms_no_jet_route_newton(capsys, kernel_calls):
     assert "newton_divergence.sampled" in capsys.readouterr().out
     nodes = 40 * 80
     assert kernel_calls == {
-        "surface_core": [nodes], "connection": [nodes], "potential_hessian": [],
+        "surface_core": [nodes], "connection": [nodes], "potential_jets": [],
         "curvature_fields": [nodes], "newton_divergence": [],
     }
 

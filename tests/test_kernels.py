@@ -84,9 +84,8 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
     t_ref = reference_forms._second_form_parts(*trig, node_major(dy), node_major(d2y))[1]
     assert np.array_equal(np.array(t), component_first(t_ref))
     dg, gamma = kernels.connection(theta, y, dy, d2y, core["g_inv"])
-    hess, preint = kernels.potential_hessian(
-        y, dy, d2y, gamma, core["frame"], core["w_frame"], core["support"]
-    )
+    hess = kernels.frame_hessian(core["frame"], gamma, *kernels.potential_jets(y, dy, d2y))
+    preint = kernels.pre_integral_residual(hess, np.sinh(y), core["support"], core["w_frame"])
     core.update(dg=np.array(dg), gamma=gamma, hess_phi_frame=hess,
                 pre_integral_residual=preint)
     assert core.keys() == expected.keys()

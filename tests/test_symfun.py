@@ -240,6 +240,11 @@ def test_cone_classify_examples():
     assert rep.label is ConeLabel.OUTSIDE
     np.testing.assert_allclose(sorted(rep.roots), (-1.0, 2.0))
     assert symfun.cone_classify(np.zeros((3, 3))).label is ConeLabel.BOUNDARY
+    # the small root is free of cancellation; Boundary is relative to the large one
+    rep = symfun.cone_classify(np.diag([1.0, 1e-13]))
+    assert rep.label is ConeLabel.BOUNDARY
+    np.testing.assert_allclose(rep.roots, (-1.0, -1e-13), rtol=1e-15)
+    assert symfun.cone_classify(1e-13 * np.eye(2)).label is ConeLabel.PLUS
 
 
 def test_cone_classify_flags_non_symmetric_input():
@@ -261,6 +266,40 @@ def test_cone_label_mirrors_under_negation(w):
     assert symfun.cone_classify(-w).label is mirror[symfun.cone_classify(w).label]
 
 
+@st.composite
+def scaled_pairs(draw):
+    """Two symmetric operators of one size 2^e, the second proportional to
+    the first or not, and a factor 2^k; every nonzero entry, scaled or not,
+    lies within 1e+-60."""
+    n, e = draw(st.integers(2, 5)), draw(st.integers(-60, 60))
+    size = st.floats(1e-15, 1.0)
+    entry = st.one_of(st.just(0.0), size, size.map(lambda x: -x))
+    w = SymOperator(2.0**e * draw(arrays(float, (n, n), elements=entry)))
+    if draw(st.booleans()):
+        wt = SymOperator(w.entries * 2.0 ** draw(st.integers(-8, 8)))
+    else:
+        wt = SymOperator(2.0**e * draw(arrays(float, (n, n), elements=entry)))
+    return w, wt, 2.0 ** draw(st.integers(-60, 60))
+
+
+@deterministic
+@given(scaled_pairs())
+def test_cone_label_and_equality_ignore_the_operators_scale(drawn):
+    # the Boundary label and the equality flag compare the operators with
+    # themselves, never with a fixed magnitude
+    w, wt, scale = drawn
+    reports = []
+    for factor in (1.0, scale):
+        a, b = SymOperator(factor * w.entries), SymOperator(factor * wt.entries)
+        report = symfun.cone_classify(a)
+        both_plus = report.label is symfun.cone_classify(b).label is ConeLabel.PLUS
+        reports.append((report, both_plus and symfun.garding_gap(a, b).equality))
+    (report, equality), (scaled, scaled_equality) = reports
+    assert scaled.label is report.label
+    assert scaled.roots == tuple(scale * t for t in report.roots)
+    assert scaled_equality == equality
+
+
 def test_garding_gap_examples():
     gap = symfun.garding_gap(np.eye(2), np.diag([2.0, 1.0]))
     assert abs(gap.sigma11 - 1.5) < 1e-15
@@ -271,6 +310,7 @@ def test_garding_gap_examples():
     gap = symfun.garding_gap(np.diag([1.0, 1.0]), np.diag([1.0, 2.0]))
     assert abs(gap.gap - (1.5 - math.sqrt(2.0))) < 1e-15
     assert gap.gap > 0 and not gap.equality
+    assert not symfun.garding_gap(np.diag([1e-6, 2e-6]), np.diag([2e-6, 1e-6])).equality
 
     rng = np.random.default_rng(6)
     w = shift_into_plus_cone(random_symmetric(rng, 3), rng)

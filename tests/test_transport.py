@@ -148,25 +148,42 @@ def test_identity_pair_collapses(perturbed_surface, scattered_nodes):
     )
 
 
+def test_identity_pair_forms_the_surface_own_formulas_bit_for_bit(perturbed_surface):
+    # one formula each for the potential's jets, its frame Hessian and the
+    # frame's orthonormality: a surface paired with itself reproduces its
+    # own fields exactly, and the Hessian in the frame is exactly symmetric
+    rule = gauss_sphere_rule(32, 64)
+    pair = transport.IdentityCorrespondence(perturbed_surface, perturbed_surface)
+    data = pair.node_data(rule.theta, rule.phi)
+    base = data.base
+    assert np.array_equal(data.hess_phi_tilde_frame, base.hess_phi_frame)
+    assert np.array_equal(data.hess_phi_tilde_frame[0, 1], data.hess_phi_tilde_frame[1, 0])
+    assert np.array_equal(
+        data.metric_pullback_residual, kernels.orthonormality_residual(base.frame, base.g)
+    )
+
+
 def test_pair_node_data_forms_no_curvature_fields(
     perturbed_surface, scattered_nodes, kernel_calls
 ):
     # a pair enters the argument through second-order data only, and of the
-    # fields past the surface core node_data reads the base connection only
+    # fields past the surface core node_data reads the base connection only;
+    # the identity pair forms its image potential's chart jets, the isometric
+    # pair takes them from the transported point
     theta, phi = scattered_nodes
     nodes = len(theta)
     boost = ambient.boost(0.25, [1.0, 0, 0])
     other = AnalyticSurface(0.65, [(0.03, 3, 2)])
-    for pair in (
-        transport.IsometryCorrespondence(perturbed_surface, boost),
-        transport.IdentityCorrespondence(perturbed_surface, other),
+    for pair, potentials in (
+        (transport.IsometryCorrespondence(perturbed_surface, boost), []),
+        (transport.IdentityCorrespondence(perturbed_surface, other), [nodes]),
     ):
         for seen in kernel_calls.values():
             seen.clear()
         data = pair.node_data(theta, phi)
         assert data.base.gamma is data.base.gamma
         assert kernel_calls == {
-            "surface_core": [nodes, nodes], "connection": [nodes], "potential_hessian": [],
+            "surface_core": [nodes, nodes], "connection": [nodes], "potential_jets": potentials,
             "curvature_fields": [], "newton_divergence": [],
         }
         for fields in (data.base, data.tilde):
