@@ -41,6 +41,14 @@ def unembed(x):
 # -- chart metric and Christoffel symbols --------------------------------
 
 
+def check_off_poles(theta):
+    """ChartPole naming the first node with sin(theta) < POLE_MARGIN and its theta."""
+    near = np.flatnonzero(np.sin(theta) < POLE_MARGIN)
+    if near.size:
+        k = near[0]
+        raise ChartPole(f"node {k}: theta = {np.ravel(theta)[k]:.3g} too close to a chart pole")
+
+
 def metric_components(rho, theta):
     """Chart metric diag(-1, cosh^2 rho, cosh^2 rho sin^2 theta)."""
     rho = np.asarray(rho, dtype=float)
@@ -85,10 +93,7 @@ def lie_derivative_residual(rho, theta, u, w) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    near = np.flatnonzero(np.sin(theta) < POLE_MARGIN)
-    if near.size:
-        k = near[0]
-        raise ChartPole(f"node {k}: theta = {theta[k]:.3g} too close to a chart pole")
+    check_off_poles(theta)
     g = metric_components(rho, theta)
     gam = christoffel_components(rho, theta)
     c = np.cosh(rho)

@@ -159,10 +159,7 @@ def _parse_modes(section):
 def _analytic(section, modes=()):
     """The analytic surface of a section, its heights inside the domain."""
     surface = AnalyticSurface(_number(section, "rho0"), modes)
-    # |Re Y_l^m| <= sqrt((2l + 1) / (4 pi)) bounds every height
-    bound = abs(surface.rho0) + sum(
-        abs(m.amplitude) * math.sqrt((2 * m.degree + 1) / (4.0 * math.pi)) for m in modes
-    )
+    bound = surface.height_bound()
     if bound > HEIGHT_BOUND:
         raise ConfigError(
             f"[{section.name}] rho0: heights up to |y| = {bound:.6g} leave the "

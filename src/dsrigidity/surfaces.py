@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import POLE_MARGIN
-from .errors import ChartPole
+from .ambient import check_off_poles
 
 
 #: (l + m)! with m <= l stays below the float maximum (171! does not)
@@ -135,6 +134,13 @@ class AnalyticSurface:
         )
         return f"AnalyticSurface(rho0={self.rho0:g}{', ' + terms if terms else ''})"
 
+    def height_bound(self):
+        """A bound B >= |y| on the whole sphere: |Re Y_l^m| <= sqrt((2l + 1) / (4 pi)),
+        so B = |rho0| + sum_k |eps_k| sqrt((2 l_k + 1) / (4 pi))."""
+        return abs(self.rho0) + sum(
+            abs(m.amplitude) * math.sqrt((2 * m.degree + 1) / (4.0 * math.pi)) for m in self.modes
+        )
+
     def _derivative_table(self, x, s, phi, order):
         """part[k][j]: the height with k theta and j phi derivatives, k + j <=
         order, from x = cos(theta) and s = sin(theta).  Each mode is separable,
@@ -158,9 +164,8 @@ class AnalyticSurface:
 
     def _jets(self, theta, phi, order):
         """Closed-form (y, dy, d2y[, d3y]) through ``order``, derivative axes first."""
+        check_off_poles(theta)
         x, s = np.cos(theta), np.sin(theta)
-        if np.any(s < POLE_MARGIN):
-            raise ChartPole("node too close to a chart pole")
         part = self._derivative_table(x, s, phi, order)
         return (part[0][0], *(_derivative_tensor(part, n) for n in range(1, order + 1)))
 

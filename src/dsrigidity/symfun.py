@@ -174,7 +174,7 @@ def cone_roots_from_sums(n, s1, s2):
     b = (n - 1) * s1
     disc = b * b - 4.0 * a * s2
     scale = np.maximum(b * b, np.abs(4.0 * a * s2))
-    bad = np.flatnonzero(disc < -HYPERBOLICITY_TOL * np.maximum(scale, 1.0))
+    bad = np.flatnonzero(disc < -HYPERBOLICITY_TOL * scale)
     if bad.size:
         k = bad[0]
         raise NonHyperbolic(

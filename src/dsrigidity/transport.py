@@ -5,10 +5,10 @@ correspond through the Lorentz matrix on the pseudosphere.  A pair enters
 the argument only through second-order data (shape operators, potential
 Hessians), so the transport carries values, chart gradients and Hessians
 and nothing more, and neither surface's curvature fields are formed here.
-The embedded point x = (sinh y, cosh y omega) gets its jets in closed form
-from the height jet tuple (y, dy, d2y) as ``jets.Jet3`` values, a type
-internal to this module; the Lorentz matrix maps every jet component by the
-same matrix; rho~ = arcsinh x~_0, theta~ = atan2(|(x~_1, x~_2)|, x~_3) and
+Every jet is a tuple (f, d, d2) of node arrays, laid out like the height jet
+(y, dy, d2y).  The embedded point x = (sinh y, cosh y omega) gets its jets in
+closed form; the Lorentz matrix maps values, gradients and Hessians by the
+same sums; rho~ = arcsinh x~_0, theta~ = atan2(|(x~_1, x~_2)|, x~_3) and
 phi~ = atan2(x~_2, x~_1) each take one chain rule (``jets``); inverting the
 chart map to second order gives the image height's jets on its own chart.
 So tilde quantities are exact, with no grid error.  Every 2x2 product is a
@@ -20,6 +20,7 @@ points with ``ambient.embed`` and ``ambient.unembed``, the pseudosphere map.
 The exact transport is what the integral and rigidity checks consume.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .surfaces import AnalyticSurface, SampledGridSurface, grid_axes, grid_scala
 
 
 def _embedding(y_jet, theta, phi):
-    """Jets of the pseudosphere point x = (sinh y, cosh y omega(theta, phi))
+    """Jet tuples of the pseudosphere point x = (sinh y, cosh y omega(theta, phi))
     of a graph surface with height jet (y, dy, d2y), in closed form."""
     y, dy, d2y = y_jet
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
@@ -46,12 +47,12 @@ def _embedding(y_jet, theta, phi):
     )
     # cosh(y) omega by the product rule
     dc, d2c = s * dy, c * yy + s * d2y
-    x = [jets.Jet3(s, c * dy, s * yy + c * d2y)]
+    x = [(s, c * dy, s * yy + c * d2y)]
     for w, dw, d2w in omega:
         dw = np.array(dw)
         cross = dc[:, None] * dw[None, :]
         d2 = d2c * w + (cross + np.swapaxes(cross, 0, 1)) + c * np.array(d2w)
-        x.append(jets.Jet3(c * w, dc * w + c * dw, d2))
+        x.append((c * w, dc * w + c * dw, d2))
     return x
 
 
@@ -59,12 +60,13 @@ def _invert_chart_map(rho, u):
     """Height jets with respect to the image chart.
 
     ``rho`` is the image height and ``u = (theta~, phi~)`` the image chart
-    coordinates, all as jets in the source chart.  Returns the arrays
+    coordinates, all as jet tuples in the source chart.  Returns the arrays
     (y, dy, d2y) of the image height as a function of its own chart, by
     inverting the chart map through second order, and the chart map's
     Jacobian as components ``jac[a][i]``.
     """
-    jac = [[ua.d[i] for i in range(2)] for ua in u]
+    rho, rho_d, rho_d2 = rho
+    jac = [[ua[1][i] for i in range(2)] for ua in u]
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     if np.any(np.abs(det) < 1e-12):
         raise CorrespondenceInvalid("chart map of the image surface is singular")
@@ -74,14 +76,14 @@ def _invert_chart_map(rho, u):
     # dy and d2y keep einsum's summation order, which the rigidity report's
     # residual digits depend on: d2y = A^T m2 A sums its (i, j) terms from 0
     # in order, as np.einsum("nia,nij,njb->nab") does
-    dy = [rho.d[0] * ai[0][a] + rho.d[1] * ai[1][a] for a in range(2)]
-    m = [[rho.d2[i, j] - (dy[0] * u[0].d2[i, j] + dy[1] * u[1].d2[i, j]) for j in range(2)]
+    dy = [rho_d[0] * ai[0][a] + rho_d[1] * ai[1][a] for a in range(2)]
+    m = [[rho_d2[i, j] - (dy[0] * u[0][2][i, j] + dy[1] * u[1][2][i, j]) for j in range(2)]
          for i in range(2)]
     d2y = [
         [sum(ai[i][a] * m[i][j] * ai[j][b] for i, j in np.ndindex(2, 2)) for b in range(2)]
         for a in range(2)
     ]
-    return rho.f, np.array(dy), np.array(d2y), jac
+    return rho, np.array(dy), np.array(d2y), jac
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +123,14 @@ class IsometryCorrespondence:
         self.iso = iso
 
     def node_data(self, theta, phi) -> PairNodeData:
-        theta = np.ascontiguousarray(theta, dtype=float)
-        phi = np.ascontiguousarray(phi, dtype=float)
         y_jet = self.surface.height_jet(theta, phi)
         base = geometry.evaluate_fields(theta, phi, y_jet)
 
         lam = self.iso.matrix
         x = _embedding(y_jet, theta, phi)
-        xt = [sum((x[b] * lam[a, b] for b in range(1, 4)), x[0] * lam[a, 0]) for a in range(4)]
+        # the Lorentz matrix maps the values, gradients and Hessians alike
+        xt = [tuple(sum((p[b] * lam[a, b] for b in range(1, 4)), p[0] * lam[a, 0])
+                    for p in zip(*x)) for a in range(4)]
         rho_t = jets.arcsinh(xt[0])
         # atan2 keeps theta~ and its derivatives accurate next to the image
         # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)
@@ -136,9 +138,9 @@ class IsometryCorrespondence:
         phi_t = jets.atan2(xt[2], xt[1])
 
         y, dy, d2y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))
-        tilde = geometry.evaluate_fields(theta_t.f, phi_t.f, (y, dy, d2y))
+        tilde = geometry.evaluate_fields(theta_t[0], phi_t[0], (y, dy, d2y))
         # pulled-back potential -sinh(rho~) = -x~_0, with chart jets on M
-        return _pair_data_from_parts(base, tilde, jac, -xt[0].d, -xt[0].d2)
+        return _pair_data_from_parts(base, tilde, jac, -xt[0][1], -xt[0][2])
 
 
 class IdentityCorrespondence:
@@ -149,8 +151,6 @@ class IdentityCorrespondence:
         self.other = other
 
     def node_data(self, theta, phi) -> PairNodeData:
-        theta = np.ascontiguousarray(theta, dtype=float)
-        phi = np.ascontiguousarray(phi, dtype=float)
         base = geometry.evaluate_fields(theta, phi, self.surface.height_jet(theta, phi))
         y_jet = self.other.height_jet(theta, phi)
         tilde = geometry.evaluate_fields(theta, phi, y_jet)
@@ -164,14 +164,22 @@ class IdentityCorrespondence:
 # -- regraphing through the inverse isometry ------------------------------
 
 
-def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12):
+#: the regraph brackets every root to this width
+REGRAPH_TOL = 1e-12
+
+
+def transform_surface(surface, iso, regraph_grid=(64, 128)):
     """Re-express the image of a surface under an isometry as a graph.
 
     A radial line P(t) of the target grid meets the image where
     F(t) = rho(La^{-1} P(t)) - y(direction(La^{-1} P(t))) vanishes.
     La^{-1} P is timelike, |rho'| > cosh(rho) |omega'|, so where |grad y| < cosh y
     every zero of F crosses the same way: opposite end signs make exactly one.
-    So the end signs, an Illinois secant bracketed to ``tol`` and the slope
+    Every line is bracketed by |t| <= max(3, B + arccosh|La_00| + 0.1), with B
+    the source's ``height_bound``: |rho(La^{-1} P(t))| >= |t| - arccosh|La_00|,
+    so past B + arccosh|La_00| the sign of F is the sign of rho, and the
+    floor 3 keeps the bracket of low, mildly boosted surfaces.  So the end
+    signs, an Illinois secant bracketed to ``REGRAPH_TOL`` and the slope
     bound at each root's foot are checked; NotAGraph names the first line
     that fails.  NonSpacelike names the worst node where the stencil gradient
     of the sampled image breaks the bound.  Returns the sampled surface plus
@@ -195,6 +203,7 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
         rho, th, ph = foot(t, lines)
         return up * (rho - surface.height(th.ravel(), ph.ravel()).reshape(t.shape))
 
+    t_max = max(3.0, surface.height_bound() + math.acosh(abs(lam_inv[0, 0])) + 0.1)
     lo, hi = np.full(theta.shape, -t_max), np.full(theta.shape, t_max)
     g_lo, g_hi = rising(np.stack([lo, hi]), slice(None))
     if np.any(bad := ~((g_lo < 0.0) & (g_hi > 0.0))):
@@ -205,16 +214,17 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
             f"the end signs must be {'-+' if up > 0 else '+-'}"
         )
 
-    # Illinois on the probes c -+ tol/4 about each secant point c: probes that
-    # straddle the root end the line, an end kept twice has its value halved,
-    # and a bracket not halved over two steps is bisected
+    # Illinois on the probes c -+ REGRAPH_TOL/4 about each secant point c:
+    # probes that straddle the root end the line, an end kept twice has its
+    # value halved, and a bracket not halved over two steps is bisected
+    probe = 0.25 * REGRAPH_TOL
     moved, (width_1, width_2) = np.zeros(theta.shape), np.full((2, theta.size), np.inf)
     active = np.arange(theta.size)
     while active.size:
         a, b, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
         c = b - gb / (gb - ga) * (b - a)
         c = np.where(b - a > 0.5 * width_2[active], 0.5 * (a + b), c)
-        pts = np.stack([a, np.maximum(c - 0.25 * tol, a), np.minimum(c + 0.25 * tol, b), b])
+        pts = np.stack([a, np.maximum(c - probe, a), np.minimum(c + probe, b), b])
         vals = np.concatenate([ga[None], rising(pts[1:3], active), gb[None]])
         j = np.argmax(vals >= 0.0, axis=0)  # 1: hi moved, 2: straddle, 3: lo moved
         repeat = j == moved[active]
@@ -222,7 +232,7 @@ def transform_surface(surface, iso, regraph_grid=(64, 128), t_max=3.0, tol=1e-12
         g_lo[active] = np.where(repeat & (j == 1), 0.5, 1.0) * np.choose(j - 1, vals)
         g_hi[active] = np.where(repeat & (j == 3), 0.5, 1.0) * np.choose(j, vals)
         width_2[active], width_1[active] = width_1[active], b - a
-        active = active[hi[active] - lo[active] > tol]
+        active = active[hi[active] - lo[active] > REGRAPH_TOL]
     heights = 0.5 * (lo + hi)
 
     _, foot_theta, foot_phi = foot(heights[None], slice(None))

@@ -341,9 +341,9 @@ def lie_derivative_residual(rho, theta, u, w):
 def invert_chart_map_d2y(rho_jet, u_jets, dy):
     """d2y = A^T m2 A as np.einsum formed it, A the inverse chart Jacobian."""
     dy = node_major(dy)
-    u1 = np.stack([np.moveaxis(u.d, 0, -1) for u in u_jets], axis=-2)
-    u2 = np.stack([np.moveaxis(u.d2, (0, 1), (-2, -1)) for u in u_jets], axis=-3)
-    r2 = np.moveaxis(rho_jet.d2, (0, 1), (-2, -1))
+    u1 = np.stack([np.moveaxis(u[1], 0, -1) for u in u_jets], axis=-2)
+    u2 = np.stack([np.moveaxis(u[2], (0, 1), (-2, -1)) for u in u_jets], axis=-3)
+    r2 = np.moveaxis(rho_jet[2], (0, 1), (-2, -1))
     det = u1[..., 0, 0] * u1[..., 1, 1] - u1[..., 0, 1] * u1[..., 1, 0]
     ainv = np.empty_like(u1)
     ainv[..., 0, 0] = u1[..., 1, 1] / det

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import jet_oracle as jets
 from dsrigidity import jets as lifts
-
-deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def _sample(n=40, seed=0):
@@ -70,22 +65,6 @@ def test_division_and_power_consistency():
         assert np.abs(lhs - rhs).max() < 1e-13
 
 
-@deterministic
-@given(
-    arrays(float, (7, 3), elements=st.floats(-1e3, 1e3)),
-    st.floats(-1e3, 1e3),
-)
-def test_scalar_factor_matches_the_constant_jet_product(parts, c):
-    jet = jets.Jet3(parts[0], parts[1:3], parts[3:7].reshape(2, 2, 3))
-    coerced = jet * jets.Jet3.constant(c)
-    # the transport's Lorentz map scales package jets the same way
-    package = lifts.Jet3(jet.f, jet.d, jet.d2)
-    for scaled in (jet * c, c * jet, jet * np.float64(c), package * np.float64(c)):
-        for lhs, rhs in zip((scaled.f, scaled.d, scaled.d2),
-                            (coerced.f, coerced.d, coerced.d2)):
-            assert np.array_equal(lhs, rhs)
-
-
 def test_azimuth_derivatives_match_arctan():
     theta, phi = _sample(seed=4)
     jt = jets.Jet3.variable(theta, 0)
@@ -118,15 +97,14 @@ def test_transport_lifts_match_the_oracle_jets():
     jp = jets.Jet3.variable(phi, 1)
     a = jets.cos(jp) * jets.cosh(jt * 0.2) - jt * 0.1
     b = jets.sin(jp) + jt * 0.3 + jp * jp * 0.05
-    pa, pb = (lifts.Jet3(j.f, j.d, j.d2) for j in (a, b))
+    pa, pb = ((j.f, j.d, j.d2) for j in (a, b))
     pairs = (
         (lifts.arcsinh(pa), jets.arcsinh(a)),
         (lifts.hypot(pa, pb), jets.sqrt(a * a + b * b)),
         (lifts.atan2(pb, pa), jets.azimuth(a, b)),
-        (pa * 0.7 + pb, a * 0.7 + b),
     )
     for lifted, oracle in pairs:
-        for lhs, rhs in ((lifted.f, oracle.f), (lifted.d, oracle.d), (lifted.d2, oracle.d2)):
+        for lhs, rhs in zip(lifted, (oracle.f, oracle.d, oracle.d2), strict=True):
             assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
         # each Hessian is symmetric term by term
-        assert np.array_equal(lifted.d2[0, 1], lifted.d2[1, 0])
+        assert np.array_equal(lifted[2][0, 1], lifted[2][1, 0])

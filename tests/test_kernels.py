@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import reference_forms
 from reference_forms import component_first, node_major
-from dsrigidity import ambient, geometry, jets, kernels, transport
+from dsrigidity import ambient, geometry, kernels, transport
 from dsrigidity.errors import NonSpacelike
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 
@@ -123,10 +123,10 @@ def test_chart_inversion_sums_like_einsum(parts):
     # on exactly two nodes einsum's iterator orders these strided operands
     # another way and the last bit of d2y can differ from the left-to-right
     # sum; the pair suites evaluate at least 256 nodes
-    rho = jets.Jet3(parts[0, 0], parts[0, 1:3], parts[0, 3:].reshape(2, 2, -1))
+    rho = (parts[0, 0], parts[0, 1:3], parts[0, 3:].reshape(2, 2, -1))
     # the chart map's Jacobian I + 0.3 U stays invertible for |U_ij| <= 1
     u_jets = [
-        jets.Jet3(p[0], np.eye(2)[a][:, None] + 0.3 * p[1:3], p[3:].reshape(2, 2, -1))
+        (p[0], np.eye(2)[a][:, None] + 0.3 * p[1:3], p[3:].reshape(2, 2, -1))
         for a, p in enumerate(parts[1:])
     ]
     _, dy, d2y, _ = transport._invert_chart_map(rho, u_jets)

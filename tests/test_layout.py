@@ -1,9 +1,9 @@
 """One array layout from jets to reports: tensor components first, nodes last.
 
-Every jet, ``SurfaceFields`` tensor and ``PairNodeData`` tensor keeps the
-node axis last and is C-contiguous, so each component ``a[i, j]`` is a
-contiguous node array, and no module of ``src/`` moves axes between two
-layouts.
+Every jet (height jets and the transport's lifts alike), ``SurfaceFields``
+tensor and ``PairNodeData`` tensor keeps the node axis last and is
+C-contiguous, so each component ``a[i, j]`` is a contiguous node array, and
+no module of ``src/`` moves axes between two layouts.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dsrigidity import ambient, geometry, transport
+from dsrigidity import ambient, geometry, jets, transport
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dsrigidity"
@@ -56,6 +56,18 @@ def test_jets_put_the_node_axis_last(scattered_nodes):
             _assert_component_first(name, value, values.size)
 
 
+def test_lifts_put_the_node_axis_last(scattered_nodes):
+    theta, phi = scattered_nodes
+    rng = np.random.default_rng(7)
+    a, b = (
+        (f, rng.normal(size=(2, theta.size)), rng.normal(size=(2, 2, theta.size)))
+        for f in (np.cos(theta) + 1.5, np.sin(phi) + 0.5)
+    )
+    for lifted in (jets.arcsinh(a), jets.hypot(a, b), jets.atan2(b, a)):
+        for name, value in zip(("y", "dy", "d2y"), lifted, strict=True):
+            _assert_component_first(name, value, theta.size)
+
+
 def test_surface_fields_put_the_node_axis_last(scattered_nodes):
     theta, phi = scattered_nodes
     surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
@@ -89,3 +101,24 @@ def test_src_moves_no_axes():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "moveaxis"
     ]
     assert not calls, f"np.moveaxis called in src/: {calls}"
+
+
+#: value arithmetic; ``@`` stays allowed, it composes ambient isometries
+ARITHMETIC_DUNDERS = {
+    f"__{prefix}{op}__"
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "divmod")
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__"}
+
+
+def test_src_defines_no_arithmetic_types():
+    # jets are tuples of arrays: no class carries its own arithmetic
+    methods = [
+        f"{path.name}:{node.name}.{item.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ARITHMETIC_DUNDERS
+    ]
+    assert not methods, f"arithmetic dunders defined in src/: {methods}"

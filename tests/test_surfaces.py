@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from dsrigidity import ambient
 from dsrigidity.errors import ChartPole
 from dsrigidity.surfaces import (
     AnalyticSurface,
@@ -194,6 +195,32 @@ def test_height_values_agree_with_jets_and_allow_poles():
     for jets in (surf.height_jet, surf.jets):
         with pytest.raises(ChartPole):
             jets(np.array([1e-9]), np.array([0.0]))
+
+
+def test_jets_name_the_first_node_at_a_chart_pole():
+    # one pole check for the jets and the ambient Lie-derivative residual
+    surf = AnalyticSurface(0.4, [(0.07, 4, 2)])
+    theta = np.array([1.0, 2.0, math.pi - 1e-9, 1e-9])
+    phi = np.zeros(4)
+    for evaluate in (surf.height_jet, surf.jets):
+        with pytest.raises(ChartPole, match=r"node 2: theta = 3\.14 too close to a chart pole"):
+            evaluate(theta, phi)
+    with pytest.raises(ChartPole, match=r"node 2: theta = 3\.14 too close to a chart pole"):
+        ambient.lie_derivative_residual(np.zeros(4), theta, np.ones((4, 3)), np.ones((4, 3)))
+
+
+def test_height_bound_bounds_every_height():
+    surf = AnalyticSurface(-0.4, [(0.07, 4, 2), (-0.3, 1, 0), (0.2, 6, 6)])
+    # |rho0| + sum |eps| sqrt((2l + 1) / (4 pi))
+    bound = 0.4 + (0.07 * math.sqrt(9) + 0.3 * math.sqrt(3) + 0.2 * math.sqrt(13)) / math.sqrt(
+        4 * math.pi)
+    assert surf.height_bound() == pytest.approx(bound, rel=1e-15)
+    theta, phi = np.meshgrid(np.linspace(0.0, math.pi, 181), np.linspace(0.0, 2 * math.pi, 361))
+    assert np.abs(surf.height(theta, phi)).max() <= surf.height_bound()
+    # a zonal mode attains the bound at the north pole
+    zonal = AnalyticSurface(0.5, [(0.1, 3, 0)])
+    at_pole = zonal.height(np.zeros(1), np.zeros(1))[0]
+    assert at_pole == pytest.approx(zonal.height_bound(), rel=1e-15)
 
 
 def test_slope_matches_jets_and_stays_finite_at_the_poles():

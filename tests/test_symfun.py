@@ -285,11 +285,13 @@ def scaled_pairs(draw):
 @deterministic
 @given(scaled_pairs())
 def test_cone_label_and_equality_ignore_the_operators_scale(drawn):
-    # the Boundary label and the equality flag compare the operators with
-    # themselves, never with a fixed magnitude
+    # the Boundary label, the equality flag and the hyperbolicity gate
+    # compare the operators with themselves, never with a fixed magnitude
     w, wt, scale = drawn
     reports = []
     for factor in (1.0, scale):
+        with pytest.raises(NonHyperbolic):
+            symfun.cone_classify(factor * np.array([[0.0, 5.0], [-5.0, 0.0]]))
         a, b = SymOperator(factor * w.entries), SymOperator(factor * wt.entries)
         report = symfun.cone_classify(a)
         both_plus = report.label is symfun.cone_classify(b).label is ConeLabel.PLUS

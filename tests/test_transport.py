@@ -359,21 +359,45 @@ def test_rotation_regraph_needs_few_height_calls(perturbed_surface, monkeypatch)
     assert len(calls) <= 14
 
 
+@pytest.mark.parametrize(
+    "surface, iso",
+    [
+        (AnalyticSurface(2.9, [(0.05, 2, 0)]), ambient.boost(0.5, [1.0, 0, 0])),
+        (AnalyticSurface(10.0, [(0.05, 2, 0)]), ambient.boost(0.5, [1.0, 0, 0])),
+        (AnalyticSurface(-20.0, [(0.05, 2, 0)]), ambient.reflect_equator()),
+    ],
+    ids=["rho0=2.9-boost", "rho0=10-boost", "rho0=-20-reflection"],
+)
+def test_regraph_brackets_heights_past_three(surface, iso):
+    # the bracket grows with the surface's height bound and the boost
+    sampled, _ = transport.transform_surface(surface, iso, regraph_grid=(16, 32))
+    t_max = surface.height_bound() + math.acosh(abs(iso.matrix[0, 0])) + 1.0
+    oracle = dense_scan_heights(surface, iso, (16, 32), t_max=t_max)
+    assert np.abs(sampled.values - oracle).max() <= 1e-12
+
+
+class UnderstatedBound(AnalyticSurface):
+    """A surface whose ``height_bound`` lies: its heights leave the bracket."""
+
+    def height_bound(self):
+        return 0.0
+
+
 def test_non_graph_errors_name_the_line_and_the_values():
     with pytest.raises(NotAGraph) as info:
         transport.transform_surface(
-            AnalyticSurface(0.6), ambient.boost(0.3, [1.0, 0, 0]),
-            regraph_grid=(16, 32), t_max=0.5,
+            UnderstatedBound(3.5), ambient.boost(0.3, [1.0, 0, 0]), regraph_grid=(16, 32)
         )
     message = str(info.value)
-    for part in ("node 0 (", "theta=0.0982", "phi=0.0000", "F_start=-1.150e+00", "F_end="):
+    for part in ("node 0 (", "theta=0.0982", "phi=0.0000", "F_start=-6.572e+00", "F_end=-4.848e-01",
+                 "the end signs must be -+"):
         assert part in message
     # the same surface as test_transform_surface_rejects_non_graphs: its
     # slope breaks the spacelike bound at the foot of a crossing
     with pytest.raises(NotAGraph) as info:
         transport.transform_surface(
             AnalyticSurface(0.0, [(1.2, 4, 0)]), ambient.boost(0.9, [0.0, 0.0, 1.0]),
-            regraph_grid=(16, 32), t_max=6.0,
+            regraph_grid=(16, 32),
         )
     message = str(info.value)
     for part in ("node ", "theta=", "phi=", "grad_y_sq=", "cosh_y_sq="):
@@ -387,7 +411,6 @@ def test_transform_surface_rejects_non_graphs():
             AnalyticSurface(0.0, [(1.2, 4, 0)]),
             ambient.boost(0.9, [0.0, 0.0, 1.0]),
             regraph_grid=(16, 32),
-            t_max=6.0,
         )
 
 
