@@ -127,9 +127,6 @@ class AmbientIsometry:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
-    def __matmul__(self, other):
-        return AmbientIsometry(self.matrix @ other.matrix)
-
     def inverse(self):
         return AmbientIsometry(ETA @ self.matrix.T @ ETA)
 

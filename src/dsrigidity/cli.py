@@ -32,11 +32,10 @@ from .errors import (
     GateFailed,
     NonSpacelike,
     NotAGraph,
-    ParseError,
 )
 from .quadrature import gauss_sphere_rule
 from .reports import RunReport, config_digest
-from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface
+from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface, check_grid
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -86,46 +85,39 @@ def parse_matrix(text: str) -> np.ndarray:
     """Parse 'diag 1 -2', 'identity 3', or row text '1 0; 0 1'."""
     text = text.strip()
     if not text:
-        raise ParseError("empty matrix input")
+        raise ConfigError("empty matrix input")
     tokens = text.split()
     kind = tokens[0].lower()
     try:
         if kind in ("diag", "identity", "eye"):
             n = len(tokens) - 1 if kind == "diag" else int(tokens[1])
             if n not in symfun.DIMENSIONS:  # before n^2 entries are allocated
-                raise ParseError(f"matrix text {text!r} has dimension {n}, outside 2..8")
+                raise ConfigError(f"matrix text {text!r} has dimension {n}, outside 2..8")
             mat = np.diag([float(t) for t in tokens[1:]]) if kind == "diag" else np.eye(n)
         else:
             mat = np.array([[float(v) for v in row.split()] for row in text.split(";")])
     except (ValueError, IndexError) as exc:
-        raise ParseError(f"cannot parse matrix from {text!r}") from exc
+        raise ConfigError(f"cannot parse matrix from {text!r}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParseError(f"matrix text {text!r} is not square")
+        raise ConfigError(f"matrix text {text!r} is not square")
     if not np.isfinite(mat).all():
-        raise ParseError(f"matrix text {text!r} has a non-finite entry")
+        raise ConfigError(f"matrix text {text!r} has a non-finite entry")
     if np.abs(mat).max() > MAX_ENTRY:
-        raise ParseError(f"matrix text {text!r} has an entry larger than {MAX_ENTRY:g} in size")
+        raise ConfigError(f"matrix text {text!r} has an entry larger than {MAX_ENTRY:g} in size")
     return mat
 
 
 # -- configuration ---------------------------------------------------------
 
 
-def _number(section, key, kind=float, default=None, text=None):
-    """A finite number from ``[section] key``, or from ``text``, a part of it.
-
-    A missing key gives ``default``, or a ConfigError when there is none;
-    malformed and non-finite values raise ConfigError naming the key and
-    the bad text.
-    """
+def _number(section, key, kind=float, default=None):
+    """A finite number from ``[section] key`` (``_finite``); a missing key
+    gives ``default``, or a ConfigError when there is none."""
     where = f"[{section.name}] {key}"
-    if text is None:
-        text = section.get(key)
-        if text is None:
-            if default is None:
-                raise ConfigError(f"{where} is missing")
-            return default
-    return _finite(where, text, kind)
+    text = section.get(key)
+    if text is None and default is None:
+        raise ConfigError(f"{where} is missing")
+    return default if text is None else _finite(where, text, kind)
 
 
 def _finite(where, text, kind=float):
@@ -139,20 +131,27 @@ def _finite(where, text, kind=float):
     return value
 
 
+def _grid(where, text):
+    """``(n_theta, n_phi)`` from 'NTHETAxNPHI' text, or a ConfigError naming ``where``."""
+    try:
+        n_theta, n_phi = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise ConfigError(f"bad {where} value {text!r}") from None
+    return n_theta, n_phi
+
+
 def _parse_modes(section):
+    where = f"[{section.name}] modes"
     modes = []
     for chunk in section.get("modes", "").split():
         parts = chunk.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"mode {chunk!r} must look like amplitude:l:m")
-        numbers = tuple(
-            _number(section, "modes", kind, text=part)
-            for kind, part in zip((float, int, int), parts)
-        )
+            raise ConfigError(f"{where}: {chunk!r} must look like amplitude:l:m")
+        numbers = tuple(_finite(where, part, kind) for kind, part in zip((float, int, int), parts))
         try:
             modes.append(HarmonicMode(*numbers))
         except ValueError as exc:
-            raise ConfigError(f"[{section.name}] modes: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
     return modes
 
 
@@ -175,17 +174,10 @@ def _parse_surface(section) -> object:
     if kind == "perturbed_slice":
         return _analytic(section, _parse_modes(section))
     if kind == "sampled":
-        res = section.get("resolution", "64x128")
-        try:
-            n_theta, n_phi = (int(v) for v in res.lower().split("x"))
-        except ValueError as exc:
-            raise ConfigError(f"bad resolution {res!r}") from exc
-        if n_theta < 3 or n_phi < 2 or n_phi % 2:
-            raise ConfigError(
-                f"[{section.name}] resolution: {res!r} needs n_theta >= 3 "
-                "and an even n_phi >= 2"
-            )
-        _check_nodes(f"[{section.name}] resolution", n_theta, n_phi)
+        where = f"[{section.name}] resolution"
+        n_theta, n_phi = _grid(where, section.get("resolution", "64x128"))
+        check_grid(where, n_theta, n_phi)
+        _check_nodes(where, n_theta, n_phi)
         if "samples" in section:
             path = section.get("samples")
             try:
@@ -201,12 +193,12 @@ def _parse_surface(section) -> object:
             return surface
         base = _analytic(section, _parse_modes(section))
         return SampledGridSurface.from_height(base, n_theta, n_phi)
-    raise ConfigError(f"unknown surface kind {kind!r}")
+    raise ConfigError(f"[{section.name}] kind: unknown surface kind {kind!r}")
 
 
 def _parse_axis(section):
     text = section.get("axis", "1 0 0")
-    axis = np.array([_number(section, "axis", text=v) for v in text.split()])
+    axis = np.array([_finite(f"[{section.name}] axis", v) for v in text.split()])
     if axis.shape != (3,) or not axis.any():
         raise ConfigError(f"[{section.name}] axis: {text!r} is not a nonzero 3-vector")
     return axis
@@ -219,13 +211,14 @@ def _parse_isometry(section) -> ambient.AmbientIsometry:
     if kind == "boost":
         rapidity = _number(section, "rapidity")
         if abs(rapidity) > 1.0:
-            raise ConfigError("rapidity outside the regraph safety range |a| <= 1")
+            raise ConfigError(f"[{section.name}] rapidity: {rapidity:g} is outside |a| <= 1, the "
+                              f"cap that keeps image heights within |y| <= {HEIGHT_BOUND + 1:g}")
         return ambient.boost(rapidity, ambient.unit_vector(_parse_axis(section)))
     if kind == "rotation":
         return ambient.rotation(_number(section, "angle"), _parse_axis(section))
     if kind == "equator_reflection":
         return ambient.reflect_equator()
-    raise ConfigError(f"unknown isometry kind {kind!r}")
+    raise ConfigError(f"[{section.name}] kind: unknown isometry kind {kind!r}")
 
 
 class ExperimentConfig:
@@ -272,7 +265,7 @@ class ExperimentConfig:
             n_theta, n_phi = quad_override
             where = "--quad"
         if n_theta < 16 or n_phi < 16:
-            raise ConfigError("quadrature degrees must be at least 16")
+            raise ConfigError(f"{where}: quadrature degrees {n_theta}x{n_phi} must be at least 16")
         _check_nodes(where, n_theta, n_phi)
         self.quad_degrees = (n_theta, n_phi)
 
@@ -280,7 +273,7 @@ class ExperimentConfig:
         given = [("[tolerances]", key, None) for key in parser["tolerances"]]
         for where, key, value in given + [("--tol", *item) for item in tol_overrides]:
             if key not in self.tolerances:
-                raise ConfigError(f"unknown tolerance {key!r}")
+                raise ConfigError(f"{where}: unknown tolerance {key!r}")
             if value is None:
                 value = _number(parser["tolerances"], key)
             if value < 0.0:
@@ -587,14 +580,7 @@ def _load_config(args) -> ExperimentConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    quad = None
-    if args.quad:
-        try:
-            quad = tuple(int(v) for v in args.quad.lower().split("x"))
-        except ValueError as exc:
-            raise ConfigError(f"bad --quad value {args.quad!r}") from exc
-        if len(quad) != 2:
-            raise ConfigError(f"bad --quad value {args.quad!r}")
+    quad = _grid("--quad", args.quad) if args.quad else None
     tols = []
     for item in args.tol or ():
         if "=" not in item:

@@ -43,7 +43,3 @@ class CorrespondenceInvalid(DsRigidityError):
 
 class ConfigError(DsRigidityError):
     """Experiment configuration is malformed or inconsistent."""
-
-
-class ParseError(ConfigError):
-    """Inline input (matrix text, flag value) could not be parsed."""

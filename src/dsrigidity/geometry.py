@@ -165,8 +165,8 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
 def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     """Newton-tensor divergence with the tensor field differenced on the grid.
 
-    ``fields`` is ``evaluate_on_grid(surface)``.  The Newton tensor is
-    assembled from the height jets at every node and then differentiated
+    ``fields`` is ``evaluate_on_grid(surface)``.  The Newton tensor,
+    d_sigma2 of W^T, is formed at every node and then differentiated
     as a grid field (central stencils), independently of the jet-level
     derivative route.  The residual is reported over a fixed interior band
     sin(theta) >= min_sin_theta: closer to the poles the chart
@@ -176,21 +176,20 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     """
     nt, npk = surface.n_theta, surface.n_phi
     w = fields.w_chart.reshape(2, 2, nt, npk)
-    tr = w[0, 0] + w[1, 1]
-    newton = [[tr * float(i == j) - w[i, j] for j in range(2)] for i in range(2)]
+    newton = symfun.d_sigma2(np.swapaxes(w, 0, 1))
     ht = math.pi / nt
     hp = 2.0 * math.pi / npk
     gam = fields.gamma.reshape(2, 2, 2, nt, npk)[..., 1:-1, :]
-    core = [[t[1:-1] for t in row] for row in newton]
+    core = newton[:, :, 1:-1]
 
     # div_j = d_i T^i_j + Gamma^i_ia T^a_j - Gamma^a_ij T^i_a, each contraction
     # a sum from 0 over its index pairs in order, as einsum sums the stacks
     d_theta = lambda f: (f[2:] - f[:-2]) / (2 * ht)
     d_phi = lambda f: (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * hp)
     div = [
-        sum((d_theta(newton[0][j]), d_phi(core[1][j])))
-        + sum(gam[i, i, a] * core[a][j] for i, a in np.ndindex(2, 2))
-        - sum(gam[a, i, j] * core[i][a] for a, i in np.ndindex(2, 2))
+        sum((d_theta(newton[0, j]), d_phi(core[1, j])))
+        + sum(gam[i, i, a] * core[a, j] for i, a in np.ndindex(2, 2))
+        - sum(gam[a, i, j] * core[i, a] for a, i in np.ndindex(2, 2))
         for j in range(2)
     ]
     keep = np.sin(surface.theta_grid[1:-1]) >= min_sin_theta

@@ -9,9 +9,10 @@ axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
 ``(n,)`` node array of one component.  Each formula is evaluated one
 component at a time on those node arrays, nested as lists ``t[i][j]``
 (``dg`` and ``t`` are returned so), and a stored tensor is built from its
-nested list with ``np.array``.  Only the derivatives of the Christoffel
-symbols that enter R^a_{212} are formed.  ``frame_hessian`` takes any potential by
-chart jets: ``potential_jets``' own, a pair's pulled-back one or a grid's stencil one.
+nested list with ``np.array``; the Newton tensor is ``symfun.d_sigma2``'s.
+Only the derivatives of the Christoffel symbols that enter R^a_{212} are
+formed.  ``frame_hessian`` takes any potential by chart jets:
+``potential_jets``' own, a pair's pulled-back one or a grid's stencil one.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -282,17 +283,16 @@ def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin,
         dgw = _matmul(dg[p], w)
         dw.append(_matmul(g_inv, [[dh[i][j] - dgw[i][j] for j in range(2)] for i in range(2)]))
 
-    # covariant divergence of the Newton tensor T^i_j = sigma1 delta - W^i_j:
-    # div_j = tr(d_j W) - sum_i d_i W^i_j
-    #         + sum_p Gamma^i_{ip} T^p_j - sum_{i,p} Gamma^p_{ij} T^i_p
-    tr_w = w[0][0] + w[1][1]
-    newton_t = [[tr_w * float(i == j) - w[i][j] for j in range(2)] for i in range(2)]
+    # covariant divergence of the Newton tensor T^i_j = sigma1 delta - W^i_j,
+    # d_sigma2 of W^T (the chart W = g^-1 h is not symmetric):
+    # div_j = tr(d_j W) - sum_i d_i W^i_j + sum_p Gamma^i_{ip} T^p_j - sum_{i,p} Gamma^p_{ij} T^i_p
+    newton_t = symfun.d_sigma2(np.swapaxes(w, 0, 1))
     gc = [gamma[0, 0, p] + gamma[1, 1, p] for p in range(2)]
     div = [
         dw[j][0][0] + dw[j][1][1] - dw[0][0][j] - dw[1][1][j]
-        + gc[0] * newton_t[0][j] + gc[1] * newton_t[1][j]
-        - gamma[0, 0, j] * newton_t[0][0] - gamma[1, 0, j] * newton_t[0][1]
-        - gamma[0, 1, j] * newton_t[1][0] - gamma[1, 1, j] * newton_t[1][1]
+        + gc[0] * newton_t[0, j] + gc[1] * newton_t[1, j]
+        - gamma[0, 0, j] * newton_t[0, 0] - gamma[1, 0, j] * newton_t[0, 1]
+        - gamma[0, 1, j] * newton_t[1, 0] - gamma[1, 1, j] * newton_t[1, 1]
         for j in range(2)
     ]
     return np.maximum(np.abs(div[0]), np.abs(div[1]))

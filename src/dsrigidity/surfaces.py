@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import check_off_poles
+from .errors import ConfigError
 
 
 #: (l + m)! with m <= l stays below the float maximum (171! does not)
@@ -218,7 +219,7 @@ class SampledGridSurface:
     and uniform periodic in phi.  Derivatives use second-order central
     differences; theta rows next to the poles are closed with ghost rows
     obtained by reflecting across the pole (phi shifted by pi), which
-    keeps every stencil central.  Requires n_phi even.
+    keeps every stencil central.  The grid must pass ``check_grid``.
     """
 
     def __init__(self, values, n_theta=None, n_phi=None):
@@ -227,8 +228,7 @@ class SampledGridSurface:
             raise ValueError("expected a 2-d grid of heights")
         if n_theta is not None and values.shape != (n_theta, n_phi):
             raise ValueError("grid shape does not match declared resolution")
-        if values.shape[1] % 2 != 0:
-            raise ValueError("n_phi must be even for pole reflection")
+        check_grid("sampled grid", *values.shape)
         self.values = values
         self.n_theta, self.n_phi = values.shape
         self.theta_grid, self.phi_grid = grid_axes(self.n_theta, self.n_phi)
@@ -252,6 +252,14 @@ class SampledGridSurface:
     def grid_jets(self):
         """Jets (y, dy, d2y, d3y) at every grid node, flattened theta-major."""
         return grid_scalar_jets(self.values)
+
+
+def check_grid(where, n_theta, n_phi):
+    """ConfigError naming ``where`` unless the stencils run: the pole reflection
+    turns phi by pi, and ``grid_scalar_jets`` pads each pole with 3 grid rows."""
+    if n_theta < 3 or n_phi < 2 or n_phi % 2:
+        raise ConfigError(f"{where}: '{n_theta}x{n_phi}' needs n_theta >= 3 "
+                          "and an even n_phi >= 2")
 
 
 def grid_axes(n_theta, n_phi):

@@ -28,7 +28,7 @@ import numpy as np
 from . import ambient, geometry, jets, kernels
 from .errors import ConfigError, CorrespondenceInvalid, NotAGraph
 from .geometry import node_text
-from .surfaces import AnalyticSurface, SampledGridSurface, grid_axes, grid_scalar_jets
+from .surfaces import AnalyticSurface, SampledGridSurface, check_grid, grid_axes, grid_scalar_jets
 
 
 def _embedding(y_jet, theta, phi):
@@ -168,7 +168,7 @@ class IdentityCorrespondence:
 REGRAPH_TOL = 1e-12
 
 
-def transform_surface(surface, iso, regraph_grid=(64, 128)):
+def transform_surface(surface, iso, regraph_grid):
     """Re-express the image of a surface under an isometry as a graph.
 
     A radial line P(t) of the target grid meets the image where
@@ -188,6 +188,7 @@ def transform_surface(surface, iso, regraph_grid=(64, 128)):
     if not isinstance(surface, AnalyticSurface):
         raise ConfigError("regraphing needs an analytic source surface, not a sampled grid")
     n_theta, n_phi = regraph_grid
+    check_grid("regraph_grid", n_theta, n_phi)
     theta, phi = (a.ravel() for a in np.meshgrid(*grid_axes(n_theta, n_phi), indexing="ij"))
     omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     lam_inv = iso.inverse().matrix

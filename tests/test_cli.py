@@ -189,14 +189,22 @@ def test_config_validation(tmp_path, capsys):
     assert run(["geometry", "--config", str(tmp_path / "missing.cfg")]) == 2
     cfg = _write(tmp_path / "lowquad.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n")
     assert run(["geometry", "--config", cfg, "--quad", "8x16"]) == 2
+    assert "--quad: quadrature degrees 8x16 must be at least 16" in capsys.readouterr().err
+    cfg = _write(tmp_path / "lowquad.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n"
+                 "[quadrature]\nn_theta = 16\nn_phi = 8\n")
+    assert run(["geometry", "--config", cfg]) == 2
+    message = "[quadrature] n_theta, n_phi: quadrature degrees 16x8 must be at least 16"
+    assert message in capsys.readouterr().err
     fast = _write(
         tmp_path / "fast.cfg",
         "[surface]\nkind = slice\nrho0 = 0.6\n\n"
         "[isometry]\nkind = boost\nrapidity = 1.5\naxis = 1 0 0\n",
     )
     assert run(["rigidity", "--config", fast, "--quad", "24x48"]) == 2
+    assert "[isometry] rapidity: 1.5 is outside |a| <= 1" in capsys.readouterr().err
     badtol = _write(tmp_path / "geo.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n")
     assert run(["geometry", "--config", badtol, "--quad", "24x48", "--tol", "nope=1"]) == 2
+    assert "--tol: unknown tolerance 'nope'" in capsys.readouterr().err
     sampled = "[surface]\nkind = sampled\nrho0 = 0.5\nresolution = 24x48\n"
     analytic = "[surface]\nkind = slice\nrho0 = 0.5\n"
     boost = "\n[isometry]\nkind = boost\nrapidity = 0.1\naxis = 1 0 0\n"
@@ -229,6 +237,18 @@ def test_config_validation(tmp_path, capsys):
         ("geometry", "[surface]\nkind = slice\n", "[surface] rho0 is missing"),
         ("geometry", perturbed + "modes = 0.05:2:x\n", "[surface] modes: bad number 'x'"),
         ("geometry", perturbed + "modes = 0.05:2:3\n", "[surface] modes: invalid mode"),
+        ("geometry", perturbed + "modes = 0.01:2:0:\n",
+         "[surface] modes: '0.01:2:0:' must look like amplitude:l:m"),
+        ("geometry", analytic.replace("slice", "bowl"),
+         "[surface] kind: unknown surface kind 'bowl'"),
+        ("geometry", sampled.replace("24x48", "x"), "bad [surface] resolution value 'x'"),
+        ("geometry", analytic + "[tolerances]\nnope = 1\n",
+         "[tolerances]: unknown tolerance 'nope'"),
+        ("rigidity", analytic + boost.replace("boost", "screw"),
+         "[isometry] kind: unknown isometry kind 'screw'"),
+        ("rigidity", analytic + boost.replace("0.1", "-1.5"),
+         "[isometry] rapidity: -1.5 is outside |a| <= 1, the cap that keeps image heights "
+         "within |y| <= 177"),
         ("geometry", analytic + "[quadrature]\nn_theta = x\n", "[quadrature] n_theta: bad"),
         ("geometry", analytic + "[tolerances]\ngauss = tiny\n", "[tolerances] gauss: bad"),
         ("geometry", analytic + "[tolerances]\ngauss = -1\n", "[tolerances] gauss: -1 is neg"),

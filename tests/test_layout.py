@@ -103,10 +103,10 @@ def test_src_moves_no_axes():
     assert not calls, f"np.moveaxis called in src/: {calls}"
 
 
-#: value arithmetic; ``@`` stays allowed, it composes ambient isometries
+#: value arithmetic, ``@`` included: isometries compose by their matrices
 ARITHMETIC_DUNDERS = {
     f"__{prefix}{op}__"
-    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "divmod")
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "pow", "divmod")
     for prefix in ("", "r", "i")
 } | {"__neg__", "__pos__", "__abs__"}
 

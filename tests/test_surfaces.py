@@ -5,7 +5,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from dsrigidity import ambient
-from dsrigidity.errors import ChartPole
+from dsrigidity.errors import ChartPole, ConfigError
 from dsrigidity.surfaces import (
     AnalyticSurface,
     HarmonicMode,
@@ -288,7 +288,7 @@ def test_pole_reflection_extension_is_exact_for_smooth_fields():
 
 
 def test_sampled_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sampled grid: '8x7' needs"):
         SampledGridSurface(np.zeros((8, 7)))  # odd phi count
     with pytest.raises(ValueError):
         SampledGridSurface(np.zeros(8))

@@ -191,6 +191,18 @@ def test_d_sigma2_examples():
     )
 
 
+@deterministic
+@given(nodes.flatmap(lambda n: arrays(float, (2, 2, n), elements=st.floats(-1e3, 1e3))))
+def test_d_sigma2_of_the_transpose_is_the_chart_newton_tensor(w):
+    # the chart W = g^-1 h is not symmetric; both Newton divergence checks
+    # read T^i_j = sigma1 delta_ij - W^i_j as d_sigma2 of W^T
+    t = symfun.d_sigma2(np.swapaxes(w, 0, 1))
+    for i in range(2):
+        for j in range(2):
+            expected = symfun.sigma1(w) * (i == j) - w[i, j]
+            assert t[i, j].tobytes() == expected.tobytes(), (i, j)
+
+
 def test_d_sigma2_is_the_gradient():
     rng = np.random.default_rng(2)
     w = random_symmetric(rng, 4)

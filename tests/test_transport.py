@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import jet_oracle
 from dsrigidity import ambient, geometry, kernels, transport
-from dsrigidity.errors import DsRigidityError, NotAGraph
+from dsrigidity.errors import ConfigError, DsRigidityError, NotAGraph
 from dsrigidity.quadrature import gauss_sphere_rule
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
 
@@ -27,6 +27,11 @@ def target_angles(corr, theta, phi):
     theta_t = np.arccos(np.clip(xt[3] / r, -1.0, 1.0))
     phi_t = np.arctan2(xt[2], xt[1]) % (2.0 * math.pi)
     return theta_t, phi_t, np.arcsinh(xt[0])
+
+
+def compose(a, b):
+    """The isometry a after b."""
+    return ambient.AmbientIsometry(a.matrix @ b.matrix)
 
 
 def test_boosted_slice_heights_match_closed_form(scattered_nodes):
@@ -84,9 +89,9 @@ rotations = st.builds(ambient.rotation, st.floats(-math.pi, math.pi), axes)
 isometries = st.one_of(
     boosts,
     rotations,
-    st.builds(lambda a, b: a @ b, rotations, boosts),
+    st.builds(compose, rotations, boosts),
     st.builds(
-        lambda a, b, r: (ambient.reflect_equator() @ a if r else a) @ b,
+        lambda a, b, r: compose(compose(ambient.reflect_equator(), a) if r else a, b),
         boosts, rotations, st.booleans(),
     ),
 )
@@ -287,7 +292,7 @@ def dense_scan_heights(surface, iso, regraph_grid, t_max=3.0, n_scan=241, tol=1e
         ambient.rotation(0.7, [1.0, 2.0, 0.5]),
         ambient.boost(0.35, [0.36, -0.8, 0.48]),
         ambient.reflect_equator(),
-        ambient.reflect_equator() @ ambient.boost(-0.3, [0.6, 0.0, 0.8]),
+        compose(ambient.reflect_equator(), ambient.boost(-0.3, [0.6, 0.0, 0.8])),
     ],
     ids=["identity", "rotation", "boost", "reflection", "reflected_boost"],
 )
@@ -306,7 +311,7 @@ def test_transform_surface_matches_dense_scan_oracle(iso):
         (AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)]),
          ambient.rotation(0.7, [1.0, 2.0, 0.5]), (16, 32), "5d43d271b4607be6a7e6ca7f3c06a7e0"),
         (AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)]),
-         ambient.reflect_equator() @ ambient.boost(-0.3, [0.6, 0.0, 0.8]), (16, 32),
+         compose(ambient.reflect_equator(), ambient.boost(-0.3, [0.6, 0.0, 0.8])), (16, 32),
          "8290448c008670ed0e3770b72db642e0"),
         (AnalyticSurface(-0.3, [(0.04, 3, 2)]), ambient.boost(0.8, [0.0, 0.6, 0.8]), (24, 48),
          "5acd39d9c83e85d2392fdc9ed9fd0325"),
@@ -411,6 +416,22 @@ def test_transform_surface_rejects_non_graphs():
             AnalyticSurface(0.0, [(1.2, 4, 0)]),
             ambient.boost(0.9, [0.0, 0.0, 1.0]),
             regraph_grid=(16, 32),
+        )
+
+
+@pytest.mark.parametrize(
+    "grid", [(16, 31), (0, 4), (16, 0), (1, 2), (2, 4)],
+    ids=["odd_n_phi", "no_theta_rows", "no_phi_columns", "one_row", "two_rows"],
+)
+def test_regraph_grid_is_checked_before_any_height(grid, monkeypatch):
+    # too few theta rows for the pole ghost rows read wrong theta stencils
+    def height(self, theta, phi):
+        raise AssertionError("height called before the grid check")
+
+    monkeypatch.setattr(AnalyticSurface, "height", height)
+    with pytest.raises(ConfigError, match=f"regraph_grid: '{grid[0]}x{grid[1]}' needs"):
+        transport.transform_surface(
+            AnalyticSurface(0.5), ambient.boost(0.2, [1.0, 0, 0]), regraph_grid=grid
         )
 
 
