@@ -1,14 +1,21 @@
 """Golden reports: the record and verdict lines of each suite, byte for byte.
 
 The ``meta`` lines (versions, digest, backend) are left out; every other
-line of the report must match ``tests/golden/``.  After a change that is
-meant to move a residual, regenerate the files with
+line of the report must match ``tests/golden/``.  ``tests/golden/digests.json``
+pins, at three quadrature sizes, a sha256 of each command's output: stdout
+without its ``meta`` lines, stderr and the exit code.  After a change that
+is meant to move a residual, regenerate both with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and explain each moved line where the change is recorded.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -22,16 +29,36 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # (command, config, exit code).  control.cfg pairs two different surfaces
 # through the identity correspondence; verify-identities stops at its
 # metric-pullback gate, so only rigidity reports on it.  sampled.cfg runs
-# the geometry suite on stencil jets of a sampled grid.
+# the geometry suite on stencil jets of a sampled grid, perturbed.cfg on a
+# non-umbilic analytic surface, where the height has a gradient.
 CASES = [
     ("geometry", REPO / "configs" / "geometry.cfg", 0),
     ("geometry", GOLDEN / "sampled.cfg", 0),
+    ("geometry", GOLDEN / "perturbed.cfg", 0),
     ("verify-identities", REPO / "configs" / "identities.cfg", 0),
     ("verify-identities", REPO / "configs" / "rigidity.cfg", 0),
     ("rigidity", REPO / "configs" / "identities.cfg", 0),
     ("rigidity", REPO / "configs" / "rigidity.cfg", 0),
     ("rigidity", GOLDEN / "control.cfg", 1),
 ]
+
+
+# the argv of each digested run: every suite on every config, at the
+# config's own quadrature and at two overrides, then check-cone cases
+CONFIGS = sorted((REPO / "configs").glob("*.cfg")) + sorted(GOLDEN.glob("*.cfg"))
+RUNS = [
+    [command, "--config", str(config.relative_to(REPO)), *quad]
+    for command in ("geometry", "verify-identities", "rigidity")
+    for config in CONFIGS
+    for quad in ([], ["--quad", "32x64"], ["--quad", "128x256"])
+] + [
+    ["check-cone", "1 2; 0 1"],
+    ["check-cone", "diag 1 -2"],
+    ["check-cone", "diag -1 -2", "diag -2 -4"],
+    ["check-cone", "2 0.5 0; 0.5 1 0.25; 0 0.25 3", "identity 3"],
+    ["check-cone", "3 1; 0 2", "diag 2 4"],
+]
+DIGESTS = GOLDEN / "digests.json"
 
 
 def golden_path(command, config):
@@ -43,6 +70,24 @@ def report_lines(command, config, report_path):
     code = cli.main([command, "--config", str(config), "--report", str(report_path)])
     lines = report_path.read_text(encoding="utf-8").splitlines(keepends=True)
     return code, "".join(ln for ln in lines if ln.startswith(("record ", "verdict ")))
+
+
+def run_digest(argv):
+    """sha256 of a run's stdout without ``meta`` lines, its stderr and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        argv = [str(REPO / arg) if arg.endswith(".cfg") else arg for arg in argv]
+        code = cli.main(argv)
+    stdout = "".join(
+        ln for ln in out.getvalue().splitlines(keepends=True) if not ln.startswith("meta ")
+    )
+    return hashlib.sha256(f"{stdout}\0{err.getvalue()}\0{code}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=shlex.join)
+def test_output_matches_digest(argv):
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert run_digest(argv) == digests[shlex.join(argv)]
 
 
 @pytest.mark.parametrize(
@@ -65,3 +110,6 @@ if __name__ == "__main__":
             _, text = report_lines(command, config, Path(tmp) / "report.txt")
             golden_path(command, config).write_text(text, encoding="utf-8")
             print(f"wrote {golden_path(command, config).relative_to(REPO)}", file=sys.stderr)
+    digests = {shlex.join(argv): run_digest(argv) for argv in RUNS}
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS.relative_to(REPO)}", file=sys.stderr)
