@@ -9,6 +9,8 @@ eta = diag(-1, 1, 1, 1), where isometries are plain Lorentz matrices;
 
 The distinguished radial field is V = cosh(rho) d/d rho; its potential
 along rho is sinh(rho), and V is the metric gradient of that potential.
+Chart tensors put their components first and the nodes last, as every
+array of the package does: chart vectors at n nodes have shape (3, n).
 """
 
 import math
@@ -50,33 +52,29 @@ def check_off_poles(theta):
 
 
 def metric_components(rho, theta):
-    """Chart metric diag(-1, cosh^2 rho, cosh^2 rho sin^2 theta)."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    """Chart metric diag(-1, cosh^2 rho, cosh^2 rho sin^2 theta), components first."""
     c2 = np.cosh(rho) ** 2
-    g = np.zeros(np.broadcast_shapes(rho.shape, theta.shape) + (3, 3))
-    g[..., 0, 0] = -1.0
-    g[..., 1, 1] = c2
-    g[..., 2, 2] = c2 * np.sin(theta) ** 2
+    g = np.zeros((3, 3) + np.broadcast_shapes(np.shape(rho), np.shape(theta)))
+    g[0, 0] = -1.0
+    g[1, 1] = c2
+    g[2, 2] = c2 * np.sin(theta) ** 2
     return g
 
 
 def christoffel_components(rho, theta):
-    """All chart Christoffel symbols Gamma^a_{bc} (index order a, b, c)."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    """All chart Christoffel symbols Gamma^a_{bc}, components (a, b, c) first."""
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(theta))
     c = np.cosh(rho)
     s = np.sinh(rho)
     st = np.sin(theta)
     ct = np.cos(theta)
-    gam = np.zeros(shape + (3, 3, 3))
-    gam[..., 0, 1, 1] = c * s
-    gam[..., 0, 2, 2] = c * s * st**2
-    gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = s / c
-    gam[..., 2, 0, 2] = gam[..., 2, 2, 0] = s / c
-    gam[..., 1, 2, 2] = -st * ct
-    gam[..., 2, 1, 2] = gam[..., 2, 2, 1] = ct / st
+    gam = np.zeros((3, 3, 3) + shape)
+    gam[0, 1, 1] = c * s
+    gam[0, 2, 2] = c * s * st**2
+    gam[1, 0, 1] = gam[1, 1, 0] = s / c
+    gam[2, 0, 2] = gam[2, 2, 0] = s / c
+    gam[1, 2, 2] = -st * ct
+    gam[2, 1, 2] = gam[2, 2, 1] = ct / st
     return gam
 
 
@@ -84,15 +82,12 @@ def lie_derivative_residual(rho, theta, u, w) -> np.ndarray:
     """Residual of <D_u V, w> + <D_w V, u> - 2 phi' <u, w> at n points.
 
     ``rho`` and ``theta`` have shape (n,), the chart vectors ``u`` and
-    ``w`` shape (n, 3); returns shape (n,).  V = cosh(rho) d/d rho is
+    ``w`` shape (3, n); returns shape (n,).  V = cosh(rho) d/d rho is
     conformal Killing with D V = phi' Id, so the residual vanishes
     identically; this evaluates it from the chart Christoffel symbols as
     an independent check.
     """
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
+    u, w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
     check_off_poles(theta)
     g = metric_components(rho, theta)
     gam = christoffel_components(rho, theta)
@@ -100,13 +95,14 @@ def lie_derivative_residual(rho, theta, u, w) -> np.ndarray:
     s = np.sinh(rho)
 
     def cov_deriv_v(vec):
-        # (D_u V)^a = u^rho sinh(rho) delta^a_rho + Gamma^a_{b rho} u^b cosh(rho)
-        out = np.einsum("nab,nb->na", gam[..., 0], vec) * c[:, None]
-        out[:, 0] += vec[:, 0] * s
+        # (D_u V)^a = u^rho sinh(rho) delta^a_rho + Gamma^a_{b rho} u^b cosh(rho);
+        # each component has at most one nonzero term, so the order is exact
+        out = sum(gam[:, b, 0] * vec[b] for b in range(3)) * c
+        out[0] += vec[0] * s
         return out
 
-    # g is diagonal: of einsum's sum over (a, b) from 0, the zero terms drop
-    dot = lambda a, b: sum(a[:, k] * g[:, k, k] * b[:, k] for k in range(3))
+    # g is diagonal: of a full sum over (a, b) from 0, the zero terms drop
+    dot = lambda a, b: sum(a[k] * g[k, k] * b[k] for k in range(3))
     return dot(cov_deriv_v(u), w) + dot(cov_deriv_v(w), u) - 2.0 * s * dot(u, w)
 
 

@@ -82,20 +82,23 @@ def _check_nodes(where, n_theta, n_phi):
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse 'diag 1 -2', 'identity 3', or row text '1 0; 0 1'."""
+    """The symmetric part (M + M^T) / 2 of the matrix M that 'diag 1 -2',
+    'identity 3' or row text '1 0; 0 1' names; M must be square and finite,
+    of a dimension in ``symfun.DIMENSIONS`` and entries at most MAX_ENTRY."""
     text = text.strip()
     if not text:
         raise ConfigError("empty matrix input")
     tokens = text.split()
     kind = tokens[0].lower()
+    rows = None if kind in ("diag", "identity", "eye") else text.split(";")
     try:
-        if kind in ("diag", "identity", "eye"):
-            n = len(tokens) - 1 if kind == "diag" else int(tokens[1])
-            if n not in symfun.DIMENSIONS:  # before n^2 entries are allocated
-                raise ConfigError(f"matrix text {text!r} has dimension {n}, outside 2..8")
-            mat = np.diag([float(t) for t in tokens[1:]]) if kind == "diag" else np.eye(n)
+        n = len(rows) if rows else len(tokens) - 1 if kind == "diag" else int(tokens[1])
+        if n not in symfun.DIMENSIONS:  # before n^2 entries are allocated
+            raise ConfigError(f"matrix text {text!r} has dimension {n}, outside 2..8")
+        if rows:
+            mat = np.array([[float(v) for v in row.split()] for row in rows])
         else:
-            mat = np.array([[float(v) for v in row.split()] for row in text.split(";")])
+            mat = np.diag([float(t) for t in tokens[1:]]) if kind == "diag" else np.eye(n)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"cannot parse matrix from {text!r}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -104,7 +107,7 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ConfigError(f"matrix text {text!r} has a non-finite entry")
     if np.abs(mat).max() > MAX_ENTRY:
         raise ConfigError(f"matrix text {text!r} has an entry larger than {MAX_ENTRY:g} in size")
-    return mat
+    return 0.5 * (mat + mat.T)
 
 
 # -- configuration ---------------------------------------------------------
@@ -179,17 +182,19 @@ def _parse_surface(section) -> object:
         check_grid(where, n_theta, n_phi)
         _check_nodes(where, n_theta, n_phi)
         if "samples" in section:
-            path = section.get("samples")
+            path, key = section.get("samples"), f"[{section.name}] samples"
             try:
-                values = np.load(path) if path.endswith(".npy") else np.loadtxt(path)
-                surface = SampledGridSurface(values, n_theta, n_phi)
+                values = np.load(path) if path.endswith(".npy") else np.loadtxt(path, ndmin=2)
+                if values.shape != (n_theta, n_phi):
+                    shape = "x".join(map(str, values.shape))
+                    raise ConfigError(f"{key}: {path!r} holds a {shape} grid, "
+                                      f"but {where} is {n_theta}x{n_phi}")
+                surface = SampledGridSurface(values)
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"samples file {path}: {exc}") from exc
+                raise ConfigError(f"{key}: {exc}") from exc
             if not np.all(np.abs(surface.values) <= HEIGHT_BOUND):
-                raise ConfigError(
-                    f"[{section.name}] samples: a height leaves the domain "
-                    f"|y| <= {HEIGHT_BOUND:g}, past which cosh(y)^4 overflows"
-                )
+                raise ConfigError(f"{key}: a height leaves the domain "
+                                  f"|y| <= {HEIGHT_BOUND:g}, past which cosh(y)^4 overflows")
             return surface
         base = _analytic(section, _parse_modes(section))
         return SampledGridSurface.from_height(base, n_theta, n_phi)
@@ -319,8 +324,7 @@ class ExperimentConfig:
 
 
 def cmd_check_cone(args) -> int:
-    mats = [parse_matrix(t) for t in args.matrix]
-    ops = [symfun.SymOperator(m) for m in mats]
+    ops = [parse_matrix(t) for t in args.matrix]
     for op, text in zip(ops, args.matrix):
         report = symfun.cone_classify(op)
         print(
@@ -390,14 +394,12 @@ def _geometry_report(config) -> tuple:
             float(fields.newton_residual.max()),
             tol["newton"],
         )
-    # 100 points, one row each: rho, theta, phi (the chart check does
+    # 100 points, one column each: rho, theta, phi (the chart check does
     # not read phi), then the vectors u and w
     low = [-1.5, 0.2, 0.0] + [-1.0] * 6
     high = [1.5, math.pi - 0.2, 2.0 * math.pi] + [1.0] * 6
-    draws = np.random.default_rng(config.seed).uniform(low, high, size=(100, 9))
-    residual = ambient.lie_derivative_residual(
-        draws[:, 0], draws[:, 1], draws[:, 3:6], draws[:, 6:9]
-    )
+    draws = np.random.default_rng(config.seed).uniform(low, high, size=(100, 9)).T
+    residual = ambient.lie_derivative_residual(draws[0], draws[1], draws[3:6], draws[6:9])
     report.add(
         "conformal_field",
         "<D_u V, w> + <D_w V, u> = 2 phi' <u, w>",

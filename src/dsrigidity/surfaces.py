@@ -222,12 +222,10 @@ class SampledGridSurface:
     keeps every stencil central.  The grid must pass ``check_grid``.
     """
 
-    def __init__(self, values, n_theta=None, n_phi=None):
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("expected a 2-d grid of heights")
-        if n_theta is not None and values.shape != (n_theta, n_phi):
-            raise ValueError("grid shape does not match declared resolution")
         check_grid("sampled grid", *values.shape)
         self.values = values
         self.n_theta, self.n_phi = values.shape

@@ -11,8 +11,10 @@ off the quadratic t -> sigma2(W + t I), whose roots are real for every
 symmetric W.
 
 The functions take one ``(k, k)`` operator or a ``(k, k, ...)`` stack of
-them, the matrix indices first, as the geometry stores its tensors; a
-stack gives one result per trailing index.
+them as a float array, the matrix indices first, as the geometry stores
+its tensors; a stack gives one result per trailing index.  Nothing here
+symmetrizes: ``cli.parse_matrix`` symmetrizes and checks the matrices of
+the command line.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,8 @@ BOUNDARY_TOL = 1e-12
 EQUALITY_TOL = 1e-10
 #: discriminants below -HYPERBOLICITY_TOL * scale signal non-symmetric input
 HYPERBOLICITY_TOL = 1e-9
-#: the operator dimensions a SymOperator takes
+#: the operator dimensions ``cli.parse_matrix`` accepts; ``sigma_all`` sums
+#: at most 70 principal minors for each sigma_k over this range
 DIMENSIONS = range(2, 9)
 
 
@@ -43,26 +46,6 @@ class ConeLabel(Enum):
 
 #: cone labels in label-index order (see ``cone_roots``)
 CONE_LABELS = tuple(ConeLabel)
-
-
-@dataclass(frozen=True, eq=False)
-class SymOperator:
-    """A symmetric n x n matrix (2 <= n <= 8), symmetrized at construction."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        entries = np.asarray(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got {entries.shape}")
-        n = entries.shape[0]
-        if n not in DIMENSIONS:
-            raise DimensionMismatch(f"dimension {n} outside supported range 2..8")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("matrix entries must be finite")
-        sym = 0.5 * (entries + entries.T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "entries", sym)
 
 
 @dataclass(frozen=True)
@@ -84,8 +67,6 @@ class GardingGap:
 
 
 def _mat(w) -> np.ndarray:
-    if isinstance(w, SymOperator):
-        return w.entries
     return np.asarray(w, dtype=float)
 
 

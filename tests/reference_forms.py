@@ -324,8 +324,9 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2):
 
 
 def lie_derivative_residual(rho, theta, u, w):
-    g = ambient.metric_components(rho, theta)
-    gam = ambient.christoffel_components(rho, theta)
+    g = np.moveaxis(ambient.metric_components(rho, theta), -1, 0)
+    gam = np.moveaxis(ambient.christoffel_components(rho, theta), -1, 0)
+    u, w = node_major(u), node_major(w)
     c = np.cosh(rho)
     s = np.sinh(rho)
 

@@ -91,11 +91,11 @@ def test_criterion_1_umbilic_slice_closed_forms():
 
 
 def test_criterion_2_conformal_field_identity():
-    # one row per point: rho, theta, phi (not read by the chart check), u, w
+    # one column per point: rho, theta, phi (not read by the chart check), u, w
     low = [-1.5, 0.2, 0.0] + [-1.0] * 6
     high = [1.5, math.pi - 0.2, 2.0 * math.pi] + [1.0] * 6
-    d = np.random.default_rng(11).uniform(low, high, size=(100, 9))
-    residual = ambient.lie_derivative_residual(d[:, 0], d[:, 1], d[:, 3:6], d[:, 6:9])
+    d = np.random.default_rng(11).uniform(low, high, size=(100, 9)).T
+    residual = ambient.lie_derivative_residual(d[0], d[1], d[3:6], d[6:9])
     worst = float(np.abs(residual).max())
     _verdict(
         2, worst <= 1e-10,

@@ -108,11 +108,11 @@ def test_sectional_curvature_is_one_by_finite_differences():
 
 
 def test_conformal_field_identity_at_random_points():
-    # one row per point: rho, theta, phi (not read by the chart check), u, w
+    # one column per point: rho, theta, phi (not read by the chart check), u, w
     low = [-1.5, 0.2, 0.0] + [-1.0] * 6
     high = [1.5, math.pi - 0.2, 2.0 * math.pi] + [1.0] * 6
-    d = np.random.default_rng(4).uniform(low, high, size=(100, 9))
-    residual = ambient.lie_derivative_residual(d[:, 0], d[:, 1], d[:, 3:6], d[:, 6:9])
+    d = np.random.default_rng(4).uniform(low, high, size=(100, 9)).T
+    residual = ambient.lie_derivative_residual(d[0], d[1], d[3:6], d[6:9])
     assert residual.shape == (100,)
     assert np.abs(residual).max() <= 1e-10
 
@@ -170,8 +170,8 @@ def test_rotation_moves_the_direction():
 
 
 def test_lie_derivative_guards_the_poles():
-    u = [[1.0, 0.0, 0.0]] * 3
-    w = [[0.0, 1.0, 0.0]] * 3
+    u = [[1.0] * 3, [0.0] * 3, [0.0] * 3]
+    w = [[0.0] * 3, [1.0] * 3, [0.0] * 3]
     with pytest.raises(ChartPole, match=r"node 1: theta = 0 too close"):
         ambient.lie_derivative_residual([0.2] * 3, [1.0, 0.0, math.pi], u, w)
     c2 = math.cosh(0.5) ** 2

@@ -8,8 +8,10 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dsrigidity import cli
+from dsrigidity.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -63,6 +65,13 @@ def test_check_cone_rejects_garbage(capsys):
     assert run(["check-cone", "1 2; 3"]) == 2
     assert run(["check-cone", "diag 1 2", "identity 3"]) == 2  # dimension mismatch
     capsys.readouterr()
+    nine = "; ".join(" ".join("1" if i == j else "0" for j in range(9)) for i in range(9))
+    for text, message in (
+        (nine, f"matrix text {nine!r} has dimension 9, outside 2..8"),
+        ("1 2 3; 4 5 6", "matrix text '1 2 3; 4 5 6' is not square"),
+    ):
+        assert run(["check-cone", text]) == 2, text
+        assert capsys.readouterr().err == f"error: {message}\n"
     for text in ("diag nan 1", "diag 1 inf", "1 0; 0 -inf"):
         assert run(["check-cone", text]) == 2, text
         assert f"matrix text {text!r} has a non-finite entry" in capsys.readouterr().err
@@ -91,6 +100,10 @@ def test_matrix_parser():
     np.testing.assert_allclose(
         cli.parse_matrix("0 1; 1 0"), np.array([[0.0, 1.0], [1.0, 0.0]])
     )
+    # row text is symmetrized to (M + M^T) / 2, bit for bit
+    assert np.array_equal(cli.parse_matrix("1 2; 0 1"), [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ConfigError, match="'1 2 3; 4 5 6' is not square"):
+        cli.parse_matrix("1 2 3; 4 5 6")
 
 
 def _write(path, text):
@@ -447,7 +460,10 @@ def test_samples_file_roundtrip(tmp_path, capsys):
     values[3, 4] = np.nan
     np.save(path, values)
     assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
-    assert "grid index [3, 4] (theta=0.4581, phi=0.5236)" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: [surface] samples: non-finite height nan at grid index [3, 4] "
+        "(theta=0.4581, phi=0.5236)\n"
+    )
 
     values[3, 4] = -300.0  # past the height domain
     np.save(path, values)
@@ -456,6 +472,20 @@ def test_samples_file_roundtrip(tmp_path, capsys):
         assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
     assert "[surface] samples: a height leaves the domain" in capsys.readouterr().err
 
+    # a grid of another shape names the file, both shapes and the resolution key;
+    # a one-line text file reads as one grid row
+    np.save(path, grid.values[:, :46])
+    row = tmp_path / "row.txt"
+    np.savetxt(row, grid.values[:1])
+    for samples, shape in ((path, "24x46"), (row, "1x48")):
+        text = f"[surface]\nkind = sampled\nresolution = 24x48\nsamples = {samples}\n"
+        assert run(["geometry", "--config", _write(tmp_path / "shape.cfg", text)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [surface] samples: {str(samples)!r} holds a {shape} grid, "
+            "but [surface] resolution is 24x48\n"
+        )
+
     path.unlink()
     assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 2
-    assert "samples file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: [surface] samples: ") and str(path) in err

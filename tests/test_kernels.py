@@ -138,7 +138,7 @@ def test_chart_inversion_sums_like_einsum(parts):
 def test_sampled_residuals_sum_like_einsum(n_theta, half_phi, rho0, data):
     n_phi = 2 * half_phi
     noise = data.draw(arrays(float, (n_theta, n_phi), elements=unit))
-    surface = SampledGridSurface(rho0 + 1e-3 * noise, n_theta, n_phi)
+    surface = SampledGridSurface(rho0 + 1e-3 * noise)
     fields = geometry.evaluate_on_grid(surface)
     assert np.array_equal(
         geometry.sampled_pre_integral_residual(surface, fields),
@@ -154,7 +154,7 @@ def test_sampled_residuals_sum_like_einsum(n_theta, half_phi, rho0, data):
 @given(nodes.flatmap(lambda n: arrays(float, (n, 8), elements=unit)))
 def test_conformal_check_sums_like_einsum(draws):
     rho, theta = 1.5 * draws[:, 0], 1.5 + 1.3 * draws[:, 1]
-    u, w = draws[:, 2:5], draws[:, 5:8]
+    u, w = draws[:, 2:5].T, draws[:, 5:8].T
     assert np.array_equal(
         ambient.lie_derivative_residual(rho, theta, u, w),
         reference_forms.lie_derivative_residual(rho, theta, u, w),

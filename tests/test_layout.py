@@ -1,9 +1,9 @@
 """One array layout from jets to reports: tensor components first, nodes last.
 
 Every jet (height jets and the transport's lifts alike), ``SurfaceFields``
-tensor and ``PairNodeData`` tensor keeps the node axis last and is
-C-contiguous, so each component ``a[i, j]`` is a contiguous node array, and
-no module of ``src/`` moves axes between two layouts.
+tensor, ``PairNodeData`` tensor and ambient chart tensor keeps the node axis
+last and is C-contiguous, so each component ``a[i, j]`` is a contiguous node
+array, and no module of ``src/`` moves axes between two layouts.
 """
 
 import ast
@@ -89,6 +89,27 @@ def test_pair_node_data_puts_the_node_axis_last(perturbed_surface, scattered_nod
                 _assert_component_first(field.name, value, theta.size)
         for fields in (data.base, data.tilde):
             _assert_fields_component_first(fields, theta.size)
+
+
+def test_ambient_chart_puts_the_node_axis_last(scattered_nodes):
+    theta, _ = scattered_nodes
+    n, k = theta.size, 7
+    rho = np.linspace(-1.5, 1.5, n)
+    g = ambient.metric_components(rho, theta)
+    gam = ambient.christoffel_components(rho, theta)
+    assert g.shape == (3, 3, n) and gam.shape == (3, 3, 3, n)
+    assert g.flags.c_contiguous and gam.flags.c_contiguous
+    # node k's slice is the tensor of a scalar call at node k
+    np.testing.assert_allclose(g[..., k], ambient.metric_components(rho[k], theta[k]), rtol=1e-14)
+    np.testing.assert_allclose(
+        gam[..., k], ambient.christoffel_components(rho[k], theta[k]), rtol=1e-14
+    )
+    # chart vectors are (3, n): node k's residual reads column k of u and w
+    u, w = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 3, n))
+    residual = ambient.lie_derivative_residual(rho, theta, u, w)
+    assert residual.shape == (n,)
+    at_k = ambient.lie_derivative_residual(rho[[k]], theta[[k]], u[:, [k]], w[:, [k]])
+    np.testing.assert_allclose(residual[k], at_k[0], rtol=1e-12, atol=1e-15)
 
 
 def test_src_moves_no_axes():
