@@ -67,7 +67,7 @@ HEIGHT_BOUND = 176.0
 #: 6e151, so the pair gap's product sigma2(W) sigma2(W~) is a float
 MAX_ENTRY = 1e75
 
-#: grids of more nodes exit 2: at about 2.3 KB a node, 512x1024 takes 1.2 GB
+#: grids of more nodes exit 2: at a traced peak of about 1.2 KB a node, 512x1024 takes 0.6 GB
 MAX_NODES = 512 * 1024
 
 

@@ -3,6 +3,8 @@
 This layer feeds height jets into the geometry kernels, and a sampled grid's
 stencil jets of the potential into the same frame Hessian and residual; the
 results are arrays over a node set, tensors component-first (``kernels``).
+``evaluate_fields`` forms the surface core only; each other field group
+waits for its first read, so a suite forms just the groups it reads.
 """
 
 import functools
@@ -31,10 +33,12 @@ class SurfaceFields:
     """Pointwise geometric quantities over a set of chart nodes.
 
     ``kernels.surface_core`` forms the fields on every surface.  The rest are
-    formed on first read: ``connection`` dg and gamma, ``frame_hessian``
-    hess_phi_frame (of ``potential_jets``) and ``pre_integral_residual``,
-    ``curvature_fields`` k_norm and gauss_residual, ``newton_divergence``
-    newton_residual; the last three are None without third-order jets.
+    formed on first read: ``normal_fields`` nu, its residuals and w_chart
+    (read by the ``geometry`` suite only), ``connection`` dg and gamma,
+    ``frame_hessian`` hess_phi_frame (of ``potential_jets``) and
+    ``pre_integral_residual``, ``curvature_fields`` k_norm and gauss_residual,
+    ``newton_divergence`` newton_residual; the last three are None without
+    third-order jets.
     """
 
     theta: np.ndarray
@@ -47,17 +51,17 @@ class SurfaceFields:
     g: np.ndarray
     g_inv: np.ndarray
     det_g: np.ndarray
-    nu: np.ndarray
     support: np.ndarray
     h: np.ndarray
     t: list  # components of T in h = (c / sqrt(margin)) T
-    w_chart: np.ndarray
     frame: np.ndarray
     w_frame: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
-    nu_norm_residual: np.ndarray
-    nu_tangency_residual: np.ndarray
+
+    @functools.cached_property
+    def _normal(self):
+        return kernels.normal_fields(self.theta, self.y, self.dy, self.margin, self.g_inv, self.h)
 
     @functools.cached_property
     def _connection(self):
@@ -89,6 +93,10 @@ class SurfaceFields:
             self.gamma, self.dg, self.margin, self.t,
         )
 
+    nu = property(lambda self: self._normal[0])
+    nu_norm_residual = property(lambda self: self._normal[1])
+    nu_tangency_residual = property(lambda self: self._normal[2])
+    w_chart = property(lambda self: self._normal[3])
     dg = property(lambda self: self._connection[0])
     gamma = property(lambda self: self._connection[1])
     k_norm = property(lambda self: self._curvature[0])

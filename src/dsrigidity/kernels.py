@@ -1,10 +1,12 @@
 """Hot geometry kernels: surface assembly, connection and curvature.
 
-``surface_core`` forms the margin, metric, normal, W and frame of every
-surface.  ``connection`` (``dg``, ``gamma``), ``curvature_fields``
-(``k_norm``, ``gauss_residual``) and ``newton_divergence``
-(``newton_residual``) each form their group of ``geometry.SurfaceFields``
-on its first read.  Every tensor is stored component-first with the node
+``surface_core`` forms the margin, metric, h, frame and frame W of every
+surface.  ``normal_fields`` (``nu``, its residuals, ``w_chart``),
+``connection`` (``dg``, ``gamma``), ``curvature_fields`` (``k_norm``,
+``gauss_residual``) and ``newton_divergence`` (``newton_residual``) each
+form their group of ``geometry.SurfaceFields`` on its first read: the
+``geometry`` suite reads them all, ``verify-identities`` the base connection
+only, ``rigidity`` none.  Every tensor is stored component-first with the node
 axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
 ``(n,)`` node array of one component.  Each formula is evaluated one
 component at a time on those node arrays, nested as lists ``t[i][j]``
@@ -80,13 +82,12 @@ def first_form(st, c2, dy):
 
 
 def surface_core(theta, y, dy, d2y):
-    """Metric, normal, shape operator and frame per node.
+    """Metric, second fundamental form, frame and frame shape operator per node.
 
     Returns a dict of component-first arrays keyed by the ``SurfaceFields`` names
-    (``margin``, ``g``, ``g_inv``, ``det_g``, ``nu``, ``support``, ``h``,
-    ``w_chart``, ``frame``, ``w_frame``, ``sigma1``, ``sigma2``,
-    ``nu_norm_residual``, ``nu_tangency_residual``) plus ``t``, the
-    components ``t[i][j]`` of T in h = (c / sqrt(margin)) T.
+    (``margin``, ``g``, ``g_inv``, ``det_g``, ``support``, ``h``, ``frame``,
+    ``w_frame``, ``sigma1``, ``sigma2``) plus ``t``, the components
+    ``t[i][j]`` of T in h = (c / sqrt(margin)) T.
     If any node violates the spacelike bound, only ``margin`` is returned,
     clipped to at most 0 at the violating nodes (``first_form``).
     """
@@ -106,17 +107,11 @@ def surface_core(theta, y, dy, d2y):
     gi12 = -g12 / detg
     ginv = [[g22 / detg, gi12], [gi12, g11 / detg]]
 
-    # future-directed unit normal and support function <V, nu>
+    # support function <V, nu>; h = nu_0 T with nu_0 = c / sqrt(margin)
     sqm = np.sqrt(margin)
     nu0 = c / sqm
-    nu1 = y1 / (c * sqm)
-    nu2 = y2 / (sig22 * c * sqm)
     support = -c2 / sqm
-    nu_norm = np.abs(-nu0 * nu0 + c2 * (nu1 * nu1 + sig22 * nu2 * nu2) + 1.0)
-    nu_tan = np.abs(np.array([-nu0 * y1 + c2 * nu1, -nu0 * y2 + c2 * sig22 * nu2]))
-
     h = [[nu0 * x for x in row] for row in t]
-    wch = _matmul(ginv, h)
 
     # orthonormal frame by Gram-Schmidt on (d_theta, d_phi); W in the frame
     # is h(e_a, e_b), exactly symmetric
@@ -128,11 +123,23 @@ def surface_core(theta, y, dy, d2y):
     w_frame = np.array(_in_frame(e1a, e2a, e2b, h[0][0], h[0][1], h[1][1]))
     return {
         "margin": margin, "g": np.array(g), "g_inv": np.array(ginv), "det_g": detg,
-        "nu": np.array([nu0, nu1, nu2]), "support": support, "h": np.array(h),
-        "w_chart": np.array(wch), "frame": frame, "w_frame": w_frame,
+        "support": support, "h": np.array(h), "frame": frame, "w_frame": w_frame,
         "sigma1": symfun.sigma1(w_frame), "sigma2": symfun.sigma2(w_frame), "t": t,
-        "nu_norm_residual": nu_norm, "nu_tangency_residual": nu_tan,
     }
+
+
+def normal_fields(theta, y, dy, margin, g_inv, h):
+    """Future-directed unit normal, |<nu, nu> + 1|, |<nu, X_i>| and the chart
+    W = g^-1 h, from the ``surface_core`` outputs of spacelike nodes."""
+    _, _, sig22, c, _, c2 = _trig(theta, y)
+    y1, y2 = dy
+    sqm = np.sqrt(margin)
+    nu0 = c / sqm
+    nu1 = y1 / (c * sqm)
+    nu2 = y2 / (sig22 * c * sqm)
+    nu_norm = np.abs(-nu0 * nu0 + c2 * (nu1 * nu1 + sig22 * nu2 * nu2) + 1.0)
+    nu_tan = np.abs(np.array([-nu0 * y1 + c2 * nu1, -nu0 * y2 + c2 * sig22 * nu2]))
+    return np.array([nu0, nu1, nu2]), nu_norm, nu_tan, np.array(_matmul(g_inv, h))
 
 
 def connection(theta, y, dy, d2y, g_inv):

@@ -4,7 +4,9 @@ An ambient isometry maps a graph surface to another surface; points
 correspond through the Lorentz matrix on the pseudosphere.  A pair enters
 the argument only through second-order data (shape operators, potential
 Hessians), so the transport carries values, chart gradients and Hessians
-and nothing more, and neither surface's curvature fields are formed here.
+and nothing more.  ``node_data`` forms the two surface cores and W~ in the
+pushed frame; the pulled-back potential's Hessian waits for its first read
+(``verify-identities``, not ``rigidity``), and no other field is formed here.
 Every jet is a tuple (f, d, d2) of node arrays, laid out like the height jet
 (y, dy, d2y).  The embedded point x = (sinh y, cosh y omega) gets its jets in
 closed form; the Lorentz matrix maps values, gradients and Hessians by the
@@ -16,10 +18,11 @@ sum of node arrays in a fixed order, so no digit depends on a BLAS kernel.
 
 The regraphing root-finder re-expresses the image as heights over the
 standard sampled grid (and certifies the image is a graph at all); it moves
-points with ``ambient.embed`` and ``ambient.unembed``, the pseudosphere map.
+points with ``ambient.embed``, the transport's Lorentz sums and ``ambient.unembed``.
 The exact transport is what the integral and rigidity checks consume.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +59,12 @@ def _embedding(y_jet, theta, phi):
     return x
 
 
+def _lorentz(lam, x):
+    """Components of lam x for four equally shaped arrays ``x[b]``, each
+    summed from b = 0 in order, so no digit depends on the memory layout."""
+    return [sum((x[b] * lam[a, b] for b in range(1, 4)), x[0] * lam[a, 0]) for a in range(4)]
+
+
 def _invert_chart_map(rho, u):
     """Height jets with respect to the image chart.
 
@@ -88,13 +97,21 @@ def _invert_chart_map(rho, u):
 
 @dataclass(frozen=True, eq=False)
 class PairNodeData:
-    """Everything the integral checks need at the nodes of a rule."""
+    """Everything the integral checks need at the nodes of a rule; the
+    pulled-back Hessian, which only the identities read, on first read."""
 
     base: geometry.SurfaceFields
     tilde: geometry.SurfaceFields
     metric_pullback_residual: np.ndarray  # max |g~(e_a, e_b) - delta| per node
     w_tilde_frame: np.ndarray  # image shape operator in the pushed frame
-    hess_phi_tilde_frame: np.ndarray  # Hessian on M of the pulled-back potential
+    potential_d: np.ndarray  # chart gradient on M of the pulled-back potential
+    potential_d2: np.ndarray  # and its chart Hessian
+
+    @functools.cached_property
+    def hess_phi_tilde_frame(self):
+        return kernels.frame_hessian(
+            self.base.frame, self.base.gamma, self.potential_d, self.potential_d2
+        )
 
 
 def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
@@ -111,8 +128,24 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
         tilde=tilde,
         metric_pullback_residual=kernels.orthonormality_residual(pushed, tilde.g),
         w_tilde_frame=np.array(kernels.congruence(pushed, tilde.h)),
-        hess_phi_tilde_frame=kernels.frame_hessian(base.frame, base.gamma, pot_d, pot_d2),
+        potential_d=pot_d, potential_d2=pot_d2,
     )
+
+
+def _image_jets(y_jet, theta, phi, lam):
+    """Image chart points and height jets under the Lorentz matrix ``lam``,
+    the chart map's Jacobian and the pulled-back potential -x~_0's chart jets
+    on M: only these outlive the call, so the embedded points and the lifts
+    are freed before the image surface is evaluated."""
+    # the Lorentz matrix maps the values, gradients and Hessians alike
+    xt = list(zip(*(_lorentz(lam, p) for p in zip(*_embedding(y_jet, theta, phi)))))
+    rho_t = jets.arcsinh(xt[0])
+    # atan2 keeps theta~ and its derivatives accurate next to the image
+    # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)
+    theta_t = jets.atan2(jets.hypot(xt[1], xt[2]), xt[3])
+    phi_t = jets.atan2(xt[2], xt[1])
+    y, dy, d2y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))
+    return theta_t[0], phi_t[0], (y, dy, d2y), jac, (-xt[0][1], -xt[0][2])
 
 
 class IsometryCorrespondence:
@@ -125,22 +158,9 @@ class IsometryCorrespondence:
     def node_data(self, theta, phi) -> PairNodeData:
         y_jet = self.surface.height_jet(theta, phi)
         base = geometry.evaluate_fields(theta, phi, y_jet)
-
-        lam = self.iso.matrix
-        x = _embedding(y_jet, theta, phi)
-        # the Lorentz matrix maps the values, gradients and Hessians alike
-        xt = [tuple(sum((p[b] * lam[a, b] for b in range(1, 4)), p[0] * lam[a, 0])
-                    for p in zip(*x)) for a in range(4)]
-        rho_t = jets.arcsinh(xt[0])
-        # atan2 keeps theta~ and its derivatives accurate next to the image
-        # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)
-        theta_t = jets.atan2(jets.hypot(xt[1], xt[2]), xt[3])
-        phi_t = jets.atan2(xt[2], xt[1])
-
-        y, dy, d2y, jac = _invert_chart_map(rho_t, (theta_t, phi_t))
-        tilde = geometry.evaluate_fields(theta_t[0], phi_t[0], (y, dy, d2y))
-        # pulled-back potential -sinh(rho~) = -x~_0, with chart jets on M
-        return _pair_data_from_parts(base, tilde, jac, -xt[0][1], -xt[0][2])
+        theta_t, phi_t, y_t, jac, potential = _image_jets(y_jet, theta, phi, self.iso.matrix)
+        tilde = geometry.evaluate_fields(theta_t, phi_t, y_t)
+        return _pair_data_from_parts(base, tilde, jac, *potential)
 
 
 class IdentityCorrespondence:
@@ -196,8 +216,7 @@ def transform_surface(surface, iso, regraph_grid):
 
     def foot(t, lines):
         # rho, theta, phi of La^{-1} P(t); t has a column per line ``lines`` picks
-        x = ambient.embed(t, omega[:, None, lines])
-        return ambient.unembed(np.einsum("ab,b...->a...", lam_inv, x))
+        return ambient.unembed(_lorentz(lam_inv, ambient.embed(t, omega[:, None, lines])))
 
     def rising(t, lines):
         # up * F: negative below the crossing, nonnegative from it on

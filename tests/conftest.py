@@ -40,15 +40,15 @@ def kernel_calls(monkeypatch):
 
     def counted(kernel, seen):
         def call(*args):
-            seen.append(len(args[0]))
+            seen.append(np.shape(args[0])[-1])
             return kernel(*args)
 
         return call
 
     calls = {}
     for name in (
-        "surface_core", "connection", "potential_jets", "curvature_fields",
-        "newton_divergence",
+        "surface_core", "normal_fields", "connection", "potential_jets", "frame_hessian",
+        "curvature_fields", "newton_divergence",
     ):
         calls[name] = []
         monkeypatch.setattr(kernels, name, counted(getattr(kernels, name), calls[name]))

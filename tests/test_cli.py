@@ -431,8 +431,28 @@ def test_sampled_geometry_forms_no_jet_route_newton(capsys, kernel_calls):
     assert "newton_divergence.sampled" in capsys.readouterr().out
     nodes = 40 * 80
     assert kernel_calls == {
-        "surface_core": [nodes], "connection": [nodes], "potential_jets": [],
-        "curvature_fields": [nodes], "newton_divergence": [],
+        "surface_core": [nodes], "normal_fields": [nodes], "connection": [nodes],
+        "potential_jets": [], "frame_hessian": [nodes], "curvature_fields": [nodes],
+        "newton_divergence": [],
+    }
+
+
+@pytest.mark.parametrize("command, connections, hessians", [
+    ("rigidity", [], []),
+    ("verify-identities", [64 * 128], [64 * 128] * 2),
+])
+def test_pair_suites_form_only_the_groups_they_read(command, connections, hessians, capsys,
+                                                    kernel_calls):
+    # rigidity reads the two surface cores and the pushed shape operator;
+    # the identities add the two potential Hessians on the base connection;
+    # neither reads the normal group, the curvature or the Newton residual
+    assert run([command, "--config", str(REPO / "configs" / "rigidity.cfg")]) == 0
+    capsys.readouterr()
+    nodes = 64 * 128
+    assert kernel_calls == {
+        "surface_core": [nodes, nodes], "normal_fields": [], "connection": connections,
+        "potential_jets": hessians[:1], "frame_hessian": hessians, "curvature_fields": [],
+        "newton_divergence": [],
     }
 
 

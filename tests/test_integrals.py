@@ -192,6 +192,31 @@ def test_rigidity_gate_failures(rule_64):
         integrals.rigidity_experiment(data, rule_64)
 
 
+@pytest.mark.parametrize("family, integral_slope", [
+    (lambda eps: AnalyticSurface(0.6, [(0.05, 2, 0), (eps, 3, 1)]), 2.0),
+    (lambda eps: AnalyticSurface(0.6 + eps, [(0.05, 2, 0)]), 1.0),
+], ids=["Y31_mode", "rho0_shift"])
+def test_defect_ladder_of_non_isometric_pairs(family, integral_slope, rule_64):
+    # S' = S + eps Y_3^1 or S at rho0 + eps over the chart identity: the
+    # shape-operator mismatch grows like eps in both families, the rigidity
+    # integral like eps^2 under the mode and like eps under the shift; the
+    # tilde symmetry and identities a and b never read the isometry
+    surface = AnalyticSurface(0.6, [(0.05, 2, 0)])
+    eps = np.array([1e-6, 1e-4, 1e-2])
+    mismatch, integral = [], []
+    for e in eps:
+        data = pair_data(transport.IdentityCorrespondence(surface, family(e)), rule_64)
+        reports, tilde = integrals.verify_identities(data, rule_64, metric_tol=math.inf)
+        assert max(tilde, reports[0].residual_rel, reports[1].residual_rel) < 1e-15
+        report = integrals.rigidity_experiment(data, rule_64)
+        assert report.verdict == "NotIsometric"
+        mismatch.append(report.max_w_mismatch)
+        integral.append(report.integral_rel)
+    slope = lambda values: np.polyfit(np.log10(eps), np.log10(values), 1)[0]
+    assert abs(slope(mismatch) - 1.0) <= 0.1
+    assert abs(slope(integral) - integral_slope) <= 0.1
+
+
 def test_identities_reject_invalid_correspondence(rule_64):
     pair = transport.IdentityCorrespondence(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])

@@ -83,6 +83,9 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
     trig = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
     t_ref = reference_forms._second_form_parts(*trig, node_major(dy), node_major(d2y))[1]
     assert np.array_equal(np.array(t), component_first(t_ref))
+    normal = kernels.normal_fields(theta, y, dy, core["margin"], core["g_inv"], core["h"])
+    core.update(zip(("nu", "nu_norm_residual", "nu_tangency_residual", "w_chart"), normal,
+                    strict=True))
     dg, gamma = kernels.connection(theta, y, dy, d2y, core["g_inv"])
     hess = kernels.frame_hessian(core["frame"], gamma, *kernels.potential_jets(y, dy, d2y))
     preint = kernels.pre_integral_residual(hess, np.sinh(y), core["support"], core["w_frame"])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -171,10 +172,11 @@ def test_identity_pair_forms_the_surface_own_formulas_bit_for_bit(perturbed_surf
 def test_pair_node_data_forms_no_curvature_fields(
     perturbed_surface, scattered_nodes, kernel_calls
 ):
-    # a pair enters the argument through second-order data only, and of the
-    # fields past the surface core node_data reads the base connection only;
-    # the identity pair forms its image potential's chart jets, the isometric
-    # pair takes them from the transported point
+    # a pair enters the argument through second-order data only: node_data
+    # forms the two surface cores and nothing past them, and the pulled-back
+    # Hessian forms the base connection on its first read; the identity pair
+    # forms its image potential's chart jets, the isometric pair takes them
+    # from the transported point
     theta, phi = scattered_nodes
     nodes = len(theta)
     boost = ambient.boost(0.25, [1.0, 0, 0])
@@ -186,15 +188,34 @@ def test_pair_node_data_forms_no_curvature_fields(
         for seen in kernel_calls.values():
             seen.clear()
         data = pair.node_data(theta, phi)
-        assert data.base.gamma is data.base.gamma
         assert kernel_calls == {
-            "surface_core": [nodes, nodes], "connection": [nodes], "potential_jets": potentials,
-            "curvature_fields": [], "newton_divergence": [],
+            "surface_core": [nodes, nodes], "normal_fields": [], "connection": [],
+            "potential_jets": potentials, "frame_hessian": [], "curvature_fields": [],
+            "newton_divergence": [],
         }
+        assert data.hess_phi_tilde_frame is data.hess_phi_tilde_frame
+        assert data.base.gamma is data.base.gamma
+        assert kernel_calls["connection"] == kernel_calls["frame_hessian"] == [nodes]
         for fields in (data.base, data.tilde):
             assert fields.k_norm is fields.gauss_residual is fields.newton_residual is None
             assert fields.pre_integral_residual.max() < 1e-8
         assert kernel_calls["curvature_fields"] == kernel_calls["newton_divergence"] == []
+
+
+def test_pair_node_data_frees_the_transport_before_the_image_is_evaluated(
+    perturbed_surface, rule_32
+):
+    # the embedded points and the lifted jets die with the transport helper,
+    # so the image surface's kernel does not run on top of them
+    pair = transport.IsometryCorrespondence(perturbed_surface, ambient.boost(0.25, [1.0, 0, 0]))
+    pair.node_data(rule_32.theta, rule_32.phi)
+    tracemalloc.start()
+    try:
+        pair.node_data(rule_32.theta, rule_32.phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_200_000
 
 
 def test_pair_data_follows_each_rule(perturbed_surface):
@@ -312,7 +333,7 @@ def test_transform_surface_matches_dense_scan_oracle(iso):
          ambient.rotation(0.7, [1.0, 2.0, 0.5]), (16, 32), "5d43d271b4607be6a7e6ca7f3c06a7e0"),
         (AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)]),
          compose(ambient.reflect_equator(), ambient.boost(-0.3, [0.6, 0.0, 0.8])), (16, 32),
-         "8290448c008670ed0e3770b72db642e0"),
+         "7bfa66d6d52a14e3b07be3c993984a84"),
         (AnalyticSurface(-0.3, [(0.04, 3, 2)]), ambient.boost(0.8, [0.0, 0.6, 0.8]), (24, 48),
          "5acd39d9c83e85d2392fdc9ed9fd0325"),
     ],
