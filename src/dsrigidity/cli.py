@@ -7,8 +7,14 @@ geometry --config PATH        pointwise lemma checks on one surface
 verify-identities --config P  the four integral identities + symmetry
 rigidity --config PATH        rigidity experiment on a pair
 
+The three suites share one runner, ``run_suite``: it loads the config,
+adds the suite's records to a report named after the command, writes the
+report and its summary, and maps the result to an exit code.
+
 Exit codes: 0 all checks pass; 1 at least one check failed;
-2 invalid input or a hypothesis violation (gate, spacelike bound).
+2 invalid input (ConfigError and the other package errors) or a
+HypothesisViolation (curvature or height gate, spacelike bound, chart pole,
+non-graph image, non-isometric correspondence).
 
 Configuration is flat INI text; see configs/ for canonical examples.
 """
@@ -24,15 +30,7 @@ import numpy as np
 
 from . import __version__, ambient, geometry, integrals, kernels, symfun, transport
 from .backend import active_backend
-from .errors import (
-    ChartPole,
-    ConfigError,
-    CorrespondenceInvalid,
-    DsRigidityError,
-    GateFailed,
-    NonSpacelike,
-    NotAGraph,
-)
+from .errors import ConfigError, DsRigidityError, HypothesisViolation
 from .quadrature import gauss_sphere_rule
 from .reports import RunReport, config_digest
 from .surfaces import AnalyticSurface, HarmonicMode, SampledGridSurface, check_grid
@@ -340,11 +338,12 @@ def cmd_check_cone(args) -> int:
     return EXIT_PASS
 
 
-def _geometry_report(config) -> tuple:
-    """Run the single-surface checks; returns (report, hypothesis_ok)."""
+def _geometry_records(config, report) -> bool:
+    """Add the single-surface checks; returns whether the curvature gate holds."""
+    if config.surface2 is not None or config.iso is not None:
+        raise ConfigError("geometry is a single-surface suite; drop the pair sections")
     surface = config.surface
     tol = config.tolerances
-    report = RunReport("geometry", config.environment())
     sampled = isinstance(surface, SampledGridSurface)
 
     if sampled:
@@ -461,27 +460,14 @@ def _geometry_report(config) -> tuple:
             f"cosh(rho)sinh(rho)={math.cosh(ytop) * math.sinh(ytop):.12g}"
         ),
     )
-    return report, gate_ok
+    return gate_ok
 
 
-def cmd_geometry(args) -> int:
-    config = _load_config(args)
-    if config.surface2 is not None or config.iso is not None:
-        raise ConfigError("geometry is a single-surface suite; drop the pair sections")
-    report, gate_ok = _geometry_report(config)
-    _emit(report, args.report)
-    if not gate_ok:
-        return EXIT_INVALID
-    return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
-
-
-def cmd_verify_identities(args) -> int:
-    config = _load_config(args)
+def _identity_records(config, report) -> bool:
+    """Add the four integral identities and the tilde symmetry (hypotheses raise)."""
     tol = config.tolerances
-    data = config.pair_data()
-    report = RunReport("verify-identities", config.environment())
     idents, sym = integrals.verify_identities(
-        data,
+        config.pair_data(),
         config.rule,
         metric_tol=tol["metric_pullback"],
     )
@@ -505,14 +491,12 @@ def cmd_verify_identities(args) -> int:
         sym,
         tol["tilde_symmetry"],
     )
-    _emit(report, args.report)
-    return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
+    return True
 
 
-def cmd_rigidity(args) -> int:
-    config = _load_config(args)
+def _rigidity_records(config, report) -> bool:
+    """Add the rigidity verdict, failing unless Rigid, and its inputs (hypotheses raise)."""
     tol = config.tolerances
-    report = RunReport("rigidity", config.environment())
     result = integrals.rigidity_experiment(
         config.pair_data(),
         config.rule,
@@ -565,10 +549,32 @@ def cmd_rigidity(args) -> int:
         passed=result.cone_gap_pass,
         note=f"gap range [{result.gap_min:.3e}, {result.gap_max:.3e}]",
     )
-    _emit(report, args.report)
-    if result.verdict == "Rigid" and report.overall_pass:
-        return EXIT_PASS
-    return EXIT_CHECK_FAILED
+    return True
+
+
+SUITES = {
+    "geometry": _geometry_records,
+    "verify-identities": _identity_records,
+    "rigidity": _rigidity_records,
+}
+
+
+def run_suite(args) -> int:
+    """Run suite ``args.command`` on its config, write the report (to ``--report``
+    or stdout) and its summary; exit 2 when a recorded hypothesis fails (the
+    curvature gate), 1 when a check fails, else 0."""
+    config = _load_config(args)
+    report = RunReport(args.command, config.environment())
+    hypotheses_hold = SUITES[args.command](config, report)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(report.render())
+    else:
+        sys.stdout.write(report.render())
+    print(report.summary())
+    if not hypotheses_hold:
+        return EXIT_INVALID
+    return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -592,15 +598,6 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig(text, quad_override=quad, tol_overrides=tols, seed=args.seed)
 
 
-def _emit(report: RunReport, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(report.render())
-    else:
-        sys.stdout.write(report.render())
-    print(report.summary())
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -614,18 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
     cone.add_argument("matrix", nargs="+", help="'diag 1 -2', 'identity 2', or '1 0; 0 1'")
     cone.set_defaults(func=cmd_check_cone)
 
-    for name, func in (
-        ("geometry", cmd_geometry),
-        ("verify-identities", cmd_verify_identities),
-        ("rigidity", cmd_rigidity),
-    ):
+    for name in SUITES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False)
         p.add_argument("--quad", help="override quadrature degrees, e.g. 64x128")
         p.add_argument("--tol", action="append", help="override NAME=VALUE")
         p.add_argument("--report", help="write the machine-readable report here")
         p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=run_suite)
     return parser
 
 
@@ -634,7 +627,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GateFailed, NonSpacelike, NotAGraph, ChartPole, CorrespondenceInvalid) as exc:
+    except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DsRigidityError as exc:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error derives from DsRigidityError.  The violated hypotheses of the
+argument (a chart pole, a non-spacelike or non-graph surface, a failed
+curvature or height gate, a pair that is not a local isometry) derive from
+HypothesisViolation, which the command line reports as such (exit 2).
+"""
 
 
 class DsRigidityError(Exception):
@@ -21,23 +27,27 @@ class NotInCone(DsRigidityError):
     """An operator required to lie in the positive cone does not."""
 
 
-class ChartPole(DsRigidityError):
+class HypothesisViolation(DsRigidityError):
+    """A surface or pair violates a hypothesis of the rigidity argument."""
+
+
+class ChartPole(HypothesisViolation):
     """Chart evaluation requested too close to a coordinate pole."""
 
 
-class NonSpacelike(DsRigidityError):
+class NonSpacelike(HypothesisViolation):
     """Height-field gradient violates the spacelike bound."""
 
 
-class NotAGraph(DsRigidityError):
+class NotAGraph(HypothesisViolation):
     """A transformed surface meets some radial line other than once."""
 
 
-class GateFailed(DsRigidityError):
+class GateFailed(HypothesisViolation):
     """A curvature or positivity hypothesis fails on the test grid."""
 
 
-class CorrespondenceInvalid(DsRigidityError):
+class CorrespondenceInvalid(HypothesisViolation):
     """Point correspondence of a pair is not a local isometry."""
 
 

@@ -82,52 +82,38 @@ def pair_integrand_tables(data):
     Identity labels follow the four cotangent/potential combinations:
       a: D(W),  phi~' Hess(Phi)     b: D(W~), phi~' Hess(Phi)
       c: D(W),  phi'  Hess(Phi~)    d: D(W~), phi'  Hess(Phi~)
-    The right sides use the proof sign (+2 <V,nu> terms); the statement
-    sign (-2) is also tabulated for the report.
+    Each is one formula: for the cotangent D(X) of X and the potential
+    whose shape operator is W_Phi, with fac its factor and other the other
+    phi', the left side is fac D(X):Hess and the right side is
+    fac other sigma1(X) + 2 fac sigma(X, W_Phi) <V,nu> (the proof sign);
+    the statement sign (-2) is also tabulated for the report.
     """
-    base = data.base
-    w = base.w_frame
-    wt = data.w_tilde_frame
-    dw = symfun.d_sigma2(w)
-    dwt = symfun.d_sigma2(wt)
-    hess = base.hess_phi_frame
-    hess_t = data.hess_phi_tilde_frame
-    pp = base.phi_prime
-    ppt = data.tilde.phi_prime
-    sup = base.support
-    sup_t = data.tilde.support
-
-    s1w = base.sigma1
-    s1wt = symfun.sigma1(wt)
-    s2w = base.sigma2
-    s2wt = symfun.sigma2(wt)
+    base, tilde = data.base, data.tilde
+    w, wt = base.w_frame, data.w_tilde_frame
+    pp, ppt = base.phi_prime, tilde.phi_prime
     s11 = symfun.sigma11(w, wt)
-
-    lhs = {
-        "a": ppt * symfun.contract(dw, hess),
-        "b": ppt * symfun.contract(dwt, hess),
-        "c": pp * symfun.contract(dw, hess_t),
-        "d": pp * symfun.contract(dwt, hess_t),
-    }
-    first = {
-        "a": ppt * pp * s1w,
-        "b": ppt * pp * s1wt,
-        "c": pp * ppt * s1w,
-        "d": pp * ppt * s1wt,
-    }
-    second = {
-        "a": 2.0 * ppt * s2w * sup,
-        "b": 2.0 * ppt * s11 * sup,
-        "c": 2.0 * pp * s11 * sup_t,
-        "d": 2.0 * pp * s2wt * sup_t,
-    }
-    rhs = {label: first[label] + second[label] for label in "abcd"}
-    rhs_statement = {label: first[label] - second[label] for label in "abcd"}
-    # natural scale of each identity: the size of its largest term, even
-    # when the terms cancel (constant slices)
-    term_scale = {
-        label: np.abs(first[label]) + np.abs(second[label]) for label in "abcd"
-    }
+    # X = W, W~: the cotangent D(X), sigma1(X), then sigma(X, W) and sigma(X, W~)
+    cotangents = (
+        (symfun.d_sigma2(w), base.sigma1, (base.sigma2, s11)),
+        (symfun.d_sigma2(wt), symfun.sigma1(wt), (s11, symfun.sigma2(wt))),
+    )
+    # Phi, Phi~: the Hessian, fac, the other phi' and the support <V,nu>
+    potentials = (
+        (base.hess_phi_frame, ppt, pp, base.support),
+        (data.hess_phi_tilde_frame, pp, ppt, tilde.support),
+    )
+    lhs, rhs, rhs_statement, term_scale = {}, {}, {}, {}
+    for label, (p, x) in zip("abcd", ((0, 0), (0, 1), (1, 0), (1, 1))):
+        hess, fac, other, sup = potentials[p]
+        d_x, s1, sigma = cotangents[x]
+        first = fac * other * s1
+        second = 2.0 * fac * sigma[p] * sup
+        lhs[label] = fac * symfun.contract(d_x, hess)
+        rhs[label] = first + second
+        rhs_statement[label] = first - second
+        # natural scale of the identity: the size of its largest term, even
+        # when the terms cancel (constant slices)
+        term_scale[label] = np.abs(first) + np.abs(second)
     return lhs, rhs, rhs_statement, term_scale
 
 

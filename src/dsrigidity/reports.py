@@ -63,7 +63,6 @@ class RunReport:
                 passed=bool(passed), note=note,
             )
         )
-        return self.records[-1]
 
     @property
     def overall_pass(self) -> bool:

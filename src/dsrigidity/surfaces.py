@@ -129,12 +129,6 @@ class AnalyticSurface:
             m if isinstance(m, HarmonicMode) else HarmonicMode(*m) for m in modes
         )
 
-    def __repr__(self):
-        terms = ", ".join(
-            f"{m.amplitude:+g}*Y({m.degree},{m.order})" for m in self.modes
-        )
-        return f"AnalyticSurface(rho0={self.rho0:g}{', ' + terms if terms else ''})"
-
     def height_bound(self):
         """A bound B >= |y| on the whole sphere: |Re Y_l^m| <= sqrt((2l + 1) / (4 pi)),
         so B = |rho0| + sum_k |eps_k| sqrt((2 l_k + 1) / (4 pi))."""

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import os
 import platform
 import re
@@ -9,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dsrigidity import cli
+from dsrigidity import cli, errors
 from dsrigidity.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -353,6 +358,125 @@ def test_config_validation(tmp_path, capsys):
             tracemalloc.stop()
         assert message in capsys.readouterr().err, text
         assert peak < 10_000_000, text
+
+
+def test_exits_of_the_runner_and_of_its_hypothesis_base(tmp_path, capsys):
+    # the runner's dispatch: a missing --config, a --tol without '=', a config
+    # without a section header or without [surface] exit 2 before any record
+    geometry = str(REPO / "configs" / "geometry.cfg")
+    for argv, message in (
+        (["geometry"], "error: this command needs --config PATH\n"),
+        (["geometry", "--config", geometry, "--tol", "gauss"],
+         "error: --tol expects NAME=VALUE, got 'gauss'\n"),
+        (["geometry", "--config", _write(tmp_path / "bare.cfg", "rho0 = 0.5\n")],
+         "error: cannot parse config: "),
+        (["rigidity", "--config", _write(tmp_path / "nosurface.cfg", "[suite]\nseed = 1\n")],
+         "error: config needs a [surface] section\n"),
+        (["check-cone", ""], "error: empty matrix input\n"),
+    ):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message), argv
+
+    # an equator reflection of the two-mode slice: the identities hold on the
+    # pair, but the image leaves the positive-height region the rigidity
+    # experiment needs, which is a hypothesis violation
+    text = (REPO / "tests" / "golden" / "perturbed.cfg").read_text()
+    cfg = _write(tmp_path / "reflected.cfg", text + "\n[isometry]\nkind = equator_reflection\n")
+    assert run(["verify-identities", "--config", cfg]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert run(["rigidity", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hypothesis violation: image surface leaves the positive-height region")
+    for name in ("ChartPole", "NonSpacelike", "NotAGraph", "GateFailed", "CorrespondenceInvalid"):
+        assert issubclass(getattr(errors, name), errors.HypothesisViolation), name
+    assert not issubclass(ConfigError, errors.HypothesisViolation)
+
+
+_BAD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "abc", "1e400", ""])
+
+
+def _mostly(draw, good, bad):
+    """A draw from ``good``, or about one time in sixteen from ``bad``."""
+    return draw(bad if draw(st.integers(0, 15)) == 9 else good)
+
+
+@st.composite
+def _surface_section(draw, name, pair):
+    kinds = ["slice", "perturbed_slice"] + ([] if pair else ["sampled"])
+    kind = _mostly(draw, st.sampled_from(kinds), st.sampled_from(["bowl", "sampled"]))
+    rho0 = _mostly(draw, st.floats(0.2, 1.5).map(repr), st.one_of(
+        st.floats(-1e3, 1e3).map(repr), _BAD_NUMBERS))
+    lines = [f"[{name}]", f"kind = {kind}", f"rho0 = {rho0}"]
+    if kind != "slice":
+        modes = []
+        for _ in range(draw(st.integers(0, 3))):
+            degree = _mostly(draw, st.integers(0, 8), st.integers(0, 200))
+            order = _mostly(draw, st.integers(0, degree), st.integers(-3, degree + 3))
+            modes.append(f"{draw(st.floats(-0.1, 0.1))!r}:{degree}:{order}")
+        lines.append("modes = " + " ".join(modes))
+    if kind == "sampled":
+        n_phi = _mostly(draw, st.integers(1, 16).map(lambda k: 2 * k), st.integers(-1, 33))
+        lines.append(f"resolution = {draw(st.integers(3, 16))}x{n_phi}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _configs(draw):
+    # a single surface for geometry or a pair for the pair suites, each
+    # sometimes with a section of the other
+    pair = draw(st.booleans())
+    text = draw(_surface_section("surface", pair))
+    second = pair and draw(st.booleans())
+    if _mostly(draw, st.just(second), st.just(not second)):
+        text += "\n" + draw(_surface_section("surface2", pair))
+    kinds = ["boost", "rotation", "equator_reflection"] if pair and not second else [None]
+    kind = _mostly(draw, st.sampled_from(kinds),
+                   st.sampled_from(["identity", "boost", "screw"]))
+    if kind is not None:
+        text += f"\n[isometry]\nkind = {kind}\n"
+        value = _mostly(draw, st.floats(-1.0, 1.0).map(repr),
+                        st.one_of(st.floats(-1.5, 1.5).map(repr), _BAD_NUMBERS))
+        text += f"rapidity = {value}\n" if kind == "boost" else f"angle = {value}\n"
+        if draw(st.booleans()):
+            axis = _mostly(draw, st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3),
+                           st.lists(st.floats(-2.0, 2.0), max_size=4))
+            text += "axis = " + " ".join(map(repr, axis)) + "\n"
+    tolerances = {}
+    for _ in range(draw(st.integers(0, 3))):
+        name = _mostly(draw, st.sampled_from(list(cli.DEFAULT_TOLERANCES)), st.just("nope"))
+        tolerances[name] = _mostly(
+            draw, st.one_of(st.floats(0.0, 1e-9), st.floats(1e-9, 1.0)).map(repr),
+            st.sampled_from(["-1", "nan", "tiny", "0"]))
+    if tolerances:
+        text += "\n[tolerances]\n" + "".join(f"{k} = {v}\n" for k, v in tolerances.items())
+    quad = f"{draw(st.integers(16, 24))}x{draw(st.integers(16, 48))}"
+    return text, quad
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_configs())
+def test_every_drawn_config_runs_to_a_verdict_or_names_the_bad_input(case, tmp_path_factory):
+    # exit 0, 1 or 2, never a traceback (a RuntimeWarning is an error too);
+    # an exit 2 names the bad input or the violated hypothesis, or is the
+    # geometry suite's failed curvature gate; a failing report's residuals
+    # are finite
+    text, quad = case
+    cfg = tmp_path_factory.getbasetemp() / "drawn.cfg"
+    cfg.write_text(text)
+    for command in cli.SUITES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--config", str(cfg), "--quad", quad])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (command, text)
+        if code == 2 and not (command == "geometry" and "[FAIL] curvature_gate" in out):
+            assert out == "" and re.match(r"(error|hypothesis violation): \S", err), (command, text)
+        if code == 1:
+            residuals = re.findall(r"^record .* residual=(\S+) tol=", out, re.M)
+            assert residuals and all(math.isfinite(float(r)) for r in residuals
+                                     if r != "-"), (command, text)
 
 
 def test_quad_is_checked_under_python_optimizations():
