@@ -463,7 +463,7 @@ def _geometry_records(config, report) -> bool:
     return gate_ok
 
 
-def _identity_records(config, report) -> bool:
+def _identity_records(config, report) -> None:
     """Add the four integral identities and the tilde symmetry (hypotheses raise)."""
     tol = config.tolerances
     idents, sym = integrals.verify_identities(
@@ -491,10 +491,9 @@ def _identity_records(config, report) -> bool:
         sym,
         tol["tilde_symmetry"],
     )
-    return True
 
 
-def _rigidity_records(config, report) -> bool:
+def _rigidity_records(config, report) -> None:
     """Add the rigidity verdict, failing unless Rigid, and its inputs (hypotheses raise)."""
     tol = config.tolerances
     result = integrals.rigidity_experiment(
@@ -549,7 +548,6 @@ def _rigidity_records(config, report) -> bool:
         passed=result.cone_gap_pass,
         note=f"gap range [{result.gap_min:.3e}, {result.gap_max:.3e}]",
     )
-    return True
 
 
 SUITES = {
@@ -562,7 +560,8 @@ SUITES = {
 def run_suite(args) -> int:
     """Run suite ``args.command`` on its config, write the report (to ``--report``
     or stdout) and its summary; exit 2 when a recorded hypothesis fails (the
-    curvature gate), 1 when a check fails, else 0."""
+    geometry suite returns False for its curvature gate; the pair suites return
+    None and raise instead), 1 when a check fails, else 0."""
     config = _load_config(args)
     report = RunReport(args.command, config.environment())
     hypotheses_hold = SUITES[args.command](config, report)
@@ -572,7 +571,7 @@ def run_suite(args) -> int:
     else:
         sys.stdout.write(report.render())
     print(report.summary())
-    if not hypotheses_hold:
+    if hypotheses_hold is False:
         return EXIT_INVALID
     return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
 

@@ -13,7 +13,6 @@ Checks:
   perturbed   ``geometry`` on ``tests/golden/perturbed.cfg``, the two-mode slice
               whose height has a gradient; any failed record kills
   acceptance  ``tests/test_acceptance.py``
-  tier1       the whole test suite
 
 The check first runs once on the unmutated (unparsed) kernels and must pass.
 The script is a tool for judging the tests, not part of them.
@@ -28,17 +27,15 @@ import signal
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 KERNELS = REPO / "src" / "dsrigidity" / "kernels.py"
-PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 CHECKS = {
     "perturbed": [sys.executable, "-m", "dsrigidity.cli", "geometry",
                   "--config", "tests/golden/perturbed.cfg"],
-    "acceptance": PYTEST + ["tests/test_acceptance.py"],
-    "tier1": PYTEST,
+    "acceptance": [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                   "tests/test_acceptance.py"],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
@@ -106,7 +103,6 @@ def main(argv=None):
     parser.add_argument("--check", choices=sorted(CHECKS), default="perturbed")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="seconds before a mutant's run is stopped and counted as killed")
-    parser.add_argument("--jobs", type=int, default=1, choices=(1, 2, 3, 4))
     parser.add_argument("--only-survivors-of", metavar="JSON",
                         help="run only the mutants that passed in an earlier --out file")
     parser.add_argument("--out", metavar="JSON", help="write one entry per mutant here")
@@ -121,15 +117,13 @@ def main(argv=None):
     if run_check(args.check, mutated_source(source, None), args.timeout) != "passed":
         sys.exit(f"the unmutated kernels fail the {args.check} check")
 
-    def one(index):
+    results = []
+    for index in indices:
         status = run_check(args.check, mutated_source(source, index), args.timeout)
         line, col, what = sites[index]
-        sys.stdout.write(f"{index:4d} {KERNELS.name}:{line}:{col} {what}: {status}\n")
-        sys.stdout.flush()
-        return {"index": index, "line": line, "col": col, "mutation": what, "status": status}
-
-    with ThreadPoolExecutor(args.jobs) as pool:
-        results = list(pool.map(one, indices))
+        print(f"{index:4d} {KERNELS.name}:{line}:{col} {what}: {status}", flush=True)
+        results.append({"index": index, "line": line, "col": col, "mutation": what,
+                        "status": status})
     survivors = [r for r in results if r["status"] == "passed"]
     print(f"{args.check}: {len(results) - len(survivors)} of {len(results)} mutants killed, "
           f"{len(survivors)} survive")
