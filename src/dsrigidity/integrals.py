@@ -124,6 +124,8 @@ def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
     a..d, and the relative residual of swapping the tilde and untilde
     potentials in the Hessian integral (the left sides of a and c).  That
     equality is the global statement that drives the rigidity argument.
+    Each residual is relative to the integral of the identity's term scale
+    |first| + |second|, which bounds |rhs| at every node (at least 1e-14).
     """
     _require_gates(data)
     _require_correspondence(data, metric_tol)
@@ -136,8 +138,8 @@ def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
         lv = lhs_tab[label]
         rv = rhs_tab[label]
         lhs = integral(lv)
-        scales[label] = (integral(np.abs(lv)), integral(term_scale[label]))
-        scale = max(*scales[label], 1e-14)
+        scales[label] = integral(term_scale[label])
+        scale = max(scales[label], 1e-14)
         rel_stmt = abs(lhs - integral(rhs_stmt[label])) / scale
         reports.append(
             IdentityReport(
@@ -152,7 +154,7 @@ def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
             )
         )
     i_a, i_c = reports[0].lhs, reports[2].lhs
-    tilde = abs(i_c - i_a) / max(*scales["a"], *scales["c"], 1e-14)
+    tilde = abs(i_c - i_a) / max(scales["a"], scales["c"], 1e-14)
     return reports, tilde
 
 

@@ -23,10 +23,6 @@ class QuadratureRule:
     phi: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_nodes(self):
-        return self.theta.shape[0]
-
 
 @functools.lru_cache(maxsize=8)
 def gauss_sphere_rule(n_theta: int, n_phi: int) -> QuadratureRule:
@@ -57,11 +53,6 @@ def reduce_sum(values) -> float:
     """Deterministic compensated reduction over a fixed node order."""
     # fsum of a list of floats: iterating the array would box each element
     return math.fsum(np.asarray(values, dtype=float).tolist())
-
-
-def integrate_sphere(rule: QuadratureRule, values) -> float:
-    """Integral over the round unit sphere of per-node values."""
-    return reduce_sum(rule.weights * np.sin(rule.theta) * np.asarray(values))
 
 
 def integrate_surface(rule: QuadratureRule, sqrt_det_g, values) -> float:

@@ -14,8 +14,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "dsrigidity"
 
 UNCALLED_ON_PURPOSE = {
-    # acceptance criterion 11: integrals over the round sphere
-    "integrate_sphere": "quadrature rule checked against the sphere measure",
     # acceptance criterion 5: sigma_k hyperbolicity along the identity direction
     "sigma_line_coefficients": "sigma_k(W + t I) coefficients of Garding's theory",
     # the regraph entry point that library callers and the benchmark use
@@ -26,8 +24,6 @@ UNCALLED_ON_PURPOSE = {
 UNREAD_ON_PURPOSE = {
     # acceptance criterion 1: the normal of an umbilic slice in closed form
     "SurfaceFields.nu": "the unit normal, checked against the slice's closed form",
-    # acceptance criterion 11: the rule's size against its degrees
-    "QuadratureRule.n_nodes": "node count of the product rule",
 }
 
 

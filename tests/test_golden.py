@@ -3,8 +3,10 @@
 The ``meta`` lines (versions, digest, backend) are left out; every other
 line of the report must match ``tests/golden/``.  ``tests/golden/digests.json``
 pins, at three quadrature sizes, a sha256 of each command's output: stdout
-without its ``meta`` lines, stderr and the exit code.  After a change that
-is meant to move a residual, regenerate both with
+without its ``meta`` lines, stderr and the exit code; and, keyed
+``regraph <case>``, a blake2b of the heights of each regraph case.  After a
+change that is meant to move a residual or a height, regenerate all of them
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from dsrigidity import cli
+from dsrigidity import ambient, cli, transport
+from dsrigidity.surfaces import AnalyticSurface
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -58,6 +61,19 @@ RUNS = [
     ["check-cone", "2 0.5 0; 0.5 1 0.25; 0 0.25 3", "identity 3"],
     ["check-cone", "3 1; 0 2", "diag 2 4"],
 ]
+
+# the regraphs whose heights are pinned, by case id: source, isometry, grid
+REGRAPHS = {
+    "boost": (AnalyticSurface(0.6, [(0.05, 2, 0)]), ambient.boost(0.3, [1.0, 0, 0]), (32, 64)),
+    "rotation": (AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)]),
+                 ambient.rotation(0.7, [1.0, 2.0, 0.5]), (16, 32)),
+    "reflected_boost": (AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)]),
+                        ambient.AmbientIsometry(ambient.reflect_equator().matrix
+                                                @ ambient.boost(-0.3, [0.6, 0.0, 0.8]).matrix),
+                        (16, 32)),
+    "oblique_boost": (AnalyticSurface(-0.3, [(0.04, 3, 2)]),
+                      ambient.boost(0.8, [0.0, 0.6, 0.8]), (24, 48)),
+}
 DIGESTS = GOLDEN / "digests.json"
 
 
@@ -84,10 +100,24 @@ def run_digest(argv):
     return hashlib.sha256(f"{stdout}\0{err.getvalue()}\0{code}".encode()).hexdigest()
 
 
+def regraph_digest(case):
+    """blake2b of the heights that ``transform_surface`` gives regraph ``case``."""
+    surface, iso, grid = REGRAPHS[case]
+    sampled, _ = transport.transform_surface(surface, iso, regraph_grid=grid)
+    return hashlib.blake2b(sampled.values.tobytes(), digest_size=16).hexdigest()
+
+
 @pytest.mark.parametrize("argv", RUNS, ids=shlex.join)
 def test_output_matches_digest(argv):
     digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert run_digest(argv) == digests[shlex.join(argv)]
+
+
+@pytest.mark.parametrize("case", REGRAPHS)
+def test_regraph_heights_are_pinned_bit_for_bit(case):
+    # the root finder's heights; the closing spacelike check must not move them
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert regraph_digest(case) == digests[f"regraph {case}"]
 
 
 @pytest.mark.parametrize(
@@ -111,5 +141,6 @@ if __name__ == "__main__":
             golden_path(command, config).write_text(text, encoding="utf-8")
             print(f"wrote {golden_path(command, config).relative_to(REPO)}", file=sys.stderr)
     digests = {shlex.join(argv): run_digest(argv) for argv in RUNS}
+    digests.update({f"regraph {case}": regraph_digest(case) for case in REGRAPHS})
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS.relative_to(REPO)}", file=sys.stderr)
