@@ -43,12 +43,16 @@ def unembed(x):
 # -- chart metric and Christoffel symbols --------------------------------
 
 
-def check_off_poles(theta):
-    """ChartPole naming the first node with sin(theta) < POLE_MARGIN and its theta."""
-    near = np.flatnonzero(np.sin(theta) < POLE_MARGIN)
-    if near.size:
-        k = near[0]
-        raise ChartPole(f"node {k}: theta = {np.ravel(theta)[k]:.3g} too close to a chart pole")
+def check_off_poles(theta, shape=None):
+    """ChartPole naming the first node with sin(theta) < POLE_MARGIN and its theta;
+    the nodes are ``theta`` broadcast to ``shape`` (a grid's column of row values
+    is tested once per row)."""
+    near = np.sin(theta) < POLE_MARGIN
+    if near.any():
+        shape = np.shape(theta) if shape is None else shape
+        k = np.flatnonzero(np.broadcast_to(near, shape))[0]
+        theta_k = np.broadcast_to(theta, shape).ravel()[k]
+        raise ChartPole(f"node {k}: theta = {theta_k:.3g} too close to a chart pole")
 
 
 def metric_components(rho, theta):

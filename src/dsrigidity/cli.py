@@ -308,7 +308,8 @@ class ExperimentConfig:
             pair = transport.IsometryCorrespondence(self.surface, self.iso)
         else:
             raise ConfigError("pair suites need an [isometry] or [surface2] section")
-        return pair.node_data(self.rule.theta, self.rule.phi)
+        rule = self.rule
+        return pair.node_data(rule.theta, rule.phi, rule)
 
     def environment(self):
         nt, nphi = self.quad_degrees
@@ -360,7 +361,8 @@ def _geometry_records(config, report) -> bool:
             tol["pre_integral_sampled"],
         )
     else:
-        fields = geometry.evaluate_surface(surface, config.rule.theta, config.rule.phi)
+        rule = config.rule
+        fields = geometry.evaluate_surface(surface, rule.theta, rule.phi, rule)
         report.add(
             "pre_integral",
             "Hess(Phi) = phi' g + <V,nu> h",
@@ -411,8 +413,8 @@ def _geometry_records(config, report) -> bool:
     )
     if not sampled:
         # the parity check reads W only, so second-order jets suffice
-        m = surface.reflected().height_jet(fields.theta, fields.phi)
-        mirrored = geometry.evaluate_fields(fields.theta, fields.phi, m)
+        m = surface.reflected().height_jet(*rule.mesh)
+        mirrored = geometry.evaluate_fields(rule.theta, rule.phi, m, rule)
         report.add(
             "reflection_parity",
             "W(-y) = -W(y) at corresponding nodes",

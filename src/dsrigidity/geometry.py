@@ -38,7 +38,8 @@ class SurfaceFields:
     ``frame_hessian`` hess_phi_frame (of ``potential_jets``) and
     ``pre_integral_residual``, ``curvature_fields`` k_norm and gauss_residual,
     ``newton_divergence`` newton_residual; the last three are None without
-    third-order jets.
+    third-order jets.  ``trig`` is ``kernels.node_trig`` at the nodes, which
+    every kernel reads.
     """
 
     theta: np.ndarray
@@ -58,19 +59,23 @@ class SurfaceFields:
     w_frame: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
+    trig: tuple
 
     @functools.cached_property
     def _normal(self):
-        return kernels.normal_fields(self.theta, self.y, self.dy, self.margin, self.g_inv, self.h)
+        return kernels.normal_fields(
+            self.theta, self.y, self.dy, self.margin, self.g_inv, self.h, trig=self.trig
+        )
 
     @functools.cached_property
     def _connection(self):
-        return kernels.connection(self.theta, self.y, self.dy, self.d2y, self.g_inv)
+        return kernels.connection(self.theta, self.y, self.dy, self.d2y, self.g_inv, trig=self.trig)
 
     @functools.cached_property
     def hess_phi_frame(self):
         return kernels.frame_hessian(
-            self.frame, self.gamma, *kernels.potential_jets(self.y, self.dy, self.d2y)
+            self.frame, self.gamma,
+            *kernels.potential_jets(self.y, self.dy, self.d2y, trig=self.trig)
         )
 
     @functools.cached_property
@@ -83,14 +88,14 @@ class SurfaceFields:
     def _curvature(self):
         return (None, None) if self.d3y is None else kernels.curvature_fields(
             self.theta, self.y, self.dy, self.d2y, self.d3y, self.g, self.g_inv, self.det_g,
-            self.gamma, self.dg, self.sigma2,
+            self.gamma, self.dg, self.sigma2, trig=self.trig,
         )
 
     @functools.cached_property
     def newton_residual(self):
         return None if self.d3y is None else kernels.newton_divergence(
             self.theta, self.y, self.dy, self.d2y, self.d3y, self.g_inv, self.w_chart,
-            self.gamma, self.dg, self.margin, self.t,
+            self.gamma, self.dg, self.margin, self.t, trig=self.trig,
         )
 
     nu = property(lambda self: self._normal[0])
@@ -109,22 +114,24 @@ class SurfaceFields:
     @property
     def phi_prime(self):
         """phi'(y) = sinh(y), the radial profile derivative on the surface."""
-        return np.sinh(self.y)
+        return self.trig[4]
 
 
-def evaluate_fields(theta, phi, node_jets) -> SurfaceFields:
+def evaluate_fields(theta, phi, node_jets, grid=None) -> SurfaceFields:
     """Run ``kernels.surface_core`` on precomputed jets at the given nodes.
 
     ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y), derivative axes
     first and nodes last; only the latter lets the curvature and Newton
-    fields be formed.
+    fields be formed.  When the nodes are those of a product ``grid``,
+    functions of theta are evaluated once per grid row.
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
     y, dy, d2y, d3y = (*node_jets, None)[:4]
-    core = kernels.surface_core(theta, y, dy, d2y)
+    trig = kernels.node_trig(theta, y, grid)
+    core = kernels.surface_core(theta, y, dy, d2y, trig=trig)
     _raise_unless_spacelike(theta, phi, core["margin"])
-    return SurfaceFields(theta=theta, phi=phi, y=y, dy=dy, d2y=d2y, d3y=d3y, **core)
+    return SurfaceFields(theta=theta, phi=phi, y=y, dy=dy, d2y=d2y, d3y=d3y, trig=trig, **core)
 
 
 def check_spacelike(theta, phi, y, dy):
@@ -141,17 +148,20 @@ def _raise_unless_spacelike(theta, phi, margin):
         raise NonSpacelike(f"gradient bound violated at {where}")
 
 
-def evaluate_surface(surface, theta, phi) -> SurfaceFields:
-    """All fields, curvature included, of an analytic surface at the nodes."""
+def evaluate_surface(surface, theta, phi, grid=None) -> SurfaceFields:
+    """All fields, curvature included, of an analytic surface at the nodes:
+    ``theta`` and ``phi``, or those of a product ``grid`` (whose flat arrays
+    they then are), each function of one angle once per row or column."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    return evaluate_fields(theta, phi, surface.jets(theta, phi))
+    jets = surface.jets(*((theta, phi) if grid is None else grid.mesh))
+    return evaluate_fields(theta, phi, jets, grid)
 
 
 def evaluate_on_grid(surface) -> SurfaceFields:
     """Evaluate a sampled surface at its own grid nodes."""
-    theta, phi = surface.nodes()
-    return evaluate_fields(theta, phi, surface.grid_jets())
+    grid = surface.grid
+    return evaluate_fields(grid.theta, grid.phi, surface.grid_jets(), grid)
 
 
 def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
@@ -185,6 +195,8 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     nt, npk = surface.n_theta, surface.n_phi
     w = fields.w_chart.reshape(2, 2, nt, npk)
     newton = symfun.d_sigma2(np.swapaxes(w, 0, 1))
+    # one periodic copy in phi, grid column j at j + 1
+    wrapped = np.concatenate([newton[..., -1:], newton, newton[..., :1]], axis=-1)
     ht = math.pi / nt
     hp = 2.0 * math.pi / npk
     gam = fields.gamma.reshape(2, 2, 2, nt, npk)[..., 1:-1, :]
@@ -193,14 +205,14 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
     # div_j = d_i T^i_j + Gamma^i_ia T^a_j - Gamma^a_ij T^i_a, each contraction
     # a sum from 0 over its index pairs in order, as einsum sums the stacks
     d_theta = lambda f: (f[2:] - f[:-2]) / (2 * ht)
-    d_phi = lambda f: (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * hp)
+    d_phi = lambda f: (f[:, 2:] - f[:, :-2]) / (2 * hp)
     div = [
-        sum((d_theta(newton[0, j]), d_phi(core[1, j])))
+        sum((d_theta(newton[0, j]), d_phi(wrapped[1, j, 1:-1])))
         + sum(gam[i, i, a] * core[a, j] for i, a in np.ndindex(2, 2))
         - sum(gam[a, i, j] * core[i, a] for a, i in np.ndindex(2, 2))
         for j in range(2)
     ]
-    keep = np.sin(surface.theta_grid[1:-1]) >= min_sin_theta
+    keep = np.sin(surface.grid.theta_axis[1:-1]) >= min_sin_theta
     return np.maximum(np.abs(div[0][keep]), np.abs(div[1][keep])).ravel()
 
 

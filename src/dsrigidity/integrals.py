@@ -91,10 +91,11 @@ def pair_integrand_tables(data):
     base, tilde = data.base, data.tilde
     w, wt = base.w_frame, data.w_tilde_frame
     pp, ppt = base.phi_prime, tilde.phi_prime
-    s11 = symfun.sigma11(w, wt)
+    dw = symfun.d_sigma2(w)
+    s11 = 0.5 * symfun.contract(dw, wt)  # symfun.sigma11(w, wt) on the one D(W)
     # X = W, W~: the cotangent D(X), sigma1(X), then sigma(X, W) and sigma(X, W~)
     cotangents = (
-        (symfun.d_sigma2(w), base.sigma1, (base.sigma2, s11)),
+        (dw, base.sigma1, (base.sigma2, s11)),
         (symfun.d_sigma2(wt), symfun.sigma1(wt), (s11, symfun.sigma2(wt))),
     )
     # Phi, Phi~: the Hessian, fac, the other phi' and the support <V,nu>
@@ -130,8 +131,8 @@ def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
     _require_gates(data)
     _require_correspondence(data, metric_tol)
     lhs_tab, rhs_tab, rhs_stmt, term_scale = pair_integrand_tables(data)
-    sq = data.base.sqrt_det_g
-    integral = lambda values: integrate_surface(rule, sq, values)
+    area_element = rule.weights * data.base.sqrt_det_g  # integrate_surface's first product
+    integral = lambda values: reduce_sum(area_element * values)
     reports = []
     scales = {}
     for label in "abcd":

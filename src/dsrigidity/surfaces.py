@@ -14,6 +14,7 @@ Jets are stored derivative axes first and the node axis last: ``dy`` is
 C-contiguous, so ``d2y[i, j]`` is the node array of one component.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .ambient import check_off_poles
 from .errors import ConfigError
+from .quadrature import ProductGrid
 
 
 #: (l + m)! with m <= l stays below the float maximum (171! does not)
@@ -139,9 +141,13 @@ class AnalyticSurface:
     def _derivative_table(self, x, s, phi, order):
         """part[k][j]: the height with k theta and j phi derivatives, k + j <=
         order, from x = cos(theta) and s = sin(theta).  Each mode is separable,
-        so an entry is (d/dtheta)^k P_l^m times (d/dphi)^j cos(m phi)."""
+        so an entry is (d/dtheta)^k P_l^m times (d/dphi)^j cos(m phi).  The
+        angles broadcast: (n,) arrays of scattered nodes, or a grid's (n_theta, 1)
+        column and (1, n_phi) row, whose factors are then evaluated once per row
+        or column and give the bits of the flat nodes."""
         phi = np.asarray(phi, dtype=float)
-        part = [[np.zeros(np.shape(x)) for _ in range(order + 1 - k)] for k in range(order + 1)]
+        shape = np.broadcast_shapes(np.shape(x), phi.shape)
+        part = [[np.zeros(shape) for _ in range(order + 1 - k)] for k in range(order + 1)]
         part[0][0] += self.rho0
         for mode in self.modes:
             l, m = mode.degree, mode.order
@@ -158,10 +164,12 @@ class AnalyticSurface:
         return part
 
     def _jets(self, theta, phi, order):
-        """Closed-form (y, dy, d2y[, d3y]) through ``order``, derivative axes first."""
-        check_off_poles(theta)
-        x, s = np.cos(theta), np.sin(theta)
-        part = self._derivative_table(x, s, phi, order)
+        """Closed-form (y, dy, d2y[, d3y]) through ``order``, derivative axes
+        first and the nodes, theta-major, on one last axis."""
+        shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+        check_off_poles(theta, shape)
+        part = self._derivative_table(np.cos(theta), np.sin(theta), phi, order)
+        part = [[entry.reshape(-1) for entry in row] for row in part]
         return (part[0][0], *(_derivative_tensor(part, n) for n in range(1, order + 1)))
 
     def height_jet(self, theta, phi):
@@ -173,7 +181,7 @@ class AnalyticSurface:
         return self._jets(theta, phi, 3)
 
     def height(self, theta, phi):
-        """Height values only; safe at the chart poles."""
+        """Height values, shaped as theta and phi broadcast; safe at the chart poles."""
         return self._derivative_table(np.cos(theta), np.sin(theta), phi, 0)[0][0]
 
     def slope(self, theta, phi):
@@ -209,11 +217,12 @@ def _derivative_tensor(part, n):
 class SampledGridSurface:
     """Heights sampled on a pole-free (theta, phi) grid; jets by stencils.
 
-    The grid is cell-centered in theta, theta_i = (i + 1/2) pi / n_theta,
-    and uniform periodic in phi.  Derivatives use second-order central
-    differences; theta rows next to the poles are closed with ghost rows
-    obtained by reflecting across the pole (phi shifted by pi), which
-    keeps every stencil central.  The grid must pass ``check_grid``.
+    The grid is ``sampled_grid``'s: cell-centered in theta, theta_i =
+    (i + 1/2) pi / n_theta, and uniform periodic in phi.  Derivatives use
+    second-order central differences; theta rows next to the poles are
+    closed with ghost rows obtained by reflecting across the pole (phi
+    shifted by pi), which keeps every stencil central.  The grid must pass
+    ``check_grid``.
     """
 
     def __init__(self, values):
@@ -223,7 +232,8 @@ class SampledGridSurface:
         check_grid("sampled grid", *values.shape)
         self.values = values
         self.n_theta, self.n_phi = values.shape
-        self.theta_grid, self.phi_grid = grid_axes(self.n_theta, self.n_phi)
+        self.grid = sampled_grid(self.n_theta, self.n_phi)
+        self.theta_grid, self.phi_grid = self.grid.theta_axis, self.grid.phi_axis
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]
@@ -235,11 +245,7 @@ class SampledGridSurface:
     @classmethod
     def from_height(cls, surface, n_theta, n_phi):
         """Sample another surface's heights on the standard grid."""
-        return cls(surface.height(*np.meshgrid(*grid_axes(n_theta, n_phi), indexing="ij")))
-
-    def nodes(self):
-        tt, pp = np.meshgrid(self.theta_grid, self.phi_grid, indexing="ij")
-        return tt.ravel(), pp.ravel()
+        return cls(surface.height(*sampled_grid(n_theta, n_phi).mesh))
 
     def grid_jets(self):
         """Jets (y, dy, d2y, d3y) at every grid node, flattened theta-major."""
@@ -254,9 +260,11 @@ def check_grid(where, n_theta, n_phi):
                           "and an even n_phi >= 2")
 
 
-def grid_axes(n_theta, n_phi):
+@functools.lru_cache(maxsize=8)
+def sampled_grid(n_theta, n_phi) -> ProductGrid:
     """The cell-centred theta axis and the periodic phi axis of a sampled grid."""
-    return (np.arange(n_theta) + 0.5) * math.pi / n_theta, np.arange(n_phi) * 2.0 * math.pi / n_phi
+    return ProductGrid((np.arange(n_theta) + 0.5) * math.pi / n_theta,
+                       np.arange(n_phi) * 2.0 * math.pi / n_phi)
 
 
 def pole_extend(values, pad):
@@ -279,9 +287,16 @@ def grid_scalar_jets(values, order=3):
     """
     n_theta, n_phi = values.shape
     pad = 3
+    # one periodic copy: the pole-extended rows with 2 columns wrapped onto
+    # each side, so grid column j sits at j + 2 and every phi stencil is a slice
     ext = pole_extend(values, pad)
+    ext = np.concatenate([ext[:, -2:], ext, ext[:, :2]], axis=1)
     ht = math.pi / n_theta
     hp = 2.0 * math.pi / n_phi
+
+    def col(arr, k):
+        """arr at the grid columns shifted by k, periodically."""
+        return arr[:, 2 + k : 2 + k + n_phi]
 
     def d_theta(arr):
         return (arr[pad + 1 : pad + 1 + n_theta] - arr[pad - 1 : pad - 1 + n_theta]) / (2 * ht)
@@ -303,27 +318,23 @@ def grid_scalar_jets(values, order=3):
         ) / (2 * ht**3)
 
     def d_phi(arr):
-        return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2 * hp)
+        return (col(arr, 1) - col(arr, -1)) / (2 * hp)
 
     def d2_phi(arr):
-        return (np.roll(arr, -1, axis=1) - 2 * arr + np.roll(arr, 1, axis=1)) / hp**2
+        return (col(arr, 1) - 2 * col(arr, 0) + col(arr, -1)) / hp**2
 
     def d3_phi(arr):
-        return (
-            np.roll(arr, -2, axis=1)
-            - 2 * np.roll(arr, -1, axis=1)
-            + 2 * np.roll(arr, 1, axis=1)
-            - np.roll(arr, 2, axis=1)
-        ) / (2 * hp**3)
+        return (col(arr, 2) - 2 * col(arr, 1) + 2 * col(arr, -1) - col(arr, -2)) / (2 * hp**3)
 
+    core = ext[pad : pad + n_theta]
     t = d_theta(ext)
-    tensors = [np.array([t, d_phi(values)])]
+    tensors = [np.array([col(t, 0), d_phi(core)])]
     if order >= 2:
         tt, tp = d2_theta(ext), d_phi(t)
-        tensors.append(np.array([[tt, tp], [tp, d2_phi(values)]]))
+        tensors.append(np.array([[col(tt, 0), tp], [tp, d2_phi(core)]]))
     if order >= 3:
         ttp, tpp = d_phi(tt), d2_phi(t)
-        tensors.append(np.array([[[d3_theta(ext), ttp], [ttp, tpp]],
-                                 [[ttp, tpp], [tpp, d3_phi(values)]]]))
+        tensors.append(np.array([[[col(d3_theta(ext), 0), ttp], [ttp, tpp]],
+                                 [[ttp, tpp], [tpp, d3_phi(core)]]]))
     y = np.ascontiguousarray(values.ravel(), dtype=float)
     return (y, *(a.reshape(a.shape[:-2] + (values.size,)) for a in tensors))

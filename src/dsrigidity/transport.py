@@ -31,32 +31,61 @@ import numpy as np
 from . import ambient, geometry, jets, kernels
 from .errors import ConfigError, CorrespondenceInvalid, NotAGraph
 from .geometry import node_text
-from .surfaces import AnalyticSurface, SampledGridSurface, check_grid, grid_axes, grid_scalar_jets
+from .surfaces import AnalyticSurface, SampledGridSurface, check_grid, grid_scalar_jets, sampled_grid
 
 
-def _embedding(y_jet, theta, phi):
+def _embedding(y_jet, trig, sp, cp):
     """Jet tuples of the pseudosphere point x = (sinh y, cosh y omega(theta, phi))
-    of a graph surface with height jet (y, dy, d2y), in closed form."""
-    y, dy, d2y = y_jet
-    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    s, c = np.sinh(y), np.cosh(y)
-    yy = dy[:, None] * dy[None, :]
-    zero = np.zeros_like(theta)
-    # omega with its chart gradient and Hessian
-    omega = (
-        (st * cp, [ct * cp, -st * sp], [[-st * cp, -ct * sp], [-ct * sp, -st * cp]]),
-        (st * sp, [ct * sp, st * cp], [[-st * sp, ct * cp], [ct * cp, -st * sp]]),
-        (ct, [-st, zero], [[-ct, zero], [zero, zero]]),
-    )
-    # cosh(y) omega by the product rule
-    dc, d2c = s * dy, c * yy + s * d2y
-    x = [(s, c * dy, s * yy + c * d2y)]
-    for w, dw, d2w in omega:
-        dw = np.array(dw)
-        cross = dc[:, None] * dw[None, :]
-        d2 = d2c * w + (cross + np.swapaxes(cross, 0, 1)) + c * np.array(d2w)
-        x.append((c * w, dc * w + c * dw, d2))
-    return x
+    of a graph surface with height jet (y, dy, d2y), in closed form, from the
+    nodes' ``kernels.node_trig`` values ``trig`` and sin and cos of phi.
+
+    Each of the 28 components is written once, as the product rule on
+    cosh(y) omega gives it: d2_ij = (d2c_ij w + (dc_i dw_j + dc_j dw_i)) + c d2w_ij
+    with dc = s dy and d2c_ij = c dy_i dy_j + s d2y_ij.  Where a component of
+    omega's jet is 0, its terms drop and ``+ 0.0`` stands for c 0 = +0, which
+    keeps the sign of a zero sum.  The height jet's d2y[1, 0] has the bits of
+    d2y[0, 1], so each Hessian's (1, 0) entry is a copy of its (0, 1) entry.
+    """
+    _, dy, d2y = y_jet
+    st, ct, _, c, s, _ = trig
+    (y00, y01), (_, y11) = d2y
+    yy = (dy[0] * dy[0], dy[0] * dy[1], dy[1] * dy[1])
+    hess = (y00, y01, y11)
+    dc = (s * dy[0], s * dy[1])
+    d2c = [c * a + s * b for a, b in zip(yy, hess)]
+
+    def jet(f, d, d2):
+        """The jet tuple of value ``f``, gradient ``d`` and Hessian entries 00, 01, 11."""
+        grad, out = np.empty((2,) + f.shape), np.empty((2, 2) + f.shape)
+        grad[0], grad[1] = d
+        out[0, 0], out[0, 1], out[1, 1] = d2
+        out[1, 0] = out[0, 1]
+        return f, grad, out
+
+    def c_omega(w, dw, d2w):
+        """cosh(y) omega by the product rule, for an omega component without zeros."""
+        return jet(
+            c * w,
+            [dc[i] * w + c * dw[i] for i in range(2)],
+            [(d2c[k] * w + (dc[i] * dw[j] + dc[j] * dw[i])) + c * d2w[k]
+             for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 1)))],
+        )
+
+    stcp, stsp, ctcp, ctsp = st * cp, st * sp, ct * cp, ct * sp
+    mstcp, mstsp, mst = -stcp, -stsp, -st
+    return [
+        jet(s, [c * dy[0], c * dy[1]], [s * a + c * b for a, b in zip(yy, hess)]),
+        c_omega(stcp, (ctcp, mstsp), (mstcp, -ctsp, mstcp)),
+        c_omega(stsp, (ctsp, stcp), (mstsp, ctcp, mstsp)),
+        # omega_3 = cos theta: its phi derivatives vanish
+        jet(
+            c * ct,
+            [dc[0] * ct + c * mst, dc[1] * ct + 0.0],
+            [(d2c[0] * ct + (dc[0] * mst + dc[0] * mst)) + c * -ct,
+             (d2c[1] * ct + dc[1] * mst) + 0.0,
+             d2c[2] * ct + 0.0],
+        ),
+    ]
 
 
 def _lorentz(lam, x):
@@ -132,13 +161,13 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     )
 
 
-def _image_jets(y_jet, theta, phi, lam):
+def _image_jets(y_jet, trig, sp, cp, lam):
     """Image chart points and height jets under the Lorentz matrix ``lam``,
     the chart map's Jacobian and the pulled-back potential -x~_0's chart jets
     on M: only these outlive the call, so the embedded points and the lifts
     are freed before the image surface is evaluated."""
     # the Lorentz matrix maps the values, gradients and Hessians alike
-    xt = list(zip(*(_lorentz(lam, p) for p in zip(*_embedding(y_jet, theta, phi)))))
+    xt = list(zip(*(_lorentz(lam, p) for p in zip(*_embedding(y_jet, trig, sp, cp)))))
     rho_t = jets.arcsinh(xt[0])
     # atan2 keeps theta~ and its derivatives accurate next to the image
     # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)
@@ -155,10 +184,14 @@ class IsometryCorrespondence:
         self.surface = surface
         self.iso = iso
 
-    def node_data(self, theta, phi) -> PairNodeData:
-        y_jet = self.surface.height_jet(theta, phi)
-        base = geometry.evaluate_fields(theta, phi, y_jet)
-        theta_t, phi_t, y_t, jac, potential = _image_jets(y_jet, theta, phi, self.iso.matrix)
+    def node_data(self, theta, phi, grid=None) -> PairNodeData:
+        """Pair data at the nodes ``theta`` and ``phi``, or at those of a product
+        ``grid``, whose flat arrays they then are."""
+        y_jet = self.surface.height_jet(*((theta, phi) if grid is None else grid.mesh))
+        base = geometry.evaluate_fields(theta, phi, y_jet, grid)
+        sp, cp = (np.sin(phi), np.cos(phi)) if grid is None else grid.trig[2:]
+        theta_t, phi_t, y_t, jac, potential = _image_jets(y_jet, base.trig, sp, cp,
+                                                          self.iso.matrix)
         tilde = geometry.evaluate_fields(theta_t, phi_t, y_t)
         return _pair_data_from_parts(base, tilde, jac, *potential)
 
@@ -170,14 +203,18 @@ class IdentityCorrespondence:
         self.surface = surface
         self.other = other
 
-    def node_data(self, theta, phi) -> PairNodeData:
-        base = geometry.evaluate_fields(theta, phi, self.surface.height_jet(theta, phi))
-        y_jet = self.other.height_jet(theta, phi)
-        tilde = geometry.evaluate_fields(theta, phi, y_jet)
+    def node_data(self, theta, phi, grid=None) -> PairNodeData:
+        """Pair data at the nodes ``theta`` and ``phi``, or at those of a product
+        ``grid``, whose flat arrays they then are."""
+        nodes = (theta, phi) if grid is None else grid.mesh
+        base = geometry.evaluate_fields(theta, phi, self.surface.height_jet(*nodes), grid)
+        y_jet = self.other.height_jet(*nodes)
+        tilde = geometry.evaluate_fields(theta, phi, y_jet, grid)
         one, zero = np.ones_like(theta), np.zeros_like(theta)
         # the potential -sinh(y~) over the shared chart
         return _pair_data_from_parts(
-            base, tilde, [[one, zero], [zero, one]], *kernels.potential_jets(*y_jet)
+            base, tilde, [[one, zero], [zero, one]],
+            *kernels.potential_jets(*y_jet, trig=tilde.trig)
         )
 
 
@@ -209,7 +246,8 @@ def transform_surface(surface, iso, regraph_grid):
         raise ConfigError("regraphing needs an analytic source surface, not a sampled grid")
     n_theta, n_phi = regraph_grid
     check_grid("regraph_grid", n_theta, n_phi)
-    theta, phi = (a.ravel() for a in np.meshgrid(*grid_axes(n_theta, n_phi), indexing="ij"))
+    grid = sampled_grid(n_theta, n_phi)
+    theta, phi = grid.theta, grid.phi
     omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
     lam_inv = iso.inverse().matrix
     up = 1.0 if lam_inv[0, 0] > 0.0 else -1.0  # the sign of F' at the crossing

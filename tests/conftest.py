@@ -39,9 +39,9 @@ def kernel_calls(monkeypatch):
     """Node counts of the calls to each kernel that forms ``SurfaceFields``."""
 
     def counted(kernel, seen):
-        def call(*args):
+        def call(*args, **kwargs):
             seen.append(np.shape(args[0])[-1])
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         return call
 

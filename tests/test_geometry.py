@@ -171,7 +171,7 @@ def test_spacelike_check_agrees_with_the_surface_kernel(n_theta, half_phi, rho0,
     # drawn sampled grids, steep ones included, on their stencil jets
     noise = data.draw(arrays(float, (n_theta, 2 * half_phi), elements=st.floats(-1.0, 1.0)))
     surface = SampledGridSurface(rho0 + scale * noise)
-    theta, phi = surface.nodes()
+    theta, phi = surface.grid.theta, surface.grid.phi
     y, dy, d2y = grid_scalar_jets(surface.values, order=2)
     y1, dy1 = grid_scalar_jets(surface.values, order=1)
     assert np.array_equal(y1, y) and np.array_equal(dy1, dy)

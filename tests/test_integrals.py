@@ -1,4 +1,7 @@
 import math
+import re
+import struct
+import types
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from dsrigidity import ambient, geometry, integrals, transport
+from dsrigidity import ambient, geometry, integrals, quadrature, transport
 from dsrigidity.errors import CorrespondenceInvalid, GateFailed
-from dsrigidity.quadrature import gauss_sphere_rule, integrate_surface
+from dsrigidity.quadrature import gauss_sphere_rule, integrate_surface, reduce_sum
 from dsrigidity.surfaces import AnalyticSurface
 
 
@@ -26,9 +29,100 @@ def test_sphere_rule_recovers_the_measure(rule_64):
 def test_sphere_rule_is_built_once_and_read_only():
     rule = gauss_sphere_rule(24, 48)
     assert gauss_sphere_rule(24, 48) is rule
-    for array in (rule.theta, rule.phi, rule.weights):
+    for array in (rule.theta, rule.phi, rule.weights, rule.theta_axis, rule.phi_axis):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+# -- reduce_sum: math.fsum's double by exact extraction ---------------------
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@st.composite
+def hard_sums(draw):
+    """Arrays of up to 80,000 values whose sums defeat naive summation:
+    cancelling pairs, subnormals, exponents across the range and totals a
+    hair from a rounding tie, each shuffled into a drawn order."""
+    kind = draw(st.sampled_from(["cancel", "subnormal", "wide", "tie"]))
+    n = draw(st.integers(1, 80_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    if kind == "cancel":
+        x = rng.standard_normal(n) * scale
+        y = -x * (1.0 + rng.choice([0.0, 2.0**-52, -(2.0**-52)], n))
+        values = np.concatenate([x, y, rng.standard_normal(draw(st.integers(0, 3))) * 1e-30])
+    elif kind == "subnormal":
+        values = rng.integers(-(2**40), 2**40, n) * 5e-324
+        values[: draw(st.integers(0, min(n, 3)))] = 2.0**-1000
+    elif kind == "wide":
+        values = rng.standard_normal(n) * 2.0 ** rng.integers(-1070, 899, n).astype(float)
+    else:
+        # big plus half its ulp, spread over n pieces, then nudged below,
+        # above or not at all: exact ties go through the fallback
+        big = rng.choice([1.0, -3.0, 2.0**-500, 2.0**800]) * scale
+        half_ulp = math.ulp(big) / 2.0
+        pieces = np.full(n, half_ulp / 2 ** (n.bit_length())) * (2 ** (n.bit_length()) / n)
+        pieces[0] += half_ulp - math.fsum(pieces.tolist())
+        nudge = draw(st.sampled_from([0.0, half_ulp * 2.0**-60, -half_ulp * 2.0**-60]))
+        values = np.concatenate([[big, nudge], pieces])
+    return rng.permutation(values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=160)
+@given(hard_sums())
+def test_reduce_sum_returns_the_fsum_double(values):
+    assert _bits(reduce_sum(values)) == _bits(math.fsum(values.tolist()))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Lengths of the value lists that ``reduce_sum`` hands to ``math.fsum`` whole."""
+    lengths = []
+
+    def fsum(values):
+        lengths.append(len(values))
+        return math.fsum(values)
+
+    patched = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if k[0] != "_"})
+    patched.fsum = fsum
+    monkeypatch.setattr(quadrature, "math", patched)
+    return lengths
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],  # empty
+        [0.0] * 12,  # all zero
+        [-0.0] * 12,
+        [1.0, math.inf] + [0.5] * 10,  # non-finite
+        [1.0, -math.inf, math.inf] + [0.5] * 10,
+        [math.nan] + [0.5] * 11,
+        [2.0**900, 1.0] + [0.5] * 10,  # too large to extract
+        [1.0, -1.0] + [0.0] * 10,  # an exact zero, whose sign fsum decides
+        [1.0, 2.0**-53] + [0.0] * 10,  # an exact tie: never certified
+    ],
+    ids=["empty", "zeros", "negative_zeros", "inf", "inf_minus_inf", "nan", "huge",
+         "exact_zero", "exact_tie"],
+)
+def test_reduce_sum_falls_back_to_fsum(values, fallbacks):
+    try:
+        expected = _bits(math.fsum(values))
+    except ValueError as exc:  # fsum's own -inf + inf
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            reduce_sum(np.array(values))
+    else:
+        assert _bits(reduce_sum(np.array(values))) == expected
+    assert fallbacks[-1] == len(values)
+
+
+def test_reduce_sum_certifies_ordinary_sums(fallbacks):
+    values = np.random.default_rng(3).standard_normal(4096) * 1e3
+    assert _bits(reduce_sum(values)) == _bits(math.fsum(values.tolist()))
+    assert len(values) not in fallbacks
 
 
 def test_sphere_rule_integrates_harmonics_exactly(rule_64):

@@ -6,6 +6,7 @@ from scipy.special import sph_harm_y
 
 from dsrigidity import ambient
 from dsrigidity.errors import ChartPole, ConfigError
+from dsrigidity.quadrature import gauss_sphere_rule
 from dsrigidity.surfaces import (
     AnalyticSurface,
     HarmonicMode,
@@ -197,6 +198,32 @@ def test_height_values_agree_with_jets_and_allow_poles():
             jets(np.array([1e-9]), np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [
+        [],
+        [(0.0, 0, 0)],  # an l = 0 mode: some Legendre factors are Python scalars
+        [(0.1, 0, 0)],
+        [(0.05, 1, 1)],  # the ladder reaches orders m + k above l
+        [(0.05, 2, 0), (0.03, 3, 1)],
+        [(0.02, 4, 3), (-0.01, 1, 0), (0.01, 0, 0)],
+    ],
+    ids=["slice", "l0_zero", "l0", "l1_m1", "two_modes", "three_modes"],
+)
+def test_grid_jets_have_the_bits_of_the_flat_nodes(modes):
+    # a grid's (n_theta, 1) column and (1, n_phi) row evaluate each factor
+    # once per row or column; the jets must equal those at the flat nodes
+    surf = AnalyticSurface(0.6, modes)
+    rule = gauss_sphere_rule(16, 24)
+    for evaluate in (surf.height_jet, surf.jets):
+        for a, b in zip(evaluate(*rule.mesh), evaluate(rule.theta, rule.phi), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    sampled = SampledGridSurface.from_height(surf, 12, 20)
+    flat = surf.height(sampled.grid.theta, sampled.grid.phi)
+    assert sampled.values.shape == (12, 20)
+    assert sampled.values.tobytes() == flat.tobytes()
+
+
 def test_jets_name_the_first_node_at_a_chart_pole():
     # one pole check for the jets and the ambient Lie-derivative residual
     surf = AnalyticSurface(0.4, [(0.07, 4, 2)])
@@ -205,6 +232,10 @@ def test_jets_name_the_first_node_at_a_chart_pole():
     for evaluate in (surf.height_jet, surf.jets):
         with pytest.raises(ChartPole, match=r"node 2: theta = 3\.14 too close to a chart pole"):
             evaluate(theta, phi)
+    # on a grid's column of row values the node is counted over the whole grid
+    column = np.array([[1.0], [2.0], [1e-9]])
+    with pytest.raises(ChartPole, match=r"node 8: theta = 1e-09 too close to a chart pole"):
+        surf.height_jet(column, np.zeros((1, 4)))
     with pytest.raises(ChartPole, match=r"node 2: theta = 3\.14 too close to a chart pole"):
         ambient.lie_derivative_residual(np.zeros(4), theta, np.ones((3, 4)), np.ones((3, 4)))
 
@@ -268,7 +299,7 @@ def test_sampled_grid_jets_converge_at_second_order():
     errors = []
     for n in (32, 64, 128):
         grid = SampledGridSurface.from_height(surf, n, 2 * n)
-        tt, pp = grid.nodes()
+        tt, pp = grid.grid.theta, grid.grid.phi
         y_t, dy_t, d2y_t, _ = surf.jets(tt, pp)
         y_s, dy_s, d2y_s, _ = grid.grid_jets()
         np.testing.assert_allclose(y_s, y_t, atol=1e-14)
@@ -282,7 +313,7 @@ def test_pole_reflection_extension_is_exact_for_smooth_fields():
     grid = SampledGridSurface.from_height(surf, 24, 48)
     _, dy, _ = grid_scalar_jets(grid.values, order=2)
     # first theta row uses ghost rows; compare against the analytic derivative
-    tt, pp = grid.nodes()
+    tt, pp = grid.grid.theta, grid.grid.phi
     _, dy_t, _, _ = surf.jets(tt, pp)
     assert np.abs(dy[0] - dy_t[0]).max() < 5e-3
 

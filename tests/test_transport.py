@@ -12,7 +12,7 @@ import jet_oracle
 from dsrigidity import ambient, geometry, kernels, transport
 from dsrigidity.errors import ConfigError, DsRigidityError, NotAGraph
 from dsrigidity.quadrature import gauss_sphere_rule
-from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, sampled_grid
 
 
 def target_angles(corr, theta, phi):
@@ -236,7 +236,7 @@ def test_transform_surface_regraph_contains_image(perturbed_surface):
     sampled, corr = transport.transform_surface(
         perturbed_surface, iso, regraph_grid=(32, 64)
     )
-    tt, pp = sampled.nodes()
+    tt, pp = sampled.grid.theta, sampled.grid.phi
     hh = sampled.values.ravel()
     x = np.stack(
         [
@@ -258,7 +258,7 @@ def test_transform_surface_identity_and_rotation(perturbed_surface):
     sampled, _ = transport.transform_surface(
         perturbed_surface, ambient.identity_isometry(), regraph_grid=(24, 48)
     )
-    tt, pp = sampled.nodes()
+    tt, pp = sampled.grid.theta, sampled.grid.phi
     np.testing.assert_allclose(
         sampled.values.ravel(), perturbed_surface.height(tt, pp), atol=1e-11
     )
@@ -275,7 +275,8 @@ def dense_scan_heights(surface, iso, regraph_grid, t_max=3.0, n_scan=241, tol=1e
     """Regraph oracle: count sign changes of F on a dense scan of every radial
     line, require exactly one, then bisect its bracket down to ``tol``."""
     n_theta, n_phi = regraph_grid
-    tt, pp = SampledGridSurface(np.zeros(regraph_grid)).nodes()
+    grid = sampled_grid(n_theta, n_phi)
+    tt, pp = grid.theta, grid.phi
     omega = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)])
     lam_inv = iso.inverse().matrix
 
