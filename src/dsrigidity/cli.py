@@ -89,9 +89,11 @@ def parse_matrix(text: str) -> np.ndarray:
         raise ConfigError("empty matrix input")
     tokens = text.split()
     kind = tokens[0].lower()
-    rows = None if kind in ("diag", "identity", "eye") else text.split(";")
+    rows = None if kind in ("diag", "identity") else text.split(";")
     try:
         n = len(rows) if rows else len(tokens) - 1 if kind == "diag" else int(tokens[1])
+        if kind == "identity" and len(tokens) != 2:
+            raise ValueError(text)
         if n not in symfun.DIMENSIONS:  # before n^2 entries are allocated
             raise ConfigError(f"matrix text {text!r} has dimension {n}, outside 2..8")
         if rows:
@@ -236,7 +238,7 @@ def _parse_error_text(text, exc):
 
 
 class ExperimentConfig:
-    def __init__(self, text: str, quad_override=None, tol_overrides=()):
+    def __init__(self, text: str, quad_override=None):
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
@@ -284,14 +286,12 @@ class ExperimentConfig:
         self.quad_degrees = (n_theta, n_phi)
 
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        given = [("[tolerances]", key, None) for key in parser["tolerances"]]
-        for where, key, value in given + [("--tol", *item) for item in tol_overrides]:
+        for key in parser["tolerances"]:
             if key not in self.tolerances:
-                raise ConfigError(f"{where}: unknown tolerance {key!r}")
-            if value is None:
-                value = _number(parser["tolerances"], key)
+                raise ConfigError(f"[tolerances]: unknown tolerance {key!r}")
+            value = _number(parser["tolerances"], key)
             if value < 0.0:
-                raise ConfigError(f"{where} {key}: {value:g} is negative; a tolerance is >= 0")
+                raise ConfigError(f"[tolerances] {key}: {value:g} is negative; a tolerance is >= 0")
             self.tolerances[key] = value
 
     @property
@@ -572,8 +572,11 @@ def run_suite(args) -> int:
     report = RunReport(args.command, config.environment())
     hypotheses_hold = SUITES[args.command](config, report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.render())
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(report.render())
+        except OSError as exc:
+            raise ConfigError(f"--report: cannot write {args.report!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(report.render())
     print(report.summary())
@@ -594,13 +597,7 @@ def _load_config(args) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     quad = _grid("--quad", args.quad) if args.quad else None
-    tols = []
-    for item in args.tol or ():
-        if "=" not in item:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        tols.append((name.strip(), _finite(f"--tol {item}", value)))
-    return ExperimentConfig(text, quad_override=quad, tol_overrides=tols)
+    return ExperimentConfig(text, quad_override=quad)
 
 
 @functools.cache
@@ -618,9 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in SUITES:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=False)
+        p.add_argument("--config", required=False, help="INI config; [tolerances] sets tolerances")
         p.add_argument("--quad", help="override quadrature degrees, e.g. 64x128")
-        p.add_argument("--tol", action="append", help="override NAME=VALUE")
         p.add_argument("--report", help="write the machine-readable report here")
         p.set_defaults(func=run_suite)
     return parser

@@ -15,7 +15,7 @@ import numpy as np
 from . import symfun
 from .errors import CorrespondenceInvalid, GateFailed
 from .geometry import GATE_SIGMA2_TOL, curvature_gate_fields, node_text
-from .quadrature import integrate_surface, reduce_sum
+from .quadrature import reduce_sum
 
 #: default tolerances for the pair suites
 IDENTITY_REL_TOL = 1e-6
@@ -131,7 +131,7 @@ def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
     _require_gates(data)
     _require_correspondence(data, metric_tol)
     lhs_tab, rhs_tab, rhs_stmt, term_scale = pair_integrand_tables(data)
-    area_element = rule.weights * data.base.sqrt_det_g  # integrate_surface's first product
+    area_element = rule.weights * data.base.sqrt_det_g
     integral = lambda values: reduce_sum(area_element * values)
     reports = []
     scales = {}
@@ -194,9 +194,9 @@ def rigidity_experiment(
     s11 = symfun.sigma11(base.w_frame, data.w_tilde_frame)
     factor = data.tilde.phi_prime * base.support + base.phi_prime * data.tilde.support
     integrand = factor * (s2w - s11)
-    sq = base.sqrt_det_g
-    integral = integrate_surface(rule, sq, integrand)
-    area = reduce_sum(rule.weights * sq)
+    area_element = rule.weights * base.sqrt_det_g
+    integral = reduce_sum(area_element * integrand)
+    area = reduce_sum(area_element)
     metric_res = float(data.metric_pullback_residual.max())
     mismatch = float(np.abs(data.w_tilde_frame - base.w_frame).max())
     gap_min = float((s11 - s2w).min())

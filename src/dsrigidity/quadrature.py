@@ -120,8 +120,3 @@ def reduce_sum(values) -> float:
                 return r
             sigma = math.ldexp(bound, m)
     return math.fsum(values.tolist())
-
-
-def integrate_surface(rule: ProductGrid, sqrt_det_g, values) -> float:
-    """Integral over a graph surface with the induced area element."""
-    return reduce_sum(rule.weights * np.asarray(sqrt_det_g) * np.asarray(values))

@@ -10,8 +10,6 @@ no timestamps.
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 def _fmt(x) -> str:
     if x is None:
@@ -20,8 +18,6 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, str):
         return '"' + x.replace('"', "'") + '"'
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.17e}"
 
 

@@ -29,24 +29,13 @@ def test_successive_main_calls_share_no_options(tmp_path, capsys):
     # the parser is built once per process; each call parses its own options
     assert cli.build_parser() is cli.build_parser()
     cfg = str(REPO / "configs" / "geometry.cfg")
-    runs = []
-    for k, options in enumerate((
-        ["--tol", "gauss=1e-3", "--tol", "normal=1e-9"],
-        ["--tol", "newton=1e-4"],
-    )):
+    quads = []
+    for k, options in enumerate((["--quad", "16x32"], ["--quad", "20x40"], [])):
         path = tmp_path / f"report{k}.txt"
-        argv = ["geometry", "--config", cfg, "--quad", "16x32", "--report", str(path)]
-        assert run(argv + options) == 0
-        text = path.read_text(encoding="utf-8")
-        tols = dict(re.findall(r"^record name=(\S+) .* tol=(\S+) pass=", text, re.M))
-        runs.append({name: float(tols[name]) for name in ("gauss_relation", "normal_unit",
-                                                          "newton_divergence")})
+        assert run(["geometry", "--config", cfg, "--report", str(path)] + options) == 0
+        quads.append(re.search(r'^meta quad="(\S+)"$', path.read_text(encoding="utf-8"), re.M)[1])
     capsys.readouterr()
-    defaults = cli.DEFAULT_TOLERANCES
-    assert runs[0] == {"gauss_relation": 1e-3, "normal_unit": 1e-9,
-                       "newton_divergence": defaults["newton"]}
-    assert runs[1] == {"gauss_relation": defaults["gauss"], "normal_unit": defaults["normal"],
-                       "newton_divergence": 1e-4}
+    assert quads == ["16x32", "20x40", "64x128"]
 
 
 def test_check_cone_single(capsys):
@@ -72,6 +61,9 @@ def test_check_cone_rejects_garbage(capsys):
     for text, message in (
         (nine, f"matrix text {nine!r} has dimension 9, outside 2..8"),
         ("1 2 3; 4 5 6", "matrix text '1 2 3; 4 5 6' is not square"),
+        # 'identity N' takes one N; 'eye' is no spelling of it
+        ("identity 2 3", "cannot parse matrix from 'identity 2 3'"),
+        ("eye 2", "matrix text 'eye 2' has dimension 1, outside 2..8"),
     ):
         assert run(["check-cone", text]) == 2, text
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -156,26 +148,26 @@ def test_identities_command(tmp_path, capsys):
     assert "tilde_symmetry" in out
 
 
-def test_identities_read_the_metric_pullback_tolerance(capsys):
-    cfg = str(REPO / "configs" / "identities.cfg")
-    argv = ["verify-identities", "--config", cfg, "--quad", "32x64"]
-    assert run(argv + ["--tol", "metric_pullback=1e-30"]) == 2
+def test_identities_read_the_metric_pullback_tolerance(tmp_path, capsys):
+    text = (REPO / "configs" / "identities.cfg").read_text()
+    cfg = _write(tmp_path / "strict.cfg", text + "\n[tolerances]\nmetric_pullback = 1e-30\n")
+    assert run(["verify-identities", "--config", cfg, "--quad", "32x64"]) == 2
     err = capsys.readouterr().err
     assert "(tolerance 1e-30) at node " in err and "(theta=" in err
 
 
 def test_rigidity_command_verdicts(tmp_path, capsys):
-    rigid = _write(
-        tmp_path / "rigid.cfg",
+    text = (
         "[surface]\nkind = slice\nrho0 = 0.6\n\n"
-        "[isometry]\nkind = boost\nrapidity = 0.25\naxis = 1 0 0\n",
+        "[isometry]\nkind = boost\nrapidity = 0.25\naxis = 1 0 0\n"
     )
+    rigid = _write(tmp_path / "rigid.cfg", text)
     assert run(["rigidity", "--config", rigid, "--quad", "32x64"]) == 0
     assert "verdict Rigid" in capsys.readouterr().out
 
     # an isometric pair that misses a threshold is a failing verdict, not a crash
-    argv = ["rigidity", "--config", rigid, "--quad", "16x16", "--tol", "w_mismatch=1e-15"]
-    assert run(argv) == 1
+    strict = _write(tmp_path / "strict.cfg", text + "\n[tolerances]\nw_mismatch = 1e-15\n")
+    assert run(["rigidity", "--config", strict, "--quad", "16x16"]) == 1
     out = capsys.readouterr().out
     assert "verdict ThresholdsMissed" in out
     assert "[FAIL] w_mismatch" in out and "[PASS] metric_pullback" in out
@@ -218,9 +210,6 @@ def test_config_validation(tmp_path, capsys):
     )
     assert run(["rigidity", "--config", fast, "--quad", "24x48"]) == 2
     assert "[isometry] rapidity: 1.5 is outside |a| <= 1" in capsys.readouterr().err
-    badtol = _write(tmp_path / "geo.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n")
-    assert run(["geometry", "--config", badtol, "--quad", "24x48", "--tol", "nope=1"]) == 2
-    assert "--tol: unknown tolerance 'nope'" in capsys.readouterr().err
     sampled = "[surface]\nkind = sampled\nrho0 = 0.5\nresolution = 24x48\n"
     analytic = "[surface]\nkind = slice\nrho0 = 0.5\n"
     boost = "\n[isometry]\nkind = boost\nrapidity = 0.1\naxis = 1 0 0\n"
@@ -302,18 +291,19 @@ def test_config_validation(tmp_path, capsys):
                 warnings.simplefilter("error", RuntimeWarning)
                 assert run(["rigidity", "--config", cfg, "--quad", "16x32"]) in (0, 1), axis
             assert "overall:" in capsys.readouterr().out, axis
-    rigidity = str(REPO / "configs" / "rigidity.cfg")
-    for item, message in (
-        ("w_mismatch=nan", "--tol w_mismatch=nan: 'nan' is not finite"),
-        ("metric_pullback=inf", "--tol metric_pullback=inf: 'inf' is not finite"),
-        ("w_mismatch=tiny", "--tol w_mismatch=tiny: bad number 'tiny'"),
+    rigidity = (REPO / "configs" / "rigidity.cfg").read_text() + "\n[tolerances]\n"
+    for line, message in (
+        ("w_mismatch = nan", "[tolerances] w_mismatch: 'nan' is not finite"),
+        ("metric_pullback = inf", "[tolerances] metric_pullback: 'inf' is not finite"),
         # a negative tolerance would fail every check, an isometric pair's too
-        ("metric_pullback=-1", "--tol metric_pullback: -1 is negative"),
+        ("metric_pullback = -1", "[tolerances] metric_pullback: -1 is negative"),
     ):
-        assert run(["rigidity", "--config", rigidity, "--tol", item]) == 2, item
-        assert message in capsys.readouterr().err, item
+        cfg = _write(tmp_path / "tolerance.cfg", rigidity + line + "\n")
+        assert run(["rigidity", "--config", cfg]) == 2, line
+        assert message in capsys.readouterr().err, line
     # a zero tolerance is allowed
-    assert run(["rigidity", "--config", rigidity, "--quad", "16x16", "--tol", "w_mismatch=0"]) != 2
+    cfg = _write(tmp_path / "tolerance.cfg", rigidity + "w_mismatch = 0\n")
+    assert run(["rigidity", "--config", cfg, "--quad", "16x16"]) != 2
     assert "overall:" in capsys.readouterr().out
 
     # sampled grids the stencils cannot run on: odd n_phi, empty, negative
@@ -360,14 +350,18 @@ def test_config_validation(tmp_path, capsys):
 
 
 def test_exits_of_the_runner_and_of_its_hypothesis_base(tmp_path, capsys):
-    # the runner's dispatch: a missing --config, a --tol without '=', a config
-    # that configparser cannot read or without [surface] exit 2 before any
-    # record; a read error is one line naming the line, never '<string>'
+    # the runner's dispatch: a missing --config, a config that configparser
+    # cannot read or without [surface] exit 2 before any record, and a report
+    # path that cannot be written exits 2 before any output; a read error is
+    # one line naming the line, never '<string>'
     geometry = str(REPO / "configs" / "geometry.cfg")
+    missing = str(tmp_path / "missing" / "report.txt")
     for argv, message in (
         (["geometry"], "error: this command needs --config PATH\n"),
-        (["geometry", "--config", geometry, "--tol", "gauss"],
-         "error: --tol expects NAME=VALUE, got 'gauss'\n"),
+        (["geometry", "--config", geometry, "--quad", "16x16", "--report", missing],
+         f"error: --report: cannot write {missing!r}: No such file or directory\n"),
+        (["geometry", "--config", geometry, "--quad", "16x16", "--report", str(tmp_path)],
+         f"error: --report: cannot write {str(tmp_path)!r}: Is a directory\n"),
         (["geometry", "--config", _write(tmp_path / "bare.cfg", "rho0 = 0.5\n")],
          "error: cannot parse config: line 1 'rho0 = 0.5' comes before any [section] header\n"),
         (["geometry", "--config", _write(tmp_path / "twice.cfg",
@@ -387,6 +381,11 @@ def test_exits_of_the_runner_and_of_its_hypothesis_base(tmp_path, capsys):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err == message, argv
+    # tolerances come from [tolerances] alone; argparse rejects a --tol
+    with pytest.raises(SystemExit) as exc:
+        run(["geometry", "--config", geometry, "--tol", "gauss=1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol gauss=1e-3" in capsys.readouterr().err
 
     # an equator reflection of the two-mode slice: the identities hold on the
     # pair, but the image leaves the positive-height region the rigidity
@@ -503,11 +502,9 @@ def test_quad_is_checked_under_python_optimizations():
 
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys):
-    cfg = _write(tmp_path / "geo.cfg", "[surface]\nkind = slice\nrho0 = 0.5\n")
-    code = run(
-        ["geometry", "--config", cfg, "--quad", "24x48", "--tol", "deriv_v=1e-30"]
-    )
-    assert code == 1
+    cfg = _write(tmp_path / "geo.cfg",
+                 "[surface]\nkind = slice\nrho0 = 0.5\n[tolerances]\nderiv_v = 1e-30\n")
+    assert run(["geometry", "--config", cfg, "--quad", "24x48"]) == 1
     assert "[FAIL] conformal_field" in capsys.readouterr().out
 
 

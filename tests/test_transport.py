@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -166,6 +167,39 @@ def test_identity_pair_forms_the_surface_own_formulas_bit_for_bit(perturbed_surf
     assert np.array_equal(
         data.metric_pullback_residual, kernels.orthonormality_residual(base.frame, base.g)
     )
+
+
+def test_grid_nodes_give_the_bits_of_the_flat_nodes():
+    # cli passes the quadrature rule as the grid, whose rows and columns
+    # evaluate each angle function once; every field, eager or formed on
+    # first read, must carry the bytes it has at the rule's flat nodes
+    rule = gauss_sphere_rule(24, 48)
+    surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.03, 3, 1)])
+    fields = [f.name for f in dataclasses.fields(geometry.SurfaceFields)] + [
+        "nu", "w_chart", "gamma", "hess_phi_frame", "k_norm", "newton_residual"]
+
+    def assert_same_bytes(grid, flat, names):
+        for name in names:
+            a, b = getattr(grid, name), getattr(flat, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    assert_same_bytes(geometry.evaluate_surface(surface, rule.theta, rule.phi, rule),
+                      geometry.evaluate_surface(surface, rule.theta, rule.phi), fields)
+    for pair in (
+        transport.IsometryCorrespondence(
+            surface, ambient.boost(0.25, ambient.unit_vector([0.3, 0.5, 0.81]))),
+        transport.IsometryCorrespondence(surface, ambient.rotation(0.7, [0.2, 1.0, -0.4])),
+        transport.IdentityCorrespondence(surface, AnalyticSurface(0.65, [(0.03, 3, 2)])),
+    ):
+        flat = pair.node_data(rule.theta, rule.phi)
+        grid = pair.node_data(rule.theta, rule.phi, rule)
+        assert_same_bytes(grid, flat, ("w_tilde_frame", "metric_pullback_residual",
+                                       "hess_phi_tilde_frame"))
+        assert_same_bytes(grid.base, flat.base, fields)
+        assert_same_bytes(grid.tilde, flat.tilde, fields)
 
 
 def test_pair_node_data_forms_no_curvature_fields(
