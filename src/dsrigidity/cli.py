@@ -26,6 +26,7 @@ import functools
 import math
 import platform
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -564,21 +565,20 @@ SUITES = {
 
 
 def run_suite(args) -> int:
-    """Run suite ``args.command`` on its config, write the report (to ``--report``
-    or stdout) and its summary; exit 2 when a recorded hypothesis fails (the
-    geometry suite returns False for its curvature gate; the pair suites return
-    None and raise instead), 1 when a check fails, else 0."""
+    """Run suite ``args.command`` on its config, write the report (to ``--report``,
+    opened before the run, or stdout) and its summary; exit 2 when a recorded
+    hypothesis fails (the geometry suite returns False for its curvature gate;
+    the pair suites return None and raise instead, leaving ``--report`` empty),
+    1 when a check fails, else 0."""
     config = _load_config(args)
+    try:
+        out = open(args.report, "w", encoding="utf-8") if args.report else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"--report: cannot write {args.report!r}: {exc.strerror}") from None
     report = RunReport(args.command, config.environment())
-    hypotheses_hold = SUITES[args.command](config, report)
-    if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(report.render())
-        except OSError as exc:
-            raise ConfigError(f"--report: cannot write {args.report!r}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(report.render())
+    with out as handle:
+        hypotheses_hold = SUITES[args.command](config, report)
+        handle.write(report.render())
     print(report.summary())
     if hypotheses_hold is False:
         return EXIT_INVALID

@@ -8,17 +8,19 @@ waits for its first read, so a suite forms just the groups it reads.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, symfun
 from .errors import GateFailed, NonSpacelike
-from .surfaces import grid_scalar_jets
+from .surfaces import central, grid_scalar_jets, grid_steps
 
 #: sigma2 must exceed this at every node for the curvature gate
 GATE_SIGMA2_TOL = 1e-10
+
+#: the sampled Newton residual is reported where sin(theta) is at least this
+NEWTON_MIN_SIN_THETA = 0.2
 
 
 def node_text(theta, phi, k, **values):
@@ -180,39 +182,38 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     )
 
 
-def sampled_newton_residual(surface, fields, min_sin_theta=0.2) -> np.ndarray:
+def sampled_newton_residual(surface, fields) -> np.ndarray:
     """Newton-tensor divergence with the tensor field differenced on the grid.
 
     ``fields`` is ``evaluate_on_grid(surface)``.  The Newton tensor,
     d_sigma2 of W^T, is formed at every node and then differentiated
-    as a grid field (central stencils), independently of the jet-level
+    as a grid field (``central`` stencils), independently of the jet-level
     derivative route.  The residual is reported over a fixed interior band
-    sin(theta) >= min_sin_theta: closer to the poles the chart
+    sin(theta) >= NEWTON_MIN_SIN_THETA: closer to the poles the chart
     Christoffels grow like cot(theta) ~ 1/h and amplify the (second-order)
     discretization error of the tensor field by 1/h, obscuring the
     convergence order of the discretization itself.
     """
-    nt, npk = surface.n_theta, surface.n_phi
+    nt, npk = surface.values.shape
+    ht, hp = grid_steps(nt, npk)
     w = fields.w_chart.reshape(2, 2, nt, npk)
     newton = symfun.d_sigma2(np.swapaxes(w, 0, 1))
     # one periodic copy in phi, grid column j at j + 1
     wrapped = np.concatenate([newton[..., -1:], newton, newton[..., :1]], axis=-1)
-    ht = math.pi / nt
-    hp = 2.0 * math.pi / npk
+    d_theta = central(newton[0], 1, 1, 1, ht)
+    d_phi = central(wrapped[1, :, 1:-1], 2, 1, 1, hp)
     gam = fields.gamma.reshape(2, 2, 2, nt, npk)[..., 1:-1, :]
     core = newton[:, :, 1:-1]
 
     # div_j = d_i T^i_j + Gamma^i_ia T^a_j - Gamma^a_ij T^i_a, each contraction
     # a sum from 0 over its index pairs in order, as einsum sums the stacks
-    d_theta = lambda f: (f[2:] - f[:-2]) / (2 * ht)
-    d_phi = lambda f: (f[:, 2:] - f[:, :-2]) / (2 * hp)
     div = [
-        sum((d_theta(newton[0, j]), d_phi(wrapped[1, j, 1:-1])))
+        sum((d_theta[j], d_phi[j]))
         + sum(gam[i, i, a] * core[a, j] for i, a in np.ndindex(2, 2))
         - sum(gam[a, i, j] * core[i, a] for a, i in np.ndindex(2, 2))
         for j in range(2)
     ]
-    keep = np.sin(surface.grid.theta_axis[1:-1]) >= min_sin_theta
+    keep = np.sin(surface.grid.theta_axis[1:-1]) >= NEWTON_MIN_SIN_THETA
     return np.maximum(np.abs(div[0][keep]), np.abs(div[1][keep])).ravel()
 
 

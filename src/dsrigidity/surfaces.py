@@ -188,15 +188,13 @@ class AnalyticSurface:
         """Height y and |grad y|^2 = y_theta^2 + (y_phi / sin theta)^2 on the
         unit sphere, at node arrays; safe at the chart poles."""
         x, s = np.cos(theta), np.sin(theta)
-        y, y_theta, y_phi_over_sin = np.full(theta.shape, self.rho0), 0.0, 0.0
+        part = self._derivative_table(x, s, phi, 1)
+        y_phi_over_sin = 0.0  # pole-safe, unlike part[0][1] / s
         for mode in self.modes:
             l, m = mode.degree, mode.order
             scale = mode.amplitude * _sph_norm(l, m)
-            p, dp = _legendre_theta_derivatives(l, m, x, s, 1)
-            c, sn = np.cos(m * phi), np.sin(m * phi)
-            y, y_theta = y + scale * p * c, y_theta + scale * dp * c
-            y_phi_over_sin = y_phi_over_sin - scale * _legendre_m_over_sin(l, m, x, s) * sn
-        return y, y_theta**2 + y_phi_over_sin**2
+            y_phi_over_sin -= scale * _legendre_m_over_sin(l, m, x, s) * np.sin(m * phi)
+        return part[0][0], part[1][0] ** 2 + y_phi_over_sin**2
 
     def reflected(self):
         """Mirror image across the equator, y -> -y; W changes sign."""
@@ -231,8 +229,7 @@ class SampledGridSurface:
             raise ValueError("expected a 2-d grid of heights")
         check_grid("sampled grid", *values.shape)
         self.values = values
-        self.n_theta, self.n_phi = values.shape
-        self.grid = sampled_grid(self.n_theta, self.n_phi)
+        self.grid = sampled_grid(*values.shape)
         self.theta_grid, self.phi_grid = self.grid.theta_axis, self.grid.phi_axis
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
@@ -280,61 +277,49 @@ def pole_extend(values, pad):
     return np.concatenate([top, values, bot], axis=0)
 
 
+#: central differences, second-order accurate: for k = 1..3 the (offset,
+#: weight) terms, summed in this order from the first, and the factor c of
+#: the divisor c h^k
+STENCILS = {1: (((1, 1), (-1, -1)), 2), 2: (((1, 1), (0, -2), (-1, 1)), 1),
+            3: (((2, 1), (1, -2), (-1, 2), (-2, -1)), 2)}
+
+
+def central(arr, axis, k, pad, h):
+    """The k-th central difference with step h along ``axis`` of ``arr``, at
+    the entries that have ``pad`` entries on each side: ``pad`` fewer at
+    each end of that axis."""
+    terms, c = STENCILS[k]
+    n = arr.shape[axis] - 2 * pad
+    index = [slice(None)] * arr.ndim
+    out = None
+    for offset, weight in terms:
+        index[axis] = slice(pad + offset, pad + offset + n)
+        # adding or subtracting |weight| times the term spends no product
+        # on a unit weight and keeps the bits of the written-out formula
+        term = arr[tuple(index)] if abs(weight) == 1 else abs(weight) * arr[tuple(index)]
+        out = term if out is None else (out + term if weight > 0 else out - term)
+    return out / (c * h**k)
+
+
+def grid_steps(n_theta, n_phi):
+    """The theta and phi steps of ``sampled_grid(n_theta, n_phi)``."""
+    return math.pi / n_theta, 2.0 * math.pi / n_phi
+
+
 def grid_scalar_jets(values, order=3):
     """Jets (y, dy[, d2y[, d3y]]) of a sampled scalar field through the given
-    order (1, 2 or 3), by central differences, second-order accurate
+    order (1, 2 or 3), by ``central`` differences, second-order accurate
     everywhere; the nodes are flattened theta-major onto the last axis.
     """
-    n_theta, n_phi = values.shape
-    pad = 3
-    # one periodic copy: the pole-extended rows with 2 columns wrapped onto
-    # each side, so grid column j sits at j + 2 and every phi stencil is a slice
-    ext = pole_extend(values, pad)
+    ht, hp = grid_steps(*values.shape)
+    # one periodic copy: 3 pole-extended rows and 2 wrapped columns on each
+    # side, so every stencil is a slice; part[k][j] has k theta and j phi
+    # derivatives, as in ``AnalyticSurface._derivative_table``
+    ext = pole_extend(values, 3)
     ext = np.concatenate([ext[:, -2:], ext, ext[:, :2]], axis=1)
-    ht = math.pi / n_theta
-    hp = 2.0 * math.pi / n_phi
-
-    def col(arr, k):
-        """arr at the grid columns shifted by k, periodically."""
-        return arr[:, 2 + k : 2 + k + n_phi]
-
-    def d_theta(arr):
-        return (arr[pad + 1 : pad + 1 + n_theta] - arr[pad - 1 : pad - 1 + n_theta]) / (2 * ht)
-
-    def d2_theta(arr):
-        core = arr[pad : pad + n_theta]
-        return (
-            arr[pad + 1 : pad + 1 + n_theta]
-            - 2 * core
-            + arr[pad - 1 : pad - 1 + n_theta]
-        ) / ht**2
-
-    def d3_theta(arr):
-        return (
-            arr[pad + 2 : pad + 2 + n_theta]
-            - 2 * arr[pad + 1 : pad + 1 + n_theta]
-            + 2 * arr[pad - 1 : pad - 1 + n_theta]
-            - arr[pad - 2 : pad - 2 + n_theta]
-        ) / (2 * ht**3)
-
-    def d_phi(arr):
-        return (col(arr, 1) - col(arr, -1)) / (2 * hp)
-
-    def d2_phi(arr):
-        return (col(arr, 1) - 2 * col(arr, 0) + col(arr, -1)) / hp**2
-
-    def d3_phi(arr):
-        return (col(arr, 2) - 2 * col(arr, 1) + 2 * col(arr, -1) - col(arr, -2)) / (2 * hp**3)
-
-    core = ext[pad : pad + n_theta]
-    t = d_theta(ext)
-    tensors = [np.array([col(t, 0), d_phi(core)])]
-    if order >= 2:
-        tt, tp = d2_theta(ext), d_phi(t)
-        tensors.append(np.array([[col(tt, 0), tp], [tp, d2_phi(core)]]))
-    if order >= 3:
-        ttp, tpp = d_phi(tt), d2_phi(t)
-        tensors.append(np.array([[[col(d3_theta(ext), 0), ttp], [ttp, tpp]],
-                                 [[ttp, tpp], [tpp, d3_phi(core)]]]))
+    rows = [ext[3:-3]] + [central(ext, 0, k, 3, ht) for k in range(1, order + 1)]
+    part = [[row[:, 2:-2]] + [central(row, 1, j, 2, hp) for j in range(1, order + 1 - k)]
+            for k, row in enumerate(rows)]
     y = np.ascontiguousarray(values.ravel(), dtype=float)
-    return (y, *(a.reshape(a.shape[:-2] + (values.size,)) for a in tensors))
+    return (y, *(_derivative_tensor(part, n).reshape((2,) * n + (values.size,))
+                 for n in range(1, order + 1)))

@@ -2,11 +2,12 @@
 
 ``surface_core`` and ``curvature_fields`` are the whole-array kernels as
 they were before each 2x2 product, congruence and contraction was written
-one component at a time on node arrays.  The other functions are the
-broadcast and einsum forms of the sampled geometry residuals, of the
-conformal-field check and of the image height's second derivatives in the
-chart inversion.  ``tests/test_kernels.py`` requires the package to give
-the same bits as these.
+one component at a time on node arrays.  ``grid_scalar_jets`` is the
+stencil route written out, with ``np.roll`` shifts in phi.  The other
+functions are the broadcast and einsum forms of the sampled geometry
+residuals, of the conformal-field check and of the image height's second
+derivatives in the chart inversion.  ``tests/test_kernels.py`` requires the
+package to give the same bits as these.
 
 The forms compute on node-major stacks, node k at index k of the leading
 axis.  Each public function takes and returns the package's
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from dsrigidity import ambient, symfun
+from dsrigidity import ambient, geometry, symfun
 
 
 def node_major(a):
@@ -286,6 +287,36 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
     return k_norm, gauss, np.abs(div).max(axis=1)
 
 
+def _central(at, h, k):
+    """k-th central difference of the field ``at(offset)``, step h."""
+    if k == 1:
+        return (at(1) - at(-1)) / (2 * h)
+    if k == 2:
+        return (at(1) - 2 * at(0) + at(-1)) / h**2
+    return (at(2) - 2 * at(1) + 2 * at(-1) - at(-2)) / (2 * h**3)
+
+
+def grid_scalar_jets(values, order):
+    """Central-difference jets of a sampled field: theta stencils read 3 ghost
+    rows on each side, each a grid row turned by pi in phi, and phi stencils
+    read ``np.roll`` shifts."""
+    n_theta, n_phi = values.shape
+    ht, hp = math.pi / n_theta, 2.0 * math.pi / n_phi
+    turned = np.roll(values, n_phi // 2, axis=1)
+    ext = np.concatenate([turned[[2, 1, 0]], values, turned[[-1, -2, -3]]])
+    rows = [values] + [_central(lambda o: ext[3 + o : 3 + o + n_theta], ht, k)
+                       for k in range(1, order + 1)]
+
+    def entry(idx):  # len(idx) - sum(idx) theta and sum(idx) phi derivatives
+        row, j = rows[len(idx) - sum(idx)], sum(idx)
+        return row if j == 0 else _central(lambda o: np.roll(row, -o, axis=1), hp, j)
+
+    return (values.ravel(), *(
+        np.array([entry(idx) for idx in np.ndindex(*(2,) * n)]).reshape((2,) * n + (-1,))
+        for n in range(1, order + 1)
+    ))
+
+
 def sampled_pre_integral_residual(surface, fields):
     from dsrigidity.surfaces import grid_scalar_jets
 
@@ -302,8 +333,8 @@ def sampled_pre_integral_residual(surface, fields):
     return np.abs(hess_frame - target).max(axis=(1, 2))
 
 
-def sampled_newton_residual(surface, fields, min_sin_theta=0.2):
-    nt, npk = surface.n_theta, surface.n_phi
+def sampled_newton_residual(surface, fields):
+    nt, npk = surface.values.shape
     w = node_major(fields.w_chart).reshape(nt, npk, 2, 2)
     tr = w[..., 0, 0] + w[..., 1, 1]
     newton = tr[..., None, None] * np.eye(2) - w
@@ -319,7 +350,7 @@ def sampled_newton_residual(surface, fields, min_sin_theta=0.2):
     div = np.einsum("tpiij->tpj", dT)
     div += np.einsum("tpiia,tpaj->tpj", gamma, core)
     div -= np.einsum("tpaij,tpia->tpj", gamma, core)
-    keep = np.sin(surface.theta_grid[1:-1]) >= min_sin_theta
+    keep = np.sin(surface.theta_grid[1:-1]) >= geometry.NEWTON_MIN_SIN_THETA
     return np.abs(div[keep]).max(axis=-1).ravel()
 
 

@@ -4,8 +4,9 @@ Every module-level public function or class in ``src/dsrigidity`` must be
 referenced somewhere in ``src/`` besides its own definition, and every
 public method, property or dataclass field of a non-enum class must be
 read as an attribute somewhere in ``src/`` (a keyword argument at
-construction is not a read); the entries below are the deliberate
-exceptions.
+construction is not a read), and every defaulted parameter of a function or
+``__init__`` must be set, by keyword or position, by some call in ``src/``;
+the entries below are the deliberate exceptions.
 """
 
 import ast
@@ -18,6 +19,12 @@ UNCALLED_ON_PURPOSE = {
     "sigma_line_coefficients": "sigma_k(W + t I) coefficients of Garding's theory",
     # the regraph entry point that library callers and the benchmark use
     "transform_surface": "re-expresses an isometric image as a sampled graph",
+}
+
+#: defaulted parameters that no call in src/ sets
+UNSET_ON_PURPOSE = {
+    # the console entry point: the installed script calls main() on sys.argv
+    "cli.py:main(argv)": "argv for callers that run the CLI in-process",
 }
 
 #: class members that only the acceptance gate reads
@@ -121,3 +128,62 @@ def test_member_exceptions_are_still_unread_and_defined():
     read = set().union(*(_attribute_loads(tree) for tree in trees.values()))
     assert set(UNREAD_ON_PURPOSE) <= defined
     assert not {member.split(".")[1] for member in UNREAD_ON_PURPOSE} & read
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) for each defaulted parameter, a class
+    name standing for its ``__init__``; position None for a keyword-only
+    parameter, and a method's positions count its arguments after self or cls."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name, args = owner.get(id(node), node.name), node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        out += [(name, positional[k].arg, k - skip) for k in range(first, len(positional))]
+        out += [(name, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def _calls(trees):
+    """The calls in src/ by callee name, ``cls(...)`` under its class's name."""
+    calls = {}
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cls":
+                        calls.setdefault(cls.name, []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, parameter, position):
+    """Whether ``call`` may pass ``parameter``: by keyword, ``**``, position
+    or a ``*`` spread."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_in_src():
+    # a default that only tests override is a knob the pipeline never turns
+    trees = _trees()
+    calls = _calls(trees)
+    unset = sorted(
+        f"{module}:{function}({parameter})"
+        for module, tree in trees.items()
+        for function, parameter, position in _defaulted_parameters(tree)
+        if not any(_sets(call, parameter, position) for call in calls.get(function, ()))
+    )
+    assert unset == sorted(UNSET_ON_PURPOSE), f"defaulted parameters no call in src/ sets: {unset}"

@@ -349,19 +349,28 @@ def test_config_validation(tmp_path, capsys):
         assert peak < 10_000_000, text
 
 
+def test_report_path_is_checked_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    # a --report path that cannot be written exits 2 before any field is formed
+    calls = []
+    evaluate_fields = cli.geometry.evaluate_fields
+    monkeypatch.setattr(cli.geometry, "evaluate_fields",
+                        lambda *args: calls.append(args[0].size) or evaluate_fields(*args))
+    cfg = str(REPO / "configs" / "geometry.cfg")
+    missing = str(tmp_path / "missing" / "report.txt")
+    for path, reason in ((missing, "No such file or directory"), (str(tmp_path), "Is a directory")):
+        assert run(["geometry", "--config", cfg, "--quad", "32x64", "--report", path]) == 2
+        assert capsys.readouterr() == ("", f"error: --report: cannot write {path!r}: {reason}\n")
+    assert calls == []
+
+
 def test_exits_of_the_runner_and_of_its_hypothesis_base(tmp_path, capsys):
     # the runner's dispatch: a missing --config, a config that configparser
-    # cannot read or without [surface] exit 2 before any record, and a report
-    # path that cannot be written exits 2 before any output; a read error is
-    # one line naming the line, never '<string>'
+    # cannot read or without [surface] exit 2 before any record (an unwritable
+    # --report has its own test); a read error is one line naming the line,
+    # never '<string>'
     geometry = str(REPO / "configs" / "geometry.cfg")
-    missing = str(tmp_path / "missing" / "report.txt")
     for argv, message in (
         (["geometry"], "error: this command needs --config PATH\n"),
-        (["geometry", "--config", geometry, "--quad", "16x16", "--report", missing],
-         f"error: --report: cannot write {missing!r}: No such file or directory\n"),
-        (["geometry", "--config", geometry, "--quad", "16x16", "--report", str(tmp_path)],
-         f"error: --report: cannot write {str(tmp_path)!r}: Is a directory\n"),
         (["geometry", "--config", _write(tmp_path / "bare.cfg", "rho0 = 0.5\n")],
          "error: cannot parse config: line 1 'rho0 = 0.5' comes before any [section] header\n"),
         (["geometry", "--config", _write(tmp_path / "twice.cfg",
@@ -398,6 +407,12 @@ def test_exits_of_the_runner_and_of_its_hypothesis_base(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("hypothesis violation: image surface leaves the positive-height region")
+    # the --report path is opened before the suite runs, so the violation
+    # leaves it empty
+    report = tmp_path / "violated.txt"
+    assert run(["rigidity", "--config", cfg, "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("hypothesis violation: image surface leaves")
+    assert report.read_text() == ""
     for name in ("ChartPole", "NonSpacelike", "NotAGraph", "GateFailed", "CorrespondenceInvalid"):
         assert issubclass(getattr(errors, name), errors.HypothesisViolation), name
     assert not issubclass(ConfigError, errors.HypothesisViolation)

@@ -11,7 +11,7 @@ import reference_forms
 from reference_forms import component_first, node_major
 from dsrigidity import ambient, geometry, kernels, transport
 from dsrigidity.errors import NonSpacelike
-from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
+from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface, grid_scalar_jets
 
 
 def test_surface_kernels_satisfy_their_invariants():
@@ -137,6 +137,17 @@ def test_chart_inversion_sums_like_einsum(parts):
 
 
 @deterministic
+@given(st.integers(3, 12), st.integers(1, 8), st.integers(1, 3), st.floats(-3.0, 3.0), st.data())
+def test_grid_stencils_sum_like_the_rolled_forms(n_theta, half_phi, order, decade, data):
+    values = 10.0**decade * data.draw(arrays(float, (n_theta, 2 * half_phi), elements=unit))
+    got = grid_scalar_jets(values, order)
+    want = reference_forms.grid_scalar_jets(values, order)
+    assert len(got) == len(want) == order + 1
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@deterministic
 @given(st.integers(3, 10), st.integers(1, 8), st.floats(-1.0, 1.0), st.data())
 def test_sampled_residuals_sum_like_einsum(n_theta, half_phi, rho0, data):
     n_phi = 2 * half_phi
@@ -148,8 +159,8 @@ def test_sampled_residuals_sum_like_einsum(n_theta, half_phi, rho0, data):
         reference_forms.sampled_pre_integral_residual(surface, fields),
     )
     assert np.array_equal(
-        geometry.sampled_newton_residual(surface, fields, min_sin_theta=0.0),
-        reference_forms.sampled_newton_residual(surface, fields, min_sin_theta=0.0),
+        geometry.sampled_newton_residual(surface, fields),
+        reference_forms.sampled_newton_residual(surface, fields),
     )
 
 

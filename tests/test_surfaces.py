@@ -274,6 +274,22 @@ def test_slope_matches_jets_and_stays_finite_at_the_poles():
     np.testing.assert_allclose(at_pole, near_pole, rtol=1e-7)
 
 
+def test_slope_reads_the_height_series():
+    # y and y_theta are entries of the derivative table that height and jets
+    # read, so they keep its bits; on a zonal surface y_phi vanishes and
+    # |grad y|^2 is y_theta^2 exactly
+    theta = np.linspace(0.05, math.pi - 0.05, 23)
+    phi = np.linspace(0.0, 6.2, 23)
+    surf = AnalyticSurface(0.3, [(0.05, 2, 0), (0.02, 5, 3), (-0.01, 4, 4)])
+    assert surf.slope(theta, phi)[0].tobytes() == surf.height(theta, phi).tobytes()
+    zonal = AnalyticSurface(-0.2, [(0.05, 2, 0), (0.03, 7, 0)])
+    y_theta = zonal.jets(theta, phi)[1][0]
+    assert zonal.slope(theta, phi)[1].tobytes() == (y_theta**2).tobytes()
+    # a mode-free surface has zero slope at every node, shaped like theta
+    flat = AnalyticSurface(0.4).slope(theta, phi)
+    assert flat[1].shape == theta.shape and not flat[1].any()
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         HarmonicMode(0.1, 2, 3)
