@@ -22,6 +22,7 @@ value is the raw text after its ``=``; see configs/ for canonical examples.
 
 import argparse
 import configparser
+import ctypes
 import functools
 import math
 import platform
@@ -622,7 +623,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Keep freed heap memory mapped for the life of the process, where glibc's
+    ``mallopt`` is found.  Otherwise glibc gives the top of the heap, where
+    numpy's arrays live, back to the kernel after each verdict (and partway
+    through one), and the next one faults every page in again.  Either
+    setting alone freezes glibc's dynamic mmap threshold at 128 KiB, and every
+    larger array would be a fresh mapping, so both are set."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD: arrays up to glibc's 32 MiB cap from the heap
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim the heap top
+
+
 def main(argv=None) -> int:
+    _keep_heap_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -144,31 +144,31 @@ class AnalyticSurface:
         so an entry is (d/dtheta)^k P_l^m times (d/dphi)^j cos(m phi).  The
         angles broadcast: (n,) arrays of scattered nodes, or a grid's (n_theta, 1)
         column and (1, n_phi) row, whose factors are then evaluated once per row
-        or column and give the bits of the flat nodes."""
+        or column and give the bits of the flat nodes.  Also returns each mode's
+        sin(m phi), or None at order 0, where no phi derivative is formed."""
         phi = np.asarray(phi, dtype=float)
         shape = np.broadcast_shapes(np.shape(x), phi.shape)
         part = [[np.zeros(shape) for _ in range(order + 1 - k)] for k in range(order + 1)]
         part[0][0] += self.rho0
+        sines = []
         for mode in self.modes:
             l, m = mode.degree, mode.order
             scale = mode.amplitude * _sph_norm(l, m)
             p_theta = _legendre_theta_derivatives(l, m, x, s, order)
-            c = np.cos(m * phi)
-            p_phi = (c,)
-            if order:  # height values need no phi derivative
-                sn = np.sin(m * phi)
-                p_phi = (c, -m * sn, -m * m * c, m**3 * sn)
+            c, sn = np.cos(m * phi), np.sin(m * phi) if order else None
+            sines.append(sn)
+            p_phi = [c, *(a * f for a, f in zip((-m, -m * m, m**3)[:order], (sn, c, sn)))]
             for k in range(order + 1):
                 for j in range(order + 1 - k):
                     part[k][j] = part[k][j] + scale * p_theta[k] * p_phi[j]
-        return part
+        return part, sines
 
     def _jets(self, theta, phi, order):
         """Closed-form (y, dy, d2y[, d3y]) through ``order``, derivative axes
         first and the nodes, theta-major, on one last axis."""
         shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
         check_off_poles(theta, shape)
-        part = self._derivative_table(np.cos(theta), np.sin(theta), phi, order)
+        part, _ = self._derivative_table(np.cos(theta), np.sin(theta), phi, order)
         part = [[entry.reshape(-1) for entry in row] for row in part]
         return (part[0][0], *(_derivative_tensor(part, n) for n in range(1, order + 1)))
 
@@ -182,18 +182,18 @@ class AnalyticSurface:
 
     def height(self, theta, phi):
         """Height values, shaped as theta and phi broadcast; safe at the chart poles."""
-        return self._derivative_table(np.cos(theta), np.sin(theta), phi, 0)[0][0]
+        return self._derivative_table(np.cos(theta), np.sin(theta), phi, 0)[0][0][0]
 
     def slope(self, theta, phi):
         """Height y and |grad y|^2 = y_theta^2 + (y_phi / sin theta)^2 on the
         unit sphere, at node arrays; safe at the chart poles."""
         x, s = np.cos(theta), np.sin(theta)
-        part = self._derivative_table(x, s, phi, 1)
+        part, sines = self._derivative_table(x, s, phi, 1)
         y_phi_over_sin = 0.0  # pole-safe, unlike part[0][1] / s
-        for mode in self.modes:
+        for mode, sn in zip(self.modes, sines):
             l, m = mode.degree, mode.order
             scale = mode.amplitude * _sph_norm(l, m)
-            y_phi_over_sin -= scale * _legendre_m_over_sin(l, m, x, s) * np.sin(m * phi)
+            y_phi_over_sin -= scale * _legendre_m_over_sin(l, m, x, s) * sn
         return part[0][0], part[1][0] ** 2 + y_phi_over_sin**2
 
     def reflected(self):

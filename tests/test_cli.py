@@ -1,14 +1,17 @@
 import contextlib
+import ctypes
 import io
 import math
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -514,6 +517,57 @@ def test_quad_is_checked_under_python_optimizations():
     )
     assert result.returncode == 2, result.stderr
     assert "bad --quad value" in result.stderr
+
+
+HEAP_PROBE = """
+import contextlib, io, resource
+from dsrigidity import cli
+for command, config, quad in (("verify-identities", "identities", "32x64"),
+                              ("rigidity", "rigidity", "32x64"), ("geometry", "geometry", "32x64"),
+                              ("rigidity", "rigidity", "128x256")):
+    argv = [command, "--config", f"configs/{config}.cfg", "--quad", quad]
+    counts = []
+    for run in range(11):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(command, quad, *counts[3:])
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+def test_main_keeps_the_heap_mapped_between_verdicts():
+    # Minor faults of 8 warm runs after 3 warm-ups; a single run can read a
+    # few dozen, so the median is graded.  Without the policy glibc trims the
+    # heap top after each verdict and the next one faults its working set in
+    # again: medians up to 280 at 32x64 and about 5,300 for rigidity at
+    # 128x256, where every array is past glibc's default 128 KiB mmap
+    # threshold.  There the threshold alone reads 1,100 to 7,700, the trim
+    # alone 42,900.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", HEAP_PROBE], cwd=REPO, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    faults = {(command, quad): statistics.median(map(int, counts))
+              for command, quad, *counts in map(str.split, result.stdout.splitlines())}
+    assert len(faults) == 4
+    assert all(count < 16 for count in faults.values()), faults
+
+
+def test_main_runs_unchanged_where_the_c_library_has_no_mallopt(monkeypatch, capsys):
+    argv = ["rigidity", "--config", str(REPO / "configs" / "rigidity.cfg"), "--quad", "16x32"]
+    expected = run(argv), capsys.readouterr()
+    looked_up = []
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(
+        CDLL=lambda name: looked_up.append(name) or SimpleNamespace()))
+    cli._keep_heap_mapped.cache_clear()
+    try:
+        assert (run(argv), capsys.readouterr()) == expected
+    finally:
+        cli._keep_heap_mapped.cache_clear()
+    assert looked_up == [None]
 
 
 def test_tolerance_override_can_force_failure(tmp_path, capsys):

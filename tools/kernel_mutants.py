@@ -1,20 +1,24 @@
-"""Single-operator mutants of ``src/dsrigidity/kernels.py`` and which checks kill them.
+"""Single-operator mutants of a module of ``src/dsrigidity`` and which checks kill them.
 
-Each mutant changes one operator of the kernels: ``+`` <-> ``-``, ``*`` <-> ``/``
-(in a binary operation or an augmented assignment), or drops one unary minus.
+Each mutant changes one operator of the module (``--module``: ``kernels``, the
+default, ``quadrature`` or ``integrals``): ``+`` <-> ``-``, ``*`` <-> ``/`` (in a
+binary operation or an augmented assignment), or drops one unary minus.
 Every mutant is written into its own copy of the package and run under a hard
 timeout in a fresh process; it is killed when the check exits nonzero or runs
 out of time (a mutated bracketing loop can run for ever).
 
     python tools/kernel_mutants.py --check perturbed --out mutants.json
     python tools/kernel_mutants.py --check acceptance --only-survivors-of mutants.json
+    python tools/kernel_mutants.py --module integrals --check pairs
 
 Checks:
   perturbed   ``geometry`` on ``tests/golden/perturbed.cfg``, the two-mode slice
               whose height has a gradient; any failed record kills
   acceptance  ``tests/test_acceptance.py``
+  pairs       ``verify-identities`` and ``rigidity`` on ``configs/identities.cfg``
+              and on ``configs/rigidity.cfg``; any nonzero exit kills
 
-The check first runs once on the unmutated (unparsed) kernels and must pass.
+The check first runs once on the unmutated (unparsed) module and must pass.
 The script is a tool for judging the tests, not part of them.
 """
 
@@ -30,12 +34,17 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-KERNELS = REPO / "src" / "dsrigidity" / "kernels.py"
+PACKAGE = REPO / "src" / "dsrigidity"
+MODULES = ("kernels", "quadrature", "integrals")
+CLI = [sys.executable, "-m", "dsrigidity.cli"]
+#: each check is a list of commands, run in turn until one exits nonzero
 CHECKS = {
-    "perturbed": [sys.executable, "-m", "dsrigidity.cli", "geometry",
-                  "--config", "tests/golden/perturbed.cfg"],
-    "acceptance": [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "tests/test_acceptance.py"],
+    "perturbed": [CLI + ["geometry", "--config", "tests/golden/perturbed.cfg"]],
+    "acceptance": [[sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                    "tests/test_acceptance.py"]],
+    "pairs": [CLI + [command, "--config", f"configs/{config}.cfg"]
+              for config in ("identities", "rigidity")
+              for command in ("verify-identities", "rigidity")],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
@@ -80,26 +89,31 @@ def mutated_source(source, index):
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def run_check(check, source, timeout):
-    """'passed', 'killed' or 'timeout' for the check on a package with ``source`` kernels."""
+def run_check(check, module, source, timeout):
+    """'passed', 'killed' or 'timeout' for the check on a package whose ``module``
+    has ``source``; ``timeout`` bounds each command of the check."""
     with tempfile.TemporaryDirectory(prefix="kernel-mutant-") as work:
         package = Path(work) / "dsrigidity"
-        shutil.copytree(KERNELS.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
-        (package / "kernels.py").write_text(source)
+        shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+        (package / f"{module}.py").write_text(source)
         env = dict(os.environ, PYTHONPATH=work, PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.Popen(CHECKS[check], cwd=REPO, env=env, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL, start_new_session=True)
-        try:
-            code = proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)  # the check's own children too
-            proc.wait()
-            return "timeout"
-    return "passed" if code == 0 else "killed"
+        for command in CHECKS[check]:
+            proc = subprocess.Popen(command, cwd=REPO, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, start_new_session=True)
+            try:
+                code = proc.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # the check's own children too
+                proc.wait()
+                return "timeout"
+            if code != 0:
+                return "killed"
+    return "passed"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--module", choices=MODULES, default="kernels")
     parser.add_argument("--check", choices=sorted(CHECKS), default="perturbed")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="seconds before a mutant's run is stopped and counted as killed")
@@ -108,25 +122,26 @@ def main(argv=None):
     parser.add_argument("--out", metavar="JSON", help="write one entry per mutant here")
     args = parser.parse_args(argv)
 
-    source = KERNELS.read_text()
+    path = PACKAGE / f"{args.module}.py"
+    source = path.read_text()
     sites = mutants(source)
     indices = range(len(sites))
     if args.only_survivors_of:
         earlier = json.loads(Path(args.only_survivors_of).read_text())
         indices = [entry["index"] for entry in earlier if entry["status"] == "passed"]
-    if run_check(args.check, mutated_source(source, None), args.timeout) != "passed":
-        sys.exit(f"the unmutated kernels fail the {args.check} check")
+    if run_check(args.check, args.module, mutated_source(source, None), args.timeout) != "passed":
+        sys.exit(f"the unmutated {args.module} module fails the {args.check} check")
 
     results = []
     for index in indices:
-        status = run_check(args.check, mutated_source(source, index), args.timeout)
+        status = run_check(args.check, args.module, mutated_source(source, index), args.timeout)
         line, col, what = sites[index]
-        print(f"{index:4d} {KERNELS.name}:{line}:{col} {what}: {status}", flush=True)
+        print(f"{index:4d} {path.name}:{line}:{col} {what}: {status}", flush=True)
         results.append({"index": index, "line": line, "col": col, "mutation": what,
                         "status": status})
     survivors = [r for r in results if r["status"] == "passed"]
-    print(f"{args.check}: {len(results) - len(survivors)} of {len(results)} mutants killed, "
-          f"{len(survivors)} survive")
+    print(f"{args.module} {args.check}: {len(results) - len(survivors)} of {len(results)} "
+          f"mutants killed, {len(survivors)} survive")
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=1) + "\n")
 
