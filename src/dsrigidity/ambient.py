@@ -34,10 +34,13 @@ def embed(rho, omega):
 
 
 def unembed(x):
-    """(rho, theta, phi) of pseudosphere points ``x`` on axis 0, phi in [0, 2 pi)."""
+    """(rho, theta, phi) of pseudosphere points ``x`` on axis 0, phi in [0, 2 pi]:
+    atan2 wrapped with the bits of ``% (2 pi)``, so -0.0 gives +0.0, and a negative
+    atan2 within half an ulp of 2 pi (4.4e-16), such as -1e-300, gives exactly 2 pi."""
     r = np.sqrt(x[1] ** 2 + x[2] ** 2 + x[3] ** 2)
     theta = np.arccos(np.clip(x[3] / r, -1.0, 1.0))
-    return np.arcsinh(x[0]), theta, np.arctan2(x[2], x[1]) % (2.0 * math.pi)
+    phi = np.arctan2(x[2], x[1])
+    return np.arcsinh(x[0]), theta, np.where(phi < 0.0, phi + 2.0 * math.pi, phi + 0.0)
 
 
 # -- chart metric and Christoffel symbols --------------------------------

@@ -136,10 +136,11 @@ def evaluate_fields(theta, phi, node_jets, grid=None) -> SurfaceFields:
     return SurfaceFields(theta=theta, phi=phi, y=y, dy=dy, d2y=d2y, d3y=d3y, trig=trig, **core)
 
 
-def check_spacelike(theta, phi, y, dy):
-    """``evaluate_fields``'s NonSpacelike check from y and dy alone, no field formed."""
+def check_spacelike(grid, y, dy):
+    """``evaluate_fields``'s NonSpacelike check from y and dy alone at the nodes
+    of a product ``grid``, no field formed."""
     c = np.cosh(y)
-    _raise_unless_spacelike(theta, phi, kernels.first_form(np.sin(theta), c * c, dy)[2])
+    _raise_unless_spacelike(grid.theta, grid.phi, kernels.first_form(grid.trig[0], c * c, dy)[2])
 
 
 def _raise_unless_spacelike(theta, phi, margin):

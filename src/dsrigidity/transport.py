@@ -18,7 +18,8 @@ sum of node arrays in a fixed order, so no digit depends on a BLAS kernel.
 
 The regraphing root-finder re-expresses the image as heights over the
 standard sampled grid (and certifies the image is a graph at all); it moves
-points with ``ambient.embed``, the transport's Lorentz sums and ``ambient.unembed``.
+points with ``ambient.embed``, the transport's Lorentz sums and ``ambient.unembed``,
+and each Illinois pass evaluates the unfinished lines alone.
 The exact transport is what the integral and rigidity checks consume.
 """
 
@@ -248,25 +249,26 @@ def transform_surface(surface, iso, regraph_grid):
     check_grid("regraph_grid", n_theta, n_phi)
     grid = sampled_grid(n_theta, n_phi)
     theta, phi = grid.theta, grid.phi
-    omega = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    st, ct, sp, cp = grid.trig
+    omega = np.stack([st * cp, st * sp, ct])
     lam_inv = iso.inverse().matrix
     up = 1.0 if lam_inv[0, 0] > 0.0 else -1.0  # the sign of F' at the crossing
 
-    def foot(t, lines):
-        # rho, theta, phi of La^{-1} P(t); t has a column per line ``lines`` picks
-        return ambient.unembed(_lorentz(lam_inv, ambient.embed(t, omega[:, None, lines])))
+    def foot(t, dirs):
+        # rho, theta, phi of La^{-1} P(t); t has a column per direction of ``dirs``
+        return ambient.unembed(_lorentz(lam_inv, ambient.embed(t, dirs[:, None])))
 
-    def rising(t, lines):
+    def rising(t, dirs):
         # up * F: negative below the crossing, nonnegative from it on
-        rho, th, ph = foot(t, lines)
+        rho, th, ph = foot(t, dirs)
         return up * (rho - surface.height(th.ravel(), ph.ravel()).reshape(t.shape))
 
     t_max = max(3.0, surface.height_bound() + math.acosh(abs(lam_inv[0, 0])) + 0.1)
-    lo, hi = np.full(theta.shape, -t_max), np.full(theta.shape, t_max)
-    g_lo, g_hi = rising(np.stack([lo, hi]), slice(None))
-    if np.any(bad := ~((g_lo < 0.0) & (g_hi > 0.0))):
+    a, b = np.full(theta.shape, -t_max), np.full(theta.shape, t_max)
+    ga, gb = rising(np.stack([a, b]), omega)
+    if np.any(bad := ~((ga < 0.0) & (gb > 0.0))):
         k = int(np.argmax(bad))
-        where = node_text(theta, phi, k, F_start=up * g_lo[k], F_end=up * g_hi[k])
+        where = node_text(theta, phi, k, F_start=up * ga[k], F_end=up * gb[k])
         raise NotAGraph(
             f"radial line through {where} does not cross the image once: "
             f"the end signs must be {'-+' if up > 0 else '+-'}"
@@ -274,26 +276,33 @@ def transform_surface(surface, iso, regraph_grid):
 
     # Illinois on the probes c -+ REGRAPH_TOL/4 about each secant point c:
     # probes that straddle the root end the line, an end kept twice has its
-    # value halved, and a bracket not halved over two steps is bisected
+    # value halved, and a bracket not halved over two steps is bisected.
+    # Each pass works on the unfinished lines alone, numbered by ``lines``:
+    # a finished line's height is written once and its state dropped
     probe = 0.25 * REGRAPH_TOL
-    moved, (width_1, width_2) = np.zeros(theta.shape), np.full((2, theta.size), np.inf)
-    active = np.arange(theta.size)
-    while active.size:
-        a, b, ga, gb = lo[active], hi[active], g_lo[active], g_hi[active]
+    heights, lines, dirs = np.empty(theta.size), np.arange(theta.size), omega
+    moved, (width_1, width_2) = np.zeros(theta.size), np.full((2, theta.size), np.inf)
+    while lines.size:
         c = b - gb / (gb - ga) * (b - a)
-        c = np.where(b - a > 0.5 * width_2[active], 0.5 * (a + b), c)
-        pts = np.stack([a, np.maximum(c - probe, a), np.minimum(c + probe, b), b])
-        vals = np.concatenate([ga[None], rising(pts[1:3], active), gb[None]])
-        j = np.argmax(vals >= 0.0, axis=0)  # 1: hi moved, 2: straddle, 3: lo moved
-        repeat = j == moved[active]
-        lo[active], hi[active], moved[active] = np.choose(j - 1, pts), np.choose(j, pts), j
-        g_lo[active] = np.where(repeat & (j == 1), 0.5, 1.0) * np.choose(j - 1, vals)
-        g_hi[active] = np.where(repeat & (j == 3), 0.5, 1.0) * np.choose(j, vals)
-        width_2[active], width_1[active] = width_1[active], b - a
-        active = active[hi[active] - lo[active] > REGRAPH_TOL]
-    heights = 0.5 * (lo + hi)
+        c = np.where(b - a > 0.5 * width_2, 0.5 * (a + b), c)
+        p1, p2 = np.maximum(c - probe, a), np.minimum(c + probe, b)
+        v1, v2 = rising(np.stack([p1, p2]), dirs)
+        # as ga < 0 <= gb, hi moves to p1 (j = 1), the probes straddle (2) or lo moves to p2 (3)
+        hi_moved, straddle = v1 >= 0.0, v2 >= 0.0
+        pick = lambda x1, x2, x3: np.where(hi_moved, x1, np.where(straddle, x2, x3))
+        j = pick(1.0, 2.0, 3.0)
+        repeat = j == moved
+        width_2, width_1, moved = width_1, b - a, j
+        a, b = pick(a, p1, p2), pick(p1, p2, b)
+        ga = np.where(repeat & (j == 1.0), 0.5, 1.0) * pick(ga, v1, v2)
+        gb = np.where(repeat & (j == 3.0), 0.5, 1.0) * pick(v1, v2, gb)
+        if not (keep := b - a > REGRAPH_TOL).all():
+            heights[lines[~keep]] = 0.5 * (a[~keep] + b[~keep])
+            lines, a, b, ga, gb, moved, width_1, width_2 = (
+                x[keep] for x in (lines, a, b, ga, gb, moved, width_1, width_2))
+            dirs = dirs[:, keep]
 
-    _, foot_theta, foot_phi = foot(heights[None], slice(None))
+    _, foot_theta, foot_phi = foot(heights[None], omega)
     y, slope2 = surface.slope(foot_theta[0], foot_phi[0])
     if np.any(bad := slope2 >= np.cosh(y) ** 2):
         k = int(np.argmax(bad))
@@ -305,5 +314,5 @@ def transform_surface(surface, iso, regraph_grid):
 
     sampled = SampledGridSurface(heights.reshape(n_theta, n_phi))
     # NonSpacelike past the gradient bound: first-order stencils and the margin only
-    geometry.check_spacelike(theta, phi, *grid_scalar_jets(sampled.values, order=1))
+    geometry.check_spacelike(grid, *grid_scalar_jets(sampled.values, order=1))
     return sampled, IsometryCorrespondence(surface, iso)

@@ -41,6 +41,21 @@ def test_embedding_stays_on_pseudosphere_and_round_trips():
         assert np.abs(direction(theta_q, phi_q) - omega).max() < 1e-12
 
 
+def test_unembed_wraps_phi_with_the_bits_of_the_remainder():
+    # phi in [0, 2 pi]: -0.0 wraps to +0.0, -pi to pi and a negative atan2
+    # within half an ulp of 2 pi to exactly 2 pi, as % (2 pi) gives them
+    tiny = [1e-300, 5e-324, 1e-17, 4.4e-16, 4.5e-16, 1e-12]
+    signed_zeros = [(x1, x2) for x1 in (1.0, 0.0, -0.0, -1.0) for x2 in (0.0, -0.0)]
+    points = np.array(signed_zeros + [(-2.0, 1e-300), (-2.0, -1e-300)]
+                      + [(1.0, x2) for t in tiny for x2 in (t, -t)]).T
+    x1, x2 = np.concatenate([points, np.random.default_rng(3).normal(size=(2, 500))], axis=1)
+    phi = ambient.unembed(np.stack([np.zeros_like(x1), x1, x2, np.ones_like(x1)]))[2]
+    assert phi.tobytes() == (np.arctan2(x2, x1) % (2.0 * math.pi)).tobytes()
+    assert not np.signbit(phi).any() and np.all((phi >= 0.0) & (phi <= 2.0 * math.pi))
+    assert phi[6] == phi[7] == math.pi  # x1 = -1, x2 = +-0.0
+    assert phi[11] == phi[13] == 2.0 * math.pi  # x2 = -1e-300, -5e-324
+
+
 def test_christoffel_closed_forms():
     gam = ambient.christoffel_components(1.0, 1.0)
     assert abs(gam[0, 1, 1] - math.cosh(1.0) * math.sinh(1.0)) < 1e-12

@@ -175,7 +175,7 @@ def test_spacelike_check_agrees_with_the_surface_kernel(n_theta, half_phi, rho0,
     y, dy, d2y = grid_scalar_jets(surface.values, order=2)
     y1, dy1 = grid_scalar_jets(surface.values, order=1)
     assert np.array_equal(y1, y) and np.array_equal(dy1, dy)
-    assert _outcome(geometry.check_spacelike, theta, phi, y1, dy1) == _outcome(
+    assert _outcome(geometry.check_spacelike, surface.grid, y1, dy1) == _outcome(
         geometry.evaluate_fields, theta, phi, (y, dy, d2y)
     )
 

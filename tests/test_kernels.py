@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,9 +43,11 @@ def test_surface_kernels_satisfy_their_invariants():
         warnings.simplefilter("error")
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
             geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
-        # the margin-only check of the regraph names the same node
+        # the margin-only check of the regraph names the same node; it reads
+        # the nodes and their sin theta off a grid
+        nodes = SimpleNamespace(theta=theta, phi=phi, trig=(np.sin(theta),))
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
-            geometry.check_spacelike(theta, phi, y, dy)
+            geometry.check_spacelike(nodes, y, dy)
 
 
 # -- component forms against the broadcast and einsum forms they replaced --

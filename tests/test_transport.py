@@ -398,6 +398,47 @@ def test_rotation_regraph_needs_few_height_calls(perturbed_surface, monkeypatch)
     assert len(calls) <= 14
 
 
+def test_regraph_evaluates_only_the_unfinished_lines(monkeypatch):
+    # the lines of this boost finish over four passes; every pass maps the
+    # probes of the lines still unfinished and no others, and a line's last
+    # probes lie within REGRAPH_TOL / 2 of its height
+    surface = AnalyticSurface(0.4, [(0.05, 2, 1), (0.03, 3, 0)])
+    iso = ambient.boost(0.35, [0.36, -0.8, 0.48])
+    st_, ct, sp, cp = sampled_grid(16, 32).trig
+    line_of = {d.tobytes(): k for k, d in enumerate(np.stack([st_ * cp, st_ * sp, ct]).T)}
+    sizes, probes = [], []
+    height, embed = AnalyticSurface.height, ambient.embed
+
+    def counted(self, theta, phi):
+        sizes.append(np.size(theta))
+        return height(self, theta, phi)
+
+    def spied(t, omega):
+        probes.append(([line_of[d.tobytes()] for d in omega.reshape(3, -1).T], t))
+        return embed(t, omega)
+
+    monkeypatch.setattr(AnalyticSurface, "height", counted)
+    monkeypatch.setattr(ambient, "embed", spied)
+    sampled, _ = transport.transform_surface(surface, iso, regraph_grid=(16, 32))
+    heights = sampled.values.ravel()
+    n = heights.size
+    # the bracket, the Illinois passes, then the feet of the roots, whose
+    # slope is read without a height call
+    assert sizes[0] == 2 * n and probes[0][0] == probes[-1][0] == list(range(n))
+    passes = [lines for lines, _ in probes[1:-1]]
+    assert sizes[1:] == [2 * len(lines) for lines in passes]
+    assert passes[0] == list(range(n))
+    finished = []
+    for lines, later in zip(passes, passes[1:] + [[]]):
+        assert len(set(lines)) == len(lines) and set(later) <= set(lines)
+        finished.append(sorted(set(lines) - set(later)))
+    assert sum(map(bool, finished)) >= 3
+    for (lines, t), done in zip(probes[1:-1], finished):
+        last = np.abs(t - heights[lines]).min(axis=0)[np.isin(lines, done)]
+        assert last.size == len(done) and np.all(last <= 0.5 * transport.REGRAPH_TOL)
+    assert np.abs(sampled.values - dense_scan_heights(surface, iso, (16, 32))).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "surface, iso",
     [

@@ -1,8 +1,9 @@
 """Single-operator mutants of a module of ``src/dsrigidity`` and which checks kill them.
 
 Each mutant changes one operator of the module (``--module``: ``kernels``, the
-default, ``quadrature`` or ``integrals``): ``+`` <-> ``-``, ``*`` <-> ``/`` (in a
-binary operation or an augmented assignment), or drops one unary minus.
+default, ``quadrature``, ``integrals``, ``transport`` or ``ambient``): ``+`` <->
+``-``, ``*`` <-> ``/`` (in a binary operation or an augmented assignment), or
+drops one unary minus.
 Every mutant is written into its own copy of the package and run under a hard
 timeout in a fresh process; it is killed when the check exits nonzero or runs
 out of time (a mutated bracketing loop can run for ever).
@@ -10,6 +11,7 @@ out of time (a mutated bracketing loop can run for ever).
     python tools/kernel_mutants.py --check perturbed --out mutants.json
     python tools/kernel_mutants.py --check acceptance --only-survivors-of mutants.json
     python tools/kernel_mutants.py --module integrals --check pairs
+    python tools/kernel_mutants.py --module transport --check regraph
 
 Checks:
   perturbed   ``geometry`` on ``tests/golden/perturbed.cfg``, the two-mode slice
@@ -17,6 +19,9 @@ Checks:
   acceptance  ``tests/test_acceptance.py``
   pairs       ``verify-identities`` and ``rigidity`` on ``configs/identities.cfg``
               and on ``configs/rigidity.cfg``; any nonzero exit kills
+  regraph     the pinned regraph digests of ``tests/test_golden.py`` and the
+              ``transform_surface`` tests of ``tests/test_transport.py`` that
+              compare heights with the dense-scan oracle
 
 The check first runs once on the unmutated (unparsed) module and must pass.
 The script is a tool for judging the tests, not part of them.
@@ -35,16 +40,22 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "dsrigidity"
-MODULES = ("kernels", "quadrature", "integrals")
+MODULES = ("kernels", "quadrature", "integrals", "transport", "ambient")
 CLI = [sys.executable, "-m", "dsrigidity.cli"]
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 #: each check is a list of commands, run in turn until one exits nonzero
 CHECKS = {
     "perturbed": [CLI + ["geometry", "--config", "tests/golden/perturbed.cfg"]],
-    "acceptance": [[sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                    "tests/test_acceptance.py"]],
+    "acceptance": [PYTEST + ["tests/test_acceptance.py"]],
     "pairs": [CLI + [command, "--config", f"configs/{config}.cfg"]
               for config in ("identities", "rigidity")
               for command in ("verify-identities", "rigidity")],
+    "regraph": [PYTEST + ["tests/test_golden.py::test_regraph_heights_are_pinned_bit_for_bit"]
+                + [f"tests/test_transport.py::{test}" for test in (
+                    "test_transform_surface_matches_dense_scan_oracle",
+                    "test_transform_surface_with_a_foot_on_the_source_pole",
+                    "test_regraph_evaluates_only_the_unfinished_lines",
+                    "test_regraph_brackets_heights_past_three")]],
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
