@@ -52,12 +52,12 @@ DEFAULT_TOLERANCES = {
     "reflection": 1e-8,
     "normal": 1e-10,
     "frame": 1e-10,
-    "identity_rel": integrals.IDENTITY_REL_TOL,
-    "pointwise": integrals.POINTWISE_TOL,
-    "tilde_symmetry": integrals.TILDE_SYMMETRY_TOL,
-    "rigidity_integral_rel": integrals.RIGIDITY_INTEGRAL_REL_TOL,
-    "w_mismatch": integrals.W_MISMATCH_TOL,
-    "metric_pullback": integrals.METRIC_PULLBACK_TOL,
+    "identity_rel": 1e-6,
+    "pointwise": 1e-8,
+    "tilde_symmetry": 1e-6,
+    "rigidity_integral_rel": 1e-8,
+    "w_mismatch": 1e-6,
+    "metric_pullback": 1e-8,
 }
 
 #: configured heights stay within |y| <= HEIGHT_BOUND; a boost of rapidity
@@ -364,7 +364,7 @@ def _geometry_records(config, report) -> bool:
         )
     else:
         rule = config.rule
-        fields = geometry.evaluate_surface(surface, rule.theta, rule.phi, rule)
+        fields = geometry.evaluate_surface(surface, rule)
         report.add(
             "pre_integral",
             "Hess(Phi) = phi' g + <V,nu> h",
@@ -474,11 +474,8 @@ def _geometry_records(config, report) -> bool:
 def _identity_records(config, report) -> None:
     """Add the four integral identities and the tilde symmetry (hypotheses raise)."""
     tol = config.tolerances
-    idents, sym = integrals.verify_identities(
-        config.pair_data(),
-        config.rule,
-        metric_tol=tol["metric_pullback"],
-    )
+    idents, sym = integrals.verify_identities(config.pair_data(), config.rule,
+                                              metric_tol=tol["metric_pullback"])
     for rep in idents:
         report.add(
             f"integral_identity.{rep.label}",

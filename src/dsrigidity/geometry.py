@@ -65,19 +65,17 @@ class SurfaceFields:
 
     @functools.cached_property
     def _normal(self):
-        return kernels.normal_fields(
-            self.theta, self.y, self.dy, self.margin, self.g_inv, self.h, trig=self.trig
-        )
+        return kernels.normal_fields(self.dy, self.margin, self.g_inv, self.h, trig=self.trig)
 
     @functools.cached_property
     def _connection(self):
-        return kernels.connection(self.theta, self.y, self.dy, self.d2y, self.g_inv, trig=self.trig)
+        return kernels.connection(self.dy, self.d2y, self.g_inv, trig=self.trig)
 
     @functools.cached_property
     def hess_phi_frame(self):
         return kernels.frame_hessian(
             self.frame, self.gamma,
-            *kernels.potential_jets(self.y, self.dy, self.d2y, trig=self.trig)
+            *kernels.potential_jets(self.dy, self.d2y, trig=self.trig)
         )
 
     @functools.cached_property
@@ -96,8 +94,8 @@ class SurfaceFields:
     @functools.cached_property
     def newton_residual(self):
         return None if self.d3y is None else kernels.newton_divergence(
-            self.theta, self.y, self.dy, self.d2y, self.d3y, self.g_inv, self.w_chart,
-            self.gamma, self.dg, self.margin, self.t, trig=self.trig,
+            self.dy, self.d2y, self.d3y, self.g_inv, self.w_chart, self.gamma, self.dg,
+            self.margin, self.t, trig=self.trig,
         )
 
     nu = property(lambda self: self._normal[0])
@@ -151,14 +149,10 @@ def _raise_unless_spacelike(theta, phi, margin):
         raise NonSpacelike(f"gradient bound violated at {where}")
 
 
-def evaluate_surface(surface, theta, phi, grid=None) -> SurfaceFields:
-    """All fields, curvature included, of an analytic surface at the nodes:
-    ``theta`` and ``phi``, or those of a product ``grid`` (whose flat arrays
-    they then are), each function of one angle once per row or column."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    jets = surface.jets(*((theta, phi) if grid is None else grid.mesh))
-    return evaluate_fields(theta, phi, jets, grid)
+def evaluate_surface(surface, grid) -> SurfaceFields:
+    """All fields, curvature included, of an analytic surface at the nodes of
+    a product ``grid``, each function of one angle once per row or column."""
+    return evaluate_fields(grid.theta, grid.phi, surface.jets(*grid.mesh), grid)
 
 
 def evaluate_on_grid(surface) -> SurfaceFields:
@@ -173,8 +167,10 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     ``fields`` is ``evaluate_on_grid(surface)``.  The Hessian side is
     computed from samples of the potential itself (independent stencils),
     the right side from the height jets; the mutual disagreement measures
-    the discretization error and decays at second order under grid
-    refinement.
+    the discretization error.  It decays at second order on the band
+    sin(theta) >= NEWTON_MIN_SIN_THETA, at first order in the pole rows of a
+    height with m = 1 content: there cot(theta) y_theta and y_phiphi /
+    sin^2(theta) are each O(1/h), and their O(h^2) stencil errors add to O(h).
     """
     _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
     hess_frame = kernels.frame_hessian(fields.frame, fields.gamma, dp, d2p)

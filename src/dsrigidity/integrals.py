@@ -17,13 +17,6 @@ from .errors import CorrespondenceInvalid, GateFailed
 from .geometry import GATE_SIGMA2_TOL, curvature_gate_fields, node_text
 from .quadrature import reduce_sum
 
-#: default tolerances for the pair suites
-IDENTITY_REL_TOL = 1e-6
-POINTWISE_TOL = 1e-8
-TILDE_SYMMETRY_TOL = 1e-6
-METRIC_PULLBACK_TOL = 1e-8
-W_MISMATCH_TOL = 1e-6
-RIGIDITY_INTEGRAL_REL_TOL = 1e-8
 #: sigma11(W, W~) - sigma2(W) may dip below zero by at most this on an
 #: isometric pair (roundoff of the pointwise cone inequality)
 CONE_GAP_TOL = 1e-10
@@ -118,7 +111,7 @@ def pair_integrand_tables(data):
     return lhs, rhs, rhs_statement, term_scale
 
 
-def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
+def verify_identities(data, rule, metric_tol):
     """Check the four integral identities and the tilde symmetry on a pair.
 
     Returns ``(reports, tilde_residual)``: one IdentityReport per identity
@@ -159,13 +152,7 @@ def verify_identities(data, rule, metric_tol=METRIC_PULLBACK_TOL):
     return reports, tilde
 
 
-def rigidity_experiment(
-    data,
-    rule,
-    w_tol=W_MISMATCH_TOL,
-    integral_tol=RIGIDITY_INTEGRAL_REL_TOL,
-    metric_tol=METRIC_PULLBACK_TOL,
-) -> RigidityReport:
+def rigidity_experiment(data, rule, w_tol, integral_tol, metric_tol) -> RigidityReport:
     """Evaluate the rigidity integral and the shape-operator comparison.
 
     ``data`` is the pair's node data at the nodes of ``rule``.

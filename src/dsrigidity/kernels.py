@@ -13,12 +13,11 @@ component at a time on those node arrays, nested as lists ``t[i][j]``
 (``dg`` and ``t`` are returned so), and a stored tensor is built from its
 nested list with ``np.array``; the Newton tensor is ``symfun.d_sigma2``'s.
 Only the derivatives of the Christoffel symbols that enter R^a_{212} are
-formed.  The kernels and ``potential_jets`` read sin and cos of theta and
-cosh and sinh of y as ``trig``, the ``node_trig`` tuple that
-``geometry.SurfaceFields`` forms once per node set, and form them from
-``theta`` and ``y`` when no caller passes it.  ``frame_hessian`` takes any
-potential by chart jets: ``potential_jets``' own, a pair's pulled-back one
-or a grid's stencil one.
+formed.  The kernels and ``potential_jets`` take sin and cos of theta and
+cosh and sinh of y as the required ``trig``, the ``node_trig`` tuple that
+``geometry.SurfaceFields`` forms once per node set.  ``frame_hessian``
+takes any potential by chart jets: ``potential_jets``' own, a pair's
+pulled-back one or a grid's stencil one.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -39,7 +38,7 @@ import numpy as np
 from . import symfun
 
 
-def node_trig(theta, y, grid=None):
+def node_trig(theta, y, grid):
     """sin, cos and sin^2 of theta, cosh, sinh and cosh^2 of y at the nodes;
     on the nodes of a product ``grid``, sin and cos of theta once per row."""
     st, ct = (np.sin(theta), np.cos(theta)) if grid is None else grid.trig[:2]
@@ -87,7 +86,9 @@ def first_form(st, c2, dy):
     return [[g11, g12], [g12, g22]], detg, margin
 
 
-def surface_core(theta, y, dy, d2y, *, trig=None):
+# here and in curvature_fields, unread theta and y stay positional: perfbench/spans.py
+# counts each call's nodes and bytes from its positional arrays
+def surface_core(theta, y, dy, d2y, *, trig):
     """Metric, second fundamental form, frame and frame shape operator per node.
 
     Returns a dict of component-first arrays keyed by the ``SurfaceFields`` names
@@ -97,7 +98,7 @@ def surface_core(theta, y, dy, d2y, *, trig=None):
     If any node violates the spacelike bound, only ``margin`` is returned,
     clipped to at most 0 at the violating nodes (``first_form``).
     """
-    st, ct, sig22, c, s, c2 = trig or node_trig(theta, y)
+    st, ct, sig22, c, s, c2 = trig
     y1, y2 = dy
 
     g, detg, margin = first_form(st, c2, dy)
@@ -134,10 +135,10 @@ def surface_core(theta, y, dy, d2y, *, trig=None):
     }
 
 
-def normal_fields(theta, y, dy, margin, g_inv, h, *, trig=None):
+def normal_fields(dy, margin, g_inv, h, *, trig):
     """Future-directed unit normal, |<nu, nu> + 1|, |<nu, X_i>| and the chart
     W = g^-1 h, from the ``surface_core`` outputs of spacelike nodes."""
-    _, _, sig22, c, _, c2 = trig or node_trig(theta, y)
+    _, _, sig22, c, _, c2 = trig
     y1, y2 = dy
     sqm = np.sqrt(margin)
     nu0 = c / sqm
@@ -148,10 +149,10 @@ def normal_fields(theta, y, dy, margin, g_inv, h, *, trig=None):
     return np.array([nu0, nu1, nu2]), nu_norm, nu_tan, np.array(_matmul(g_inv, h))
 
 
-def connection(theta, y, dy, d2y, g_inv, *, trig=None):
+def connection(dy, d2y, g_inv, *, trig):
     """d_p g_ij as components ``dg[p][i][j]`` and the induced Christoffel
     symbols Gamma^m_ij as an ``(m, i, j, n)`` array, at spacelike nodes."""
-    st, ct, sig22, c, s, c2 = trig or node_trig(theta, y)
+    st, ct, sig22, c, s, c2 = trig
     y1, y2 = dy
 
     # d_p g_ij = -y_ip y_j - y_i y_jp + 2 c s y_p sigma_ij + c^2 d_p sigma_ij
@@ -174,10 +175,10 @@ def connection(theta, y, dy, d2y, g_inv, *, trig=None):
     return dg, np.array([[[gam11[m], gam12[m]], [gam12[m], gam22[m]]] for m in range(2)])
 
 
-def potential_jets(y, dy, d2y, *, trig=None):
+def potential_jets(dy, d2y, *, trig):
     """Chart gradient and Hessian of the potential Phi = -sinh(y).  With the
     mostly-plus signature V = cosh(rho) d_rho is the metric gradient of -sinh(rho)."""
-    c, s = (np.cosh(y), np.sinh(y)) if trig is None else trig[3:5]
+    c, s = trig[3:5]
     return -c * dy, -(s * dy[:, None] * dy[None, :] + c * d2y)
 
 
@@ -205,11 +206,10 @@ def orthonormality_residual(f, g):
     return np.max([np.abs(gram[a][b] - float(a == b)) for a, b in np.ndindex(2, 2)], axis=0)
 
 
-def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2, *,
-                     trig=None):
+def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2, *, trig):
     """Intrinsic curvature K and |sigma2 - (1 - K)| per node, from the
     ``surface_core`` and ``connection`` outputs of spacelike nodes."""
-    st, ct, sig22, c, s, c2 = trig or node_trig(theta, y)
+    st, ct, sig22, c, s, c2 = trig
     dsig22 = 2.0 * st * ct
 
     @functools.cache
@@ -253,11 +253,10 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2,
     return k_norm, np.abs(sigma2 - (1.0 - k_norm))
 
 
-def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin, t, *,
-                      trig=None):
+def newton_divergence(dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin, t, *, trig):
     """Largest component of the Newton tensor's covariant divergence per
     node, from the ``surface_core`` and ``connection`` outputs."""
-    st, ct, sig22, c, s, c2 = trig or node_trig(theta, y)
+    st, ct, sig22, c, s, c2 = trig
     dsig22 = 2.0 * st * ct
     y1, y2 = dy
     w = w_chart

@@ -25,10 +25,10 @@ def _fmt(x) -> str:
 class CheckRecord:
     name: str
     claim: str
-    residual: float = None
-    tol: float = None
-    passed: bool = True
-    note: str = None
+    residual: float
+    tol: float
+    passed: bool
+    note: str
 
     def line(self) -> str:
         parts = [
@@ -50,9 +50,9 @@ class RunReport:
     environment: dict
     records: list = field(default_factory=list)
 
-    def add(self, name, claim, residual=None, tol=None, passed=None, note=None):
+    def add(self, name, claim, residual, tol, passed=None, note=None):
         if passed is None:
-            passed = residual is None or tol is None or residual <= tol
+            passed = residual <= tol
         self.records.append(
             CheckRecord(
                 name=name, claim=claim, residual=residual, tol=tol,

@@ -215,7 +215,7 @@ class IdentityCorrespondence:
         # the potential -sinh(y~) over the shared chart
         return _pair_data_from_parts(
             base, tilde, [[one, zero], [zero, one]],
-            *kernels.potential_jets(*y_jet, trig=tilde.trig)
+            *kernels.potential_jets(*y_jet[1:], trig=tilde.trig)
         )
 
 

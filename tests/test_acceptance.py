@@ -9,10 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from dsrigidity import ambient, geometry, integrals, symfun, transport
+from dsrigidity import ambient, cli, geometry, integrals, symfun, transport
 from dsrigidity.errors import GateFailed
 from dsrigidity.quadrature import gauss_sphere_rule, reduce_sum
 from dsrigidity.surfaces import AnalyticSurface, SampledGridSurface
+
+
+TOL = cli.DEFAULT_TOLERANCES
+#: the rigidity suite's tolerances, as ``cli`` passes them
+RIGIDITY_TOL = dict(w_tol=TOL["w_mismatch"], integral_tol=TOL["rigidity_integral_rel"],
+                    metric_tol=TOL["metric_pullback"])
 
 
 def _verdict(num, ok, text):
@@ -68,7 +74,7 @@ def test_criterion_1_umbilic_slice_closed_forms():
     rng = np.random.default_rng(10)
     theta = rng.uniform(0.1, math.pi - 0.1, 400)
     phi = rng.uniform(0.0, 2.0 * math.pi, 400)
-    f = geometry.evaluate_surface(AnalyticSurface(0.5), theta, phi)
+    f = geometry.evaluate_fields(theta, phi, AnalyticSurface(0.5).jets(theta, phi))
     c = math.cosh(0.5)
     t = math.tanh(0.5)
     sigma = np.zeros((2, 2, 400))
@@ -113,7 +119,7 @@ def test_criterion_3_hessian_identity_and_grid_convergence(rule):
         AnalyticSurface(0.6, [(0.08, 2, 0)]),
         AnalyticSurface(0.7, [(0.04, 3, 1), (0.03, 2, 0)]),
     ):
-        f = geometry.evaluate_surface(surf, rule.theta, rule.phi)
+        f = geometry.evaluate_surface(surf, rule)
         worst = max(worst, float(f.pre_integral_residual.max()))
     analytic_ok = worst <= 1e-8
 
@@ -216,8 +222,8 @@ def test_criterion_6_reflection_parity(rule):
         AnalyticSurface(0.5, [(0.05, 2, 0)]),
         AnalyticSurface(0.6, [(0.04, 3, 1)]),
     ):
-        f = geometry.evaluate_surface(surf, rule.theta, rule.phi)
-        fr = geometry.evaluate_surface(surf.reflected(), rule.theta, rule.phi)
+        f = geometry.evaluate_surface(surf, rule)
+        fr = geometry.evaluate_surface(surf.reflected(), rule)
         worst = max(worst, float(np.abs(fr.w_frame + f.w_frame).max()))
         _, label = geometry.curvature_gate_fields(f)
         _, label_r = geometry.curvature_gate_fields(fr)
@@ -236,7 +242,7 @@ def test_criterion_7_integral_identities(pair_set, rule):
     worst_rel = 0.0
     worst_point = 0.0
     for _, data in pair_set:
-        for rep in integrals.verify_identities(data, rule)[0]:
+        for rep in integrals.verify_identities(data, rule, TOL["metric_pullback"])[0]:
             worst_rel = max(worst_rel, rep.residual_rel)
             worst_point = max(worst_point, rep.pointwise_max)
     _verdict(
@@ -250,7 +256,7 @@ def test_criterion_7_integral_identities(pair_set, rule):
 def test_criterion_8_tilde_symmetry(pair_set, rule):
     worst = 0.0
     for _, data in pair_set:
-        worst = max(worst, integrals.verify_identities(data, rule)[1])
+        worst = max(worst, integrals.verify_identities(data, rule, TOL["metric_pullback"])[1])
     _verdict(
         8, worst <= 1e-6,
         f"tilde-swap symmetry of the Hessian integral on three pairs: "
@@ -263,7 +269,7 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
     worst_integral = 0.0
     rigid_ok = True
     for name, data in pair_set:
-        rep = integrals.rigidity_experiment(data, rule)
+        rep = integrals.rigidity_experiment(data, rule, **RIGIDITY_TOL)
         rigid_ok &= rep.verdict == "Rigid"
         worst_mismatch = max(worst_mismatch, rep.max_w_mismatch)
         worst_integral = max(worst_integral, rep.integral_rel)
@@ -271,7 +277,7 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
     control = transport.IdentityCorrespondence(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
-    control_rep = integrals.rigidity_experiment(_data(control, rule), rule)
+    control_rep = integrals.rigidity_experiment(_data(control, rule), rule, **RIGIDITY_TOL)
     control_ok = (
         control_rep.verdict == "NotIsometric"
         and control_rep.max_metric_residual > 1e-3
@@ -282,7 +288,7 @@ def test_criterion_9_rigidity_experiment(pair_set, rule):
         AnalyticSurface(-0.3), ambient.boost(0.1, [1.0, 0.0, 0.0])
     )
     try:
-        integrals.rigidity_experiment(_data(negative, rule), rule)
+        integrals.rigidity_experiment(_data(negative, rule), rule, **RIGIDITY_TOL)
     except GateFailed:
         gate_ok = True
     _verdict(
@@ -302,7 +308,7 @@ def test_criterion_10_newton_tensor_divergence(rule):
         AnalyticSurface(0.5, [(0.05, 2, 0)]),
         AnalyticSurface(0.7, [(0.04, 3, 1), (0.03, 2, 0)]),
     ):
-        f = geometry.evaluate_surface(surf, rule.theta, rule.phi)
+        f = geometry.evaluate_surface(surf, rule)
         worst = max(worst, float(f.newton_residual.max()))
     analytic_ok = worst <= 1e-6
 
@@ -326,7 +332,7 @@ def test_criterion_11_quadrature(rule):
     sphere_err = abs(total - 4.0 * math.pi) / (4.0 * math.pi)
     area_errs = []
     for rho0 in (0.3, 0.5, 0.8):
-        f = geometry.evaluate_surface(AnalyticSurface(rho0), rule.theta, rule.phi)
+        f = geometry.evaluate_surface(AnalyticSurface(rho0), rule)
         area = reduce_sum(rule.weights * f.sqrt_det_g)
         area_errs.append(abs(area - 4.0 * math.pi * math.cosh(rho0) ** 2))
     worst_area = max(area_errs)

@@ -5,8 +5,9 @@ referenced somewhere in ``src/`` besides its own definition, and every
 public method, property or dataclass field of a non-enum class must be
 read as an attribute somewhere in ``src/`` (a keyword argument at
 construction is not a read), and every defaulted parameter of a function or
-``__init__`` must be set, by keyword or position, by some call in ``src/``;
-the entries below are the deliberate exceptions.
+``__init__`` must be set, by keyword or position, by some call in ``src/``
+and left at its default by another; the entries below are the deliberate
+exceptions.
 """
 
 import ast
@@ -25,6 +26,16 @@ UNCALLED_ON_PURPOSE = {
 UNSET_ON_PURPOSE = {
     # the console entry point: the installed script calls main() on sys.argv
     "cli.py:main(argv)": "argv for callers that run the CLI in-process",
+}
+
+#: defaulted parameters that every call in src/ sets
+OVERRIDDEN_ON_PURPOSE = {
+    # perfbench's regraph cases build configs without it
+    "cli.py:ExperimentConfig(quad_override)": "the --quad grid that overrides [quadrature]",
+    # 27 tests build constant slices
+    "surfaces.py:AnalyticSurface(modes)": "the harmonic modes on top of the constant height",
+    # the jet oracle's pole-adjacent nodes lie on no product grid; both correspondences
+    "transport.py:node_data(grid)": "the product grid whose flat nodes theta and phi are",
 }
 
 #: class members that only the acceptance gate reads
@@ -187,3 +198,30 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_src():
         if not any(_sets(call, parameter, position) for call in calls.get(function, ()))
     )
     assert unset == sorted(UNSET_ON_PURPOSE), f"defaulted parameters no call in src/ sets: {unset}"
+
+
+def _overridden(trees):
+    """'module:function(parameter)' for each defaulted parameter that no call
+    in src/ leaves at its default, once per definition."""
+    calls = _calls(trees)
+    return sorted(
+        f"{module}:{function}({parameter})"
+        for module, tree in trees.items()
+        for function, parameter, position in _defaulted_parameters(tree)
+        if all(_sets(call, parameter, position) for call in calls.get(function, ()))
+    )
+
+
+def test_every_defaulted_parameter_is_left_at_its_default_by_a_call_in_src():
+    # a default that every call overrides is a second call form that only tests take
+    overridden = _overridden(_trees())
+    assert set(overridden) == set(OVERRIDDEN_ON_PURPOSE), (
+        f"defaulted parameters every call in src/ sets: {overridden}")
+
+
+def test_override_exceptions_still_hold_and_are_defined():
+    trees = _trees()
+    defined = {f"{module}:{function}({parameter})" for module, tree in trees.items()
+               for function, parameter, _ in _defaulted_parameters(tree)}
+    assert set(OVERRIDDEN_ON_PURPOSE) <= defined
+    assert set(OVERRIDDEN_ON_PURPOSE) <= set(_overridden(trees))

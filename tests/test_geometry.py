@@ -17,7 +17,7 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 def test_umbilic_slice_closed_forms(slice_half, scattered_nodes):
     theta, phi = scattered_nodes
-    f = geometry.evaluate_surface(slice_half, theta, phi)
+    f = geometry.evaluate_fields(theta, phi, slice_half.jets(theta, phi))
     c = math.cosh(0.5)
     t = math.tanh(0.5)
     assert np.abs(f.g[0, 0] - c * c).max() < 1e-9
@@ -41,7 +41,7 @@ def _round_metric(theta):
 
 def test_equator_slice_flat_geometry(scattered_nodes):
     theta, phi = scattered_nodes
-    f = geometry.evaluate_surface(AnalyticSurface(0.0), theta, phi)
+    f = geometry.evaluate_fields(theta, phi, AnalyticSurface(0.0).jets(theta, phi))
     assert np.abs(f.w_frame).max() == 0.0
     assert np.abs(f.sigma2).max() == 0.0
     assert np.abs(f.k_norm - 1.0).max() < 1e-12
@@ -56,7 +56,7 @@ def test_pointwise_identities_on_perturbed_surfaces(scattered_nodes):
         AnalyticSurface(0.7, [(0.04, 3, 1), (0.02, 2, 0)]),
         AnalyticSurface(-0.4, [(0.03, 4, 2)]),
     ):
-        f = geometry.evaluate_surface(surf, theta, phi)
+        f = geometry.evaluate_fields(theta, phi, surf.jets(theta, phi))
         assert f.pre_integral_residual.max() < 1e-8
         assert f.gauss_residual.max() < 1e-6
         assert f.newton_residual.max() < 1e-6
@@ -88,7 +88,8 @@ def test_geometry_against_embedded_finite_differences(perturbed_surface):
     for _ in range(5):
         t0 = rng.uniform(0.6, 2.5)
         p0 = rng.uniform(0.0, 2 * math.pi)
-        f = geometry.evaluate_surface(surf, [t0], [p0])
+        nodes = np.array([t0]), np.array([p0])
+        f = geometry.evaluate_fields(*nodes, surf.jets(*nodes))
         x1 = (emb(t0 + h, p0) - emb(t0 - h, p0)) / (2 * h)
         x2 = (emb(t0, p0 + h) - emb(t0, p0 - h)) / (2 * h)
         g_fd = np.array(
@@ -124,7 +125,8 @@ def test_geometry_against_embedded_finite_differences(perturbed_surface):
 
 
 def test_single_node_evaluation(perturbed_surface):
-    f = geometry.evaluate_surface(perturbed_surface, 1.1, 2.3)
+    nodes = np.array([1.1]), np.array([2.3])
+    f = geometry.evaluate_fields(*nodes, perturbed_surface.jets(*nodes))
     assert f.theta.shape == (1,) and f.g.shape == (2, 2, 1)
     assert f.support[0] < 0
     assert abs(f.sigma2[0] - (1.0 - f.k_norm[0])) < 1e-9
@@ -137,9 +139,8 @@ def test_spacelike_criteria_agree(scattered_nodes):
     # det g = cosh^2(y) sin^2(theta) * (cosh^2(y) - |grad y|^2): positive
     # definiteness of g and the gradient bound are the same condition
     theta, phi = scattered_nodes
-    f = geometry.evaluate_surface(
-        AnalyticSurface(0.4, [(0.07, 3, 1), (0.05, 2, 0)]), theta, phi
-    )
+    surface = AnalyticSurface(0.4, [(0.07, 3, 1), (0.05, 2, 0)])
+    f = geometry.evaluate_fields(theta, phi, surface.jets(theta, phi))
     c2 = np.cosh(f.y) ** 2
     predicted = c2 * np.sin(theta) ** 2 * f.margin
     assert np.abs(f.det_g - predicted).max() < 1e-12 * np.abs(f.det_g).max()
@@ -150,9 +151,10 @@ def test_spacelike_violation_raises():
     theta = np.linspace(0.4, 2.7, 40)
     phi = np.zeros(40)
     with pytest.raises(NonSpacelike):
-        geometry.evaluate_surface(steep, theta, phi)
+        geometry.evaluate_fields(theta, phi, steep.jets(theta, phi))
+    pole = np.array([1e-8]), np.array([0.0])
     with pytest.raises(ChartPole):
-        geometry.evaluate_surface(AnalyticSurface(0.5), [1e-8], [0.0])
+        geometry.evaluate_fields(*pole, AnalyticSurface(0.5).jets(*pole))
 
 
 def _outcome(check, *args):
@@ -182,7 +184,7 @@ def test_spacelike_check_agrees_with_the_surface_kernel(n_theta, half_phi, rho0,
 
 def test_curvature_gate(rule_32):
     def gate(surface):
-        fields = geometry.evaluate_surface(surface, rule_32.theta, rule_32.phi)
+        fields = geometry.evaluate_surface(surface, rule_32)
         return geometry.curvature_gate_fields(fields)
 
     assert gate(AnalyticSurface(0.5)) == (True, ConeLabel.PLUS)
@@ -205,8 +207,8 @@ def test_curvature_gate(rule_32):
 
 def test_reflection_parity_of_shape_operator(rule_32):
     for surf in (AnalyticSurface(0.5), AnalyticSurface(0.5, [(0.05, 2, 0)])):
-        f = geometry.evaluate_surface(surf, rule_32.theta, rule_32.phi)
-        fr = geometry.evaluate_surface(surf.reflected(), rule_32.theta, rule_32.phi)
+        f = geometry.evaluate_surface(surf, rule_32)
+        fr = geometry.evaluate_surface(surf.reflected(), rule_32)
         assert np.abs(fr.w_frame + f.w_frame).max() < 1e-8
         # one label per surface (the gate raises otherwise), plus and minus
         _, label = geometry.curvature_gate_fields(f)

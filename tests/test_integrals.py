@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from dsrigidity import ambient, geometry, integrals, quadrature, transport
+from dsrigidity import ambient, cli, geometry, integrals, quadrature, transport
 from dsrigidity.errors import CorrespondenceInvalid, GateFailed
 from dsrigidity.quadrature import gauss_sphere_rule, reduce_sum
 from dsrigidity.surfaces import AnalyticSurface
+
+
+TOL = cli.DEFAULT_TOLERANCES
+#: the rigidity suite's tolerances, as ``cli`` passes them
+RIGIDITY_TOL = dict(w_tol=TOL["w_mismatch"], integral_tol=TOL["rigidity_integral_rel"],
+                    metric_tol=TOL["metric_pullback"])
 
 
 def pair_data(pair, rule):
@@ -136,7 +142,7 @@ def test_sphere_rule_integrates_harmonics_exactly(rule_64):
 
 def test_surface_areas(rule_64):
     def integral(surface, func):
-        fields = geometry.evaluate_surface(surface, rule_64.theta, rule_64.phi)
+        fields = geometry.evaluate_surface(surface, rule_64)
         return reduce_sum(rule_64.weights * fields.sqrt_det_g * func(fields))
 
     ones = lambda f: np.ones_like(f.theta)
@@ -167,17 +173,17 @@ def pairs(rule_64):
 
 def test_integral_identities_on_all_pairs(pairs, rule_64):
     for name, data in pairs.items():
-        reports, _ = integrals.verify_identities(data, rule_64)
+        reports, _ = integrals.verify_identities(data, rule_64, TOL["metric_pullback"])
         assert [r.label for r in reports] == list("abcd")
         for rep in reports:
-            assert rep.residual_rel <= integrals.IDENTITY_REL_TOL, (name, rep.label)
+            assert rep.residual_rel <= TOL["identity_rel"], (name, rep.label)
             assert rep.pointwise_max <= 1e-8, (name, rep.label)
             assert "+2<V,nu>" in rep.sign_note
 
 
 def test_statement_sign_does_not_balance(pairs, rule_64):
     data = pairs["identity"]
-    reports, _ = integrals.verify_identities(data, rule_64)
+    reports, _ = integrals.verify_identities(data, rule_64, TOL["metric_pullback"])
     lhs, _, rhs_statement, term_scale = integrals.pair_integrand_tables(data)
     integral = lambda values: reduce_sum(rule_64.weights * data.base.sqrt_det_g * values)
     for rep in reports:
@@ -190,7 +196,7 @@ def test_statement_sign_does_not_balance(pairs, rule_64):
 
 def test_identity_pair_collapses_a_and_b(pairs, rule_64):
     data = pairs["identity"]
-    reports, _ = integrals.verify_identities(data, rule_64)
+    reports, _ = integrals.verify_identities(data, rule_64, TOL["metric_pullback"])
     by_label = {r.label: r for r in reports}
     assert abs(by_label["a"].lhs - by_label["b"].lhs) < 1e-12
     _, rhs, _, _ = integrals.pair_integrand_tables(data)
@@ -200,10 +206,11 @@ def test_identity_pair_collapses_a_and_b(pairs, rule_64):
 
 def test_tilde_symmetry_on_all_pairs(pairs, rule_64):
     for name, data in pairs.items():
-        _, resid = integrals.verify_identities(data, rule_64)
+        _, resid = integrals.verify_identities(data, rule_64, TOL["metric_pullback"])
         assert resid <= 1e-6, name
     # the identity pair is symmetric by construction, exactly
-    assert integrals.verify_identities(pairs["identity"], rule_64)[1] < 1e-15
+    _, resid = integrals.verify_identities(pairs["identity"], rule_64, TOL["metric_pullback"])
+    assert resid < 1e-15
 
 
 def test_identity_residuals_decay_spectrally():
@@ -214,7 +221,8 @@ def test_identity_residuals_decay_spectrally():
     resid = []
     for deg in ((16, 32), (32, 64)):
         rule = gauss_sphere_rule(*deg)
-        reports, _ = integrals.verify_identities(pair_data(pair, rule), rule)
+        data = pair_data(pair, rule)
+        reports, _ = integrals.verify_identities(data, rule, TOL["metric_pullback"])
         resid.append(max(r.residual_rel for r in reports))
     assert resid[1] < resid[0] / 16.0 or resid[1] < 1e-12
 
@@ -226,7 +234,7 @@ def test_identities_hold_for_the_reflection_pair(rule_64):
         AnalyticSurface(0.5, [(0.04, 2, 0)]), ambient.reflect_equator()
     )
     data = pair_data(pair, rule_64)
-    reports, tilde = integrals.verify_identities(data, rule_64)
+    reports, tilde = integrals.verify_identities(data, rule_64, TOL["metric_pullback"])
     for rep in reports:
         assert rep.residual_rel <= 1e-6 and rep.pointwise_max <= 1e-8
     assert tilde <= 1e-6
@@ -235,13 +243,13 @@ def test_identities_hold_for_the_reflection_pair(rule_64):
 
 def test_rigidity_on_isometric_pairs(pairs, rule_64):
     for name in ("boost-slice", "boost-perturbed"):
-        rep = integrals.rigidity_experiment(pairs[name], rule_64)
+        rep = integrals.rigidity_experiment(pairs[name], rule_64, **RIGIDITY_TOL)
         assert rep.verdict == "Rigid", name
         assert rep.max_w_mismatch <= 1e-6
         assert rep.integral_rel <= 1e-8
         assert rep.sign_factor_min > 0
         assert rep.gap_min >= -1e-10
-    rep = integrals.rigidity_experiment(pairs["identity"], rule_64)
+    rep = integrals.rigidity_experiment(pairs["identity"], rule_64, **RIGIDITY_TOL)
     assert rep.verdict == "Rigid"
     assert rep.max_w_mismatch < 1e-12
 
@@ -255,7 +263,7 @@ def test_rigidity_when_a_node_maps_next_to_the_image_chart_pole(rule_32):
     )
     data = pair_data(pair, rule_32)
     assert np.sin(data.tilde.theta).min() < 1e-3
-    rep = integrals.rigidity_experiment(data, rule_32)
+    rep = integrals.rigidity_experiment(data, rule_32, **RIGIDITY_TOL)
     assert rep.verdict == "Rigid"
     assert rep.max_w_mismatch <= 1e-10
     assert rep.gap_min >= -1e-12
@@ -265,7 +273,7 @@ def test_rigidity_negative_control(rule_64):
     pair = transport.IdentityCorrespondence(
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
-    rep = integrals.rigidity_experiment(pair_data(pair, rule_64), rule_64)
+    rep = integrals.rigidity_experiment(pair_data(pair, rule_64), rule_64, **RIGIDITY_TOL)
     assert rep.verdict == "NotIsometric"
     assert rep.max_metric_residual > 1e-3
     # a control passes the isometric-pair grades by construction
@@ -277,13 +285,13 @@ def test_rigidity_gate_failures(rule_64):
         AnalyticSurface(-0.3), ambient.boost(0.1, [1.0, 0, 0])
     )
     with pytest.raises(GateFailed, match="positive-height region at node 0 "):
-        integrals.rigidity_experiment(pair_data(negative, rule_64), rule_64)
+        integrals.rigidity_experiment(pair_data(negative, rule_64), rule_64, **RIGIDITY_TOL)
     # positive height but sigma2 changes sign: the curvature gate fires
     saddled = AnalyticSurface(0.5, [(0.15, 5, 0)])
     data = pair_data(transport.IdentityCorrespondence(saddled, saddled), rule_64)
     k = int(np.argmin(data.base.sigma2))
     with pytest.raises(GateFailed, match=rf"surface: sigma2 <= 1e-10 at node {k} \(theta="):
-        integrals.rigidity_experiment(data, rule_64)
+        integrals.rigidity_experiment(data, rule_64, **RIGIDITY_TOL)
 
 
 @pytest.mark.parametrize("family, integral_slope", [
@@ -302,7 +310,7 @@ def test_defect_ladder_of_non_isometric_pairs(family, integral_slope, rule_64):
         data = pair_data(transport.IdentityCorrespondence(surface, family(e)), rule_64)
         reports, tilde = integrals.verify_identities(data, rule_64, metric_tol=math.inf)
         assert max(tilde, reports[0].residual_rel, reports[1].residual_rel) < 1e-15
-        report = integrals.rigidity_experiment(data, rule_64)
+        report = integrals.rigidity_experiment(data, rule_64, **RIGIDITY_TOL)
         assert report.verdict == "NotIsometric"
         mismatch.append(report.max_w_mismatch)
         integral.append(report.integral_rel)
@@ -316,7 +324,7 @@ def test_identities_reject_invalid_correspondence(rule_64):
         AnalyticSurface(0.6, [(0.05, 2, 0)]), AnalyticSurface(0.6, [(0.08, 2, 0)])
     )
     with pytest.raises(CorrespondenceInvalid, match=r"at node \d+ \(theta="):
-        integrals.verify_identities(pair_data(pair, rule_64), rule_64)
+        integrals.verify_identities(pair_data(pair, rule_64), rule_64, TOL["metric_pullback"])
 
 
 def test_pointwise_garding_bound_under_the_gate(pairs, rule_64):
@@ -359,8 +367,8 @@ def isometric_pairs(draw):
 @given(pair=isometric_pairs())
 def test_drawn_isometric_pairs_pass_the_identities(pair, rule_32):
     data = pair_data(pair, rule_32)
-    reports, tilde = integrals.verify_identities(data, rule_32)
+    reports, tilde = integrals.verify_identities(data, rule_32, TOL["metric_pullback"])
     for rep in reports:
-        assert rep.residual_rel <= integrals.IDENTITY_REL_TOL, rep
-        assert rep.pointwise_max <= integrals.POINTWISE_TOL, rep
-    assert tilde <= integrals.TILDE_SYMMETRY_TOL
+        assert rep.residual_rel <= TOL["identity_rel"], rep
+        assert rep.pointwise_max <= TOL["pointwise"], rep
+    assert tilde <= TOL["tilde_symmetry"]

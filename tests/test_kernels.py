@@ -79,18 +79,20 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
     # the reference forms formed every field in two kernels; the package
     # splits them into the surface core and the groups formed on first read
     theta, y, dy, d2y, d3y = node_jets
-    core = kernels.surface_core(theta, y, dy, d2y)
+    node_trig = kernels.node_trig(theta, y, None)
+    core = kernels.surface_core(theta, y, dy, d2y, trig=node_trig)
     expected = reference_forms.surface_core(theta, y, dy, d2y)
     # T goes on to the Newton kernel
     t = core.pop("t")
     trig = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
     t_ref = reference_forms._second_form_parts(*trig, node_major(dy), node_major(d2y))[1]
     assert np.array_equal(np.array(t), component_first(t_ref))
-    normal = kernels.normal_fields(theta, y, dy, core["margin"], core["g_inv"], core["h"])
+    normal = kernels.normal_fields(dy, core["margin"], core["g_inv"], core["h"], trig=node_trig)
     core.update(zip(("nu", "nu_norm_residual", "nu_tangency_residual", "w_chart"), normal,
                     strict=True))
-    dg, gamma = kernels.connection(theta, y, dy, d2y, core["g_inv"])
-    hess = kernels.frame_hessian(core["frame"], gamma, *kernels.potential_jets(y, dy, d2y))
+    dg, gamma = kernels.connection(dy, d2y, core["g_inv"], trig=node_trig)
+    hess = kernels.frame_hessian(core["frame"], gamma,
+                                 *kernels.potential_jets(dy, d2y, trig=node_trig))
     preint = kernels.pre_integral_residual(hess, np.sinh(y), core["support"], core["w_frame"])
     core.update(dg=np.array(dg), gamma=gamma, hess_phi_frame=hess,
                 pre_integral_residual=preint)
@@ -103,9 +105,10 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
     want = reference_forms.curvature_fields(
         theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, core["dg"], sigma2
     )
-    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2)
+    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2,
+                                   trig=node_trig)
     got += (kernels.newton_divergence(
-        theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg, core["margin"], t
+        dy, d2y, d3y, g_inv, w_chart, gamma, dg, core["margin"], t, trig=node_trig
     ),)
     for name, a, b in zip(("k_norm", "gauss", "newton"), got, want, strict=True):
         assert np.array_equal(a, b), name

@@ -73,7 +73,8 @@ def test_lifts_put_the_node_axis_last(scattered_nodes):
 def test_surface_fields_put_the_node_axis_last(scattered_nodes):
     theta, phi = scattered_nodes
     surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
-    _assert_fields_component_first(geometry.evaluate_surface(surface, theta, phi), theta.size)
+    fields = geometry.evaluate_fields(theta, phi, surface.jets(theta, phi))
+    _assert_fields_component_first(fields, theta.size)
     grid = SampledGridSurface.from_height(surface, 12, 24)
     _assert_fields_component_first(geometry.evaluate_on_grid(grid), 12 * 24)
 

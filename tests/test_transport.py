@@ -186,8 +186,8 @@ def test_grid_nodes_give_the_bits_of_the_flat_nodes():
                 a, b = np.asarray(a), np.asarray(b)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
-    assert_same_bytes(geometry.evaluate_surface(surface, rule.theta, rule.phi, rule),
-                      geometry.evaluate_surface(surface, rule.theta, rule.phi), fields)
+    flat = geometry.evaluate_fields(rule.theta, rule.phi, surface.jets(rule.theta, rule.phi))
+    assert_same_bytes(geometry.evaluate_surface(surface, rule), flat, fields)
     for pair in (
         transport.IsometryCorrespondence(
             surface, ambient.boost(0.25, ambient.unit_vector([0.3, 0.5, 0.81]))),
