@@ -377,15 +377,6 @@ def _geometry_records(config, report) -> bool:
         float(fields.gauss_residual.max()),
         tol["gauss"],
     )
-    flipped = float(np.abs(fields.sigma2 - (fields.k_norm - 1.0)).max())
-    report.add(
-        "gauss_relation.flipped_sign",
-        "sigma2(W) = (n(n-1)/2)(K - Kbar) [informational]",
-        flipped,
-        None,
-        passed=True,
-        note="opposite-sign form, recorded for comparison",
-    )
     if sampled:
         res = float(geometry.sampled_newton_residual(surface, fields).max())
         report.add(
@@ -451,22 +442,6 @@ def _geometry_records(config, report) -> bool:
         geometry.GATE_SIGMA2_TOL,
         passed=gate_ok,
         note=f"cone label {label.value}" if label else "gate failed",
-    )
-
-    # the two candidate values of the radial Christoffel contraction at the
-    # highest point (informational; the parity argument is sign-robust)
-    top = int(np.argmax(fields.y))
-    ytop = float(fields.y[top])
-    report.add(
-        "radial_christoffel_contraction",
-        "g^{ik} Gamma^rho_{kj} at the top point",
-        None,
-        None,
-        passed=True,
-        note=(
-            f"computed tanh(rho)={math.tanh(ytop):.12g}; "
-            f"cosh(rho)sinh(rho)={math.cosh(ytop) * math.sinh(ytop):.12g}"
-        ),
     )
     return gate_ok
 

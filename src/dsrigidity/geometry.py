@@ -87,8 +87,8 @@ class SurfaceFields:
     @functools.cached_property
     def _curvature(self):
         return (None, None) if self.d3y is None else kernels.curvature_fields(
-            self.theta, self.y, self.dy, self.d2y, self.d3y, self.g, self.g_inv, self.det_g,
-            self.gamma, self.dg, self.sigma2, trig=self.trig,
+            self.theta, self.y, self.dy, self.d2y, self.d3y, self.g, self.det_g, self.dg,
+            self.sigma2, trig=self.trig,
         )
 
     @functools.cached_property

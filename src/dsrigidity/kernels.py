@@ -12,12 +12,12 @@ axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
 component at a time on those node arrays, nested as lists ``t[i][j]``
 (``dg`` and ``t`` are returned so), and a stored tensor is built from its
 nested list with ``np.array``; the Newton tensor is ``symfun.d_sigma2``'s.
-Only the derivatives of the Christoffel symbols that enter R^a_{212} are
-formed.  The kernels and ``potential_jets`` take sin and cos of theta and
-cosh and sinh of y as the required ``trig``, the ``node_trig`` tuple that
-``geometry.SurfaceFields`` forms once per node set.  ``frame_hessian``
-takes any potential by chart jets: ``potential_jets``' own, a pair's
-pulled-back one or a grid's stencil one.
+K comes from Brioschi's formula, which reads g, ``dg`` and three second
+derivatives of g.  The kernels and ``potential_jets`` take sin and cos of
+theta and cosh and sinh of y as the required ``trig``, the ``node_trig``
+tuple that ``geometry.SurfaceFields`` forms once per node set.
+``frame_hessian`` takes any potential by chart jets: ``potential_jets``'
+own, a pair's pulled-back one or a grid's stencil one.
 
 Geometry conventions (fixed once, used everywhere):
 
@@ -30,8 +30,6 @@ Geometry conventions (fixed once, used everywhere):
   the normal component coefficient in D_{X_i} X_j = nabla_{X_i} X_j + h_ij nu.
   With this sign a constant-height slice at rho0 > 0 has W = tanh(rho0) I.
 """
-
-import functools
 
 import numpy as np
 
@@ -206,50 +204,46 @@ def orthonormality_residual(f, g):
     return np.max([np.abs(gram[a][b] - float(a == b)) for a, b in np.ndindex(2, 2)], axis=0)
 
 
-def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg, sigma2, *, trig):
+def curvature_fields(theta, y, dy, d2y, d3y, g, det_g, dg, sigma2, *, trig):
     """Intrinsic curvature K and |sigma2 - (1 - K)| per node, from the
-    ``surface_core`` and ``connection`` outputs of spacelike nodes."""
+    ``surface_core`` and ``connection`` outputs of spacelike nodes.
+
+    K is Brioschi's form of the Theorema Egregium in the chart
+    (u, v) = (theta, phi), with E, F, G the entries of g:
+    K = (det A - det B) / (EG - F^2)^2, where
+
+        A = [[-E_vv / 2 + F_uv - G_uu / 2, E_u / 2, F_u - E_v / 2],
+             [F_v - G_u / 2, E, F], [G_v / 2, F, G]],
+        B = [[0, E_v / 2, G_u / 2], [E_v / 2, E, F], [G_u / 2, F, G]].
+    """
     st, ct, sig22, c, s, c2 = trig
-    dsig22 = 2.0 * st * ct
+    (E, F), (_, G) = g
+    (e_u, f_u), (_, g_u) = dg[0]
+    (e_v, f_v), (_, g_v) = dg[1]
+    y1, y2 = dy
+    (y11, y12), (_, y22) = d2y
+    y112, y122 = d3y[0, 0, 1], d3y[0, 1, 1]
 
-    @functools.cache
-    def d2g(p, q, i, j):
-        """d_p d_q g_ij; sigma_ij depends on theta only through sigma_22."""
-        val = (
-            -d3y[i, p, q] * dy[j]
-            - d2y[i, p] * d2y[j, q]
-            - d2y[i, q] * d2y[j, p]
-            - dy[i] * d3y[j, p, q]
-        )
-        if i != j:
-            return val
-        sij = 1.0 if i == 0 else sig22
-        val = val + 2.0 * (c2 + s * s) * dy[q] * dy[p] * sij
-        val = val + 2.0 * c * s * d2y[p, q] * sij
-        if i == 1 and q == 0:
-            val = val + 2.0 * c * s * dy[p] * dsig22
-        if i == 1 and p == 0:
-            val = val + 2.0 * c * s * dy[q] * dsig22
-        if i == 1 and p == q == 0:
-            val = val + c2 * (2.0 * (ct * ct - st * st))
-        return val
+    # E_vv, F_uv and G_uu of g_ij = -y_i y_j + cosh^2(y) sigma_ij,
+    # sigma = diag(1, sin^2 theta)
+    cs2 = 2.0 * c * s
+    ch2 = 2.0 * (c2 + s * s)
+    y12sq = y12 * y12
+    e_vv = -2.0 * (y12sq + y1 * y122) + ch2 * y2 * y2 + cs2 * y22
+    f_uv = -(y112 * y2 + y12sq + y11 * y22 + y1 * y122)
+    g_uu = (
+        -2.0 * (y12sq + y2 * y112) + (ch2 * y1 * y1 + cs2 * y11) * sig22
+        + 2.0 * cs2 * y1 * (2.0 * st * ct) + c2 * (2.0 * (ct * ct - st * st))
+    )
 
-    def dgamma(p, i, j):
-        """d_p Gamma^m_ij for both m."""
-        dginv = [[-x for x in row] for row in _matmul(_matmul(g_inv, dg[p]), g_inv)]
-        bl = [dg[i][l][j] + dg[j][l][i] - dg[l][i][j] for l in range(2)]
-        dbl = [d2g(p, i, l, j) + d2g(p, j, l, i) - d2g(p, l, i, j) for l in range(2)]
-        term = lambda m, l: dginv[m][l] * bl[l] + g_inv[m][l] * dbl[l]
-        return [0.5 * (term(m, 0) + term(m, 1)) for m in range(2)]
-
-    # intrinsic curvature: K = g_{1a} R^a_{212} / det g
-    d011, d101 = dgamma(0, 1, 1), dgamma(1, 0, 1)
-    r = [
-        d011[m] - d101[m] + gamma[m, 0, 0] * gamma[0, 1, 1] + gamma[m, 0, 1] * gamma[1, 1, 1]
-        - gamma[m, 1, 0] * gamma[0, 0, 1] - gamma[m, 1, 1] * gamma[1, 0, 1]
-        for m in range(2)
-    ]
-    k_norm = (g[0, 0] * r[0] + g[0, 1] * r[1]) / det_g
+    # each determinant expanded along its first row, B_11 = 0
+    hv, hu = 0.5 * e_v, 0.5 * g_u
+    a11 = f_uv - 0.5 * (e_vv + g_uu)
+    a21 = f_v - hu
+    a31 = 0.5 * g_v
+    det_a = a11 * det_g - 0.5 * e_u * (a21 * G - F * a31) + (f_u - hv) * (a21 * F - E * a31)
+    det_b = -hv * (hv * G - F * hu) + hu * (hv * F - E * hu)
+    k_norm = (det_a - det_b) / (det_g * det_g)
     return k_norm, np.abs(sigma2 - (1.0 - k_norm))
 
 

@@ -7,7 +7,9 @@ stencil route written out, with ``np.roll`` shifts in phi.  The other
 functions are the broadcast and einsum forms of the sampled geometry
 residuals, of the conformal-field check and of the image height's second
 derivatives in the chart inversion.  ``tests/test_kernels.py`` requires the
-package to give the same bits as these.
+package to give the same bits as these.  ``riemann_curvature`` is not a
+bitwise form: it is the Christoffel route to K that Brioschi's formula
+replaced, and the kernel's K must agree with it to roundoff.
 
 The forms compute on node-major stacks, node k at index k of the leading
 axis.  Each public function takes and returns the package's
@@ -170,11 +172,56 @@ def _surface_core(theta, y, dy, d2y):
     }
 
 
+def _det3(m):
+    """Determinants of stacked (n, 3, 3) matrices, expanded along the first row."""
+    return (
+        m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+        - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+        + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
+    )
+
+
+def _brioschi(st, ct, c, s, dy, d2y, d3y, g, det_g, dg):
+    """K = (det A - det B) / (EG - F^2)^2 in the chart (u, v) = (theta, phi),
+    E, F, G the entries of g, with A and B stacked as (n, 3, 3) matrices."""
+    sig22 = st * st
+    c2 = c * c
+    y1, y2 = dy[:, 0], dy[:, 1]
+    y11, y12, y22 = d2y[:, 0, 0], d2y[:, 0, 1], d2y[:, 1, 1]
+    y112, y122 = d3y[:, 0, 0, 1], d3y[:, 0, 1, 1]
+
+    # E_vv, F_uv and G_uu of g_ij = -y_i y_j + cosh^2(y) sigma_ij
+    cs2 = 2.0 * c * s
+    ch2 = 2.0 * (c2 + s * s)
+    y12sq = y12 * y12
+    e_vv = -2.0 * (y12sq + y1 * y122) + ch2 * y2 * y2 + cs2 * y22
+    f_uv = -(y112 * y2 + y12sq + y11 * y22 + y1 * y122)
+    g_uu = (
+        -2.0 * (y12sq + y2 * y112) + (ch2 * y1 * y1 + cs2 * y11) * sig22
+        + 2.0 * cs2 * y1 * (2.0 * st * ct) + c2 * (2.0 * (ct * ct - st * st))
+    )
+
+    half = 0.5 * dg  # d_p g_ij / 2 as (n, p, i, j)
+    a = np.empty((len(det_g), 3, 3))
+    b = np.empty_like(a)
+    a[:, 1:, 1:] = b[:, 1:, 1:] = g
+    a[:, 0, 0] = f_uv - 0.5 * (e_vv + g_uu)
+    a[:, 0, 1] = half[:, 0, 0, 0]
+    a[:, 0, 2] = dg[:, 0, 0, 1] - half[:, 1, 0, 0]
+    a[:, 1, 0] = dg[:, 1, 0, 1] - half[:, 0, 1, 1]
+    a[:, 2, 0] = half[:, 1, 1, 1]
+    b[:, 0, 0] = 0.0
+    b[:, 0, 1] = b[:, 1, 0] = half[:, 1, 0, 0]
+    b[:, 0, 2] = b[:, 2, 0] = half[:, 0, 1, 1]
+    return (_det3(a) - _det3(b)) / (det_g * det_g)
+
+
 def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg, sigma2):
     """Intrinsic curvature K, |sigma2 - (1 - K)| and the Newton divergence.
 
     Takes ``surface_core`` outputs for spacelike nodes; returns the three
-    node arrays ``(K, gauss_residual, newton_residual)``.
+    node arrays ``(K, gauss_residual, newton_residual)``.  K is Brioschi's
+    formula; ``riemann_curvature`` is the Christoffel route to it.
     """
     dy, d2y, d3y, g, g_inv, w_chart, gamma, dg = (
         node_major(a) for a in (dy, d2y, d3y, g, g_inv, w_chart, gamma, dg)
@@ -188,49 +235,7 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
     c2 = c * c
     y1, y2 = dy[:, 0], dy[:, 1]
 
-    def d2g(p, q, i, j):
-        """d_p d_q g_ij; sigma_ij depends on theta only through sigma_22."""
-        val = (
-            -d3y[:, i, p, q] * dy[:, j]
-            - d2y[:, i, p] * d2y[:, j, q]
-            - d2y[:, i, q] * d2y[:, j, p]
-            - dy[:, i] * d3y[:, j, p, q]
-        )
-        if i != j:
-            return val
-        sij = 1.0 if i == 0 else sig22
-        val = val + 2.0 * (c2 + s * s) * dy[:, q] * dy[:, p] * sij
-        val = val + 2.0 * c * s * d2y[:, p, q] * sij
-        if i == 1 and q == 0:
-            val = val + 2.0 * c * s * dy[:, p] * dsig22
-        if i == 1 and p == 0:
-            val = val + 2.0 * c * s * dy[:, q] * dsig22
-        if i == 1 and p == q == 0:
-            val = val + c2 * (2.0 * (ct * ct - st * st))
-        return val
-
-    def dgamma(p, i, j):
-        """d_p Gamma^m_ij for both m, as (n, m)."""
-        dginv = -_matmul(_matmul(g_inv, dg[:, p]), g_inv)
-        bl = dg[:, i, :, j] + dg[:, j, :, i] - dg[:, :, i, j]
-        dbl = np.stack(
-            [d2g(p, i, l, j) + d2g(p, j, l, i) - d2g(p, l, i, j) for l in range(2)], axis=-1
-        )
-        return 0.5 * (
-            (dginv[:, :, 0] * bl[:, None, 0] + g_inv[:, :, 0] * dbl[:, None, 0])
-            + (dginv[:, :, 1] * bl[:, None, 1] + g_inv[:, :, 1] * dbl[:, None, 1])
-        )
-
-    # intrinsic curvature: K = g_{1a} R^a_{212} / det g
-    r = (
-        dgamma(0, 1, 1)
-        - dgamma(1, 0, 1)
-        + gamma[:, :, 0, 0] * gamma[:, None, 0, 1, 1]
-        + gamma[:, :, 0, 1] * gamma[:, None, 1, 1, 1]
-        - gamma[:, :, 1, 0] * gamma[:, None, 0, 0, 1]
-        - gamma[:, :, 1, 1] * gamma[:, None, 1, 0, 1]
-    )
-    k_norm = (g[:, 0, 0] * r[:, 0] + g[:, 0, 1] * r[:, 1]) / det_g
+    k_norm = _brioschi(st, ct, c, s, dy, d2y, d3y, g, det_g, dg)
     gauss = np.abs(sigma2 - (1.0 - k_norm))
 
     # derivatives of h via h = (c/sqrt(m)) T
@@ -384,3 +389,63 @@ def invert_chart_map_d2y(rho_jet, u_jets, dy):
     ainv[..., 1, 1] = u1[..., 0, 0] / det
     m2 = r2 - np.einsum("na,naij->nij", dy, u2)
     return component_first(np.einsum("nia,nij,njb->nab", ainv, m2, ainv))
+
+
+def riemann_curvature(theta, y, dy, d2y, d3y, g, g_inv, det_g, gamma, dg):
+    """K = g_{1a} R^a_{212} / det g from the derivatives of the Christoffel
+    symbols: an oracle for Brioschi's formula that forms all eight
+    d_p d_q g_ij where that formula forms three.  Component-first arrays in,
+    K out."""
+    dy, d2y, d3y, g, g_inv, gamma, dg = (
+        node_major(a) for a in (dy, d2y, d3y, g, g_inv, gamma, dg)
+    )
+    st = np.sin(theta)
+    ct = np.cos(theta)
+    sig22 = st * st
+    dsig22 = 2.0 * st * ct
+    c = np.cosh(y)
+    s = np.sinh(y)
+    c2 = c * c
+
+    def d2g(p, q, i, j):
+        """d_p d_q g_ij; sigma_ij depends on theta only through sigma_22."""
+        val = (
+            -d3y[:, i, p, q] * dy[:, j]
+            - d2y[:, i, p] * d2y[:, j, q]
+            - d2y[:, i, q] * d2y[:, j, p]
+            - dy[:, i] * d3y[:, j, p, q]
+        )
+        if i != j:
+            return val
+        sij = 1.0 if i == 0 else sig22
+        val = val + 2.0 * (c2 + s * s) * dy[:, q] * dy[:, p] * sij
+        val = val + 2.0 * c * s * d2y[:, p, q] * sij
+        if i == 1 and q == 0:
+            val = val + 2.0 * c * s * dy[:, p] * dsig22
+        if i == 1 and p == 0:
+            val = val + 2.0 * c * s * dy[:, q] * dsig22
+        if i == 1 and p == q == 0:
+            val = val + c2 * (2.0 * (ct * ct - st * st))
+        return val
+
+    def dgamma(p, i, j):
+        """d_p Gamma^m_ij for both m, as (n, m)."""
+        dginv = -_matmul(_matmul(g_inv, dg[:, p]), g_inv)
+        bl = dg[:, i, :, j] + dg[:, j, :, i] - dg[:, :, i, j]
+        dbl = np.stack(
+            [d2g(p, i, l, j) + d2g(p, j, l, i) - d2g(p, l, i, j) for l in range(2)], axis=-1
+        )
+        return 0.5 * (
+            (dginv[:, :, 0] * bl[:, None, 0] + g_inv[:, :, 0] * dbl[:, None, 0])
+            + (dginv[:, :, 1] * bl[:, None, 1] + g_inv[:, :, 1] * dbl[:, None, 1])
+        )
+
+    r = (
+        dgamma(0, 1, 1)
+        - dgamma(1, 0, 1)
+        + gamma[:, :, 0, 0] * gamma[:, None, 0, 1, 1]
+        + gamma[:, :, 0, 1] * gamma[:, None, 1, 1, 1]
+        - gamma[:, :, 1, 0] * gamma[:, None, 0, 0, 1]
+        - gamma[:, :, 1, 1] * gamma[:, None, 1, 0, 1]
+    )
+    return (g[:, 0, 0] * r[:, 0] + g[:, 0, 1] * r[:, 1]) / det_g

@@ -40,8 +40,9 @@ OVERRIDDEN_ON_PURPOSE = {
 
 #: class members that only the acceptance gate reads
 UNREAD_ON_PURPOSE = {
-    # acceptance criterion 1: the normal of an umbilic slice in closed form
+    # acceptance criterion 1: the normal and K of an umbilic slice in closed form
     "SurfaceFields.nu": "the unit normal, checked against the slice's closed form",
+    "SurfaceFields.k_norm": "the intrinsic curvature, checked against sech^2(rho0)",
 }
 
 
