@@ -405,9 +405,7 @@ def _geometry_records(config, report) -> bool:
         tol["deriv_v"],
     )
     if not sampled:
-        # the parity check reads W only, so second-order jets suffice
-        m = surface.reflected().height_jet(*rule.mesh)
-        mirrored = geometry.evaluate_fields(rule.theta, rule.phi, m, rule)
+        mirrored = geometry.evaluate_surface(surface.reflected(), rule)
         report.add(
             "reflection_parity",
             "W(-y) = -W(y) at corresponding nodes",

@@ -39,9 +39,8 @@ class SurfaceFields:
     (read by the ``geometry`` suite only), ``connection`` dg and gamma,
     ``frame_hessian`` hess_phi_frame (of ``potential_jets``) and
     ``pre_integral_residual``, ``curvature_fields`` k_norm and gauss_residual,
-    ``newton_divergence`` newton_residual; the last three are None without
-    third-order jets.  ``trig`` is ``kernels.node_trig`` at the nodes, which
-    every kernel reads.
+    ``newton_divergence`` newton_residual.  ``trig`` is ``kernels.node_trig``
+    at the nodes, which every kernel reads.
     """
 
     theta: np.ndarray
@@ -49,7 +48,6 @@ class SurfaceFields:
     y: np.ndarray
     dy: np.ndarray
     d2y: np.ndarray
-    d3y: np.ndarray  # None for second-order jets
     margin: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
@@ -86,16 +84,16 @@ class SurfaceFields:
 
     @functools.cached_property
     def _curvature(self):
-        return (None, None) if self.d3y is None else kernels.curvature_fields(
-            self.theta, self.y, self.dy, self.d2y, self.d3y, self.g, self.det_g, self.dg,
-            self.sigma2, trig=self.trig,
+        return kernels.curvature_fields(
+            self.theta, self.y, self.dy, self.d2y, self.g, self.det_g, self.dg, self.sigma2,
+            trig=self.trig,
         )
 
     @functools.cached_property
     def newton_residual(self):
-        return None if self.d3y is None else kernels.newton_divergence(
-            self.dy, self.d2y, self.d3y, self.g_inv, self.w_chart, self.gamma, self.dg,
-            self.margin, self.t, trig=self.trig,
+        return kernels.newton_divergence(
+            self.dy, self.d2y, self.g_inv, self.w_chart, self.gamma, self.dg, self.margin,
+            self.t, trig=self.trig,
         )
 
     nu = property(lambda self: self._normal[0])
@@ -120,18 +118,17 @@ class SurfaceFields:
 def evaluate_fields(theta, phi, node_jets, grid=None) -> SurfaceFields:
     """Run ``kernels.surface_core`` on precomputed jets at the given nodes.
 
-    ``node_jets`` is (y, dy, d2y) or (y, dy, d2y, d3y), derivative axes
-    first and nodes last; only the latter lets the curvature and Newton
-    fields be formed.  When the nodes are those of a product ``grid``,
-    functions of theta are evaluated once per grid row.
+    ``node_jets`` is (y, dy, d2y), derivative axes first and nodes last.
+    When the nodes are those of a product ``grid``, functions of theta are
+    evaluated once per grid row.
     """
     theta = np.ascontiguousarray(theta, dtype=float)
     phi = np.ascontiguousarray(phi, dtype=float)
-    y, dy, d2y, d3y = (*node_jets, None)[:4]
+    y, dy, d2y = node_jets
     trig = kernels.node_trig(theta, y, grid)
     core = kernels.surface_core(theta, y, dy, d2y, trig=trig)
     _raise_unless_spacelike(theta, phi, core["margin"])
-    return SurfaceFields(theta=theta, phi=phi, y=y, dy=dy, d2y=d2y, d3y=d3y, trig=trig, **core)
+    return SurfaceFields(theta=theta, phi=phi, y=y, dy=dy, d2y=d2y, trig=trig, **core)
 
 
 def check_spacelike(grid, y, dy):
@@ -152,7 +149,7 @@ def _raise_unless_spacelike(theta, phi, margin):
 def evaluate_surface(surface, grid) -> SurfaceFields:
     """All fields, curvature included, of an analytic surface at the nodes of
     a product ``grid``, each function of one angle once per row or column."""
-    return evaluate_fields(grid.theta, grid.phi, surface.jets(*grid.mesh), grid)
+    return evaluate_fields(grid.theta, grid.phi, surface.height_jet(*grid.mesh), grid)
 
 
 def evaluate_on_grid(surface) -> SurfaceFields:
@@ -172,7 +169,7 @@ def sampled_pre_integral_residual(surface, fields) -> np.ndarray:
     height with m = 1 content: there cot(theta) y_theta and y_phiphi /
     sin^2(theta) are each O(1/h), and their O(h^2) stencil errors add to O(h).
     """
-    _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values), order=2)
+    _, dp, d2p = grid_scalar_jets(-np.sinh(surface.values))
     hess_frame = kernels.frame_hessian(fields.frame, fields.gamma, dp, d2p)
     return kernels.pre_integral_residual(
         hess_frame, fields.phi_prime, fields.support, fields.w_frame

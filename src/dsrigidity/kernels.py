@@ -7,15 +7,18 @@ surface.  ``normal_fields`` (``nu``, its residuals, ``w_chart``),
 form their group of ``geometry.SurfaceFields`` on its first read: the
 ``geometry`` suite reads them all, ``verify-identities`` the base connection
 only, ``rigidity`` none.  Every tensor is stored component-first with the node
-axis last, ``(2, 2[, 2[, 2]], n)``, as the jets are: ``a[i, j]`` is the
+axis last, ``(2, 2[, 2], n)``, as the jets are: ``a[i, j]`` is the
 ``(n,)`` node array of one component.  Each formula is evaluated one
 component at a time on those node arrays, nested as lists ``t[i][j]``
 (``dg`` and ``t`` are returned so), and a stored tensor is built from its
 nested list with ``np.array``; the Newton tensor is ``symfun.d_sigma2``'s.
 K comes from Brioschi's formula, which reads g, ``dg`` and three second
-derivatives of g.  The kernels and ``potential_jets`` take sin and cos of
-theta and cosh and sinh of y as the required ``trig``, the ``node_trig``
-tuple that ``geometry.SurfaceFields`` forms once per node set.
+derivatives of g.  Every kernel reads the height through second order:
+its third derivatives are totally symmetric and cancel in Brioschi's
+F_uv - (E_vv + G_uu) / 2 and in the Newton divergence's tr(d_j W) - d_i W^i_j.
+The kernels and ``potential_jets`` take sin and cos of theta and cosh and
+sinh of y as the required ``trig``, the ``node_trig`` tuple that
+``geometry.SurfaceFields`` forms once per node set.
 ``frame_hessian`` takes any potential by chart jets: ``potential_jets``'
 own, a pair's pulled-back one or a grid's stencil one.
 
@@ -204,7 +207,7 @@ def orthonormality_residual(f, g):
     return np.max([np.abs(gram[a][b] - float(a == b)) for a, b in np.ndindex(2, 2)], axis=0)
 
 
-def curvature_fields(theta, y, dy, d2y, d3y, g, det_g, dg, sigma2, *, trig):
+def curvature_fields(theta, y, dy, d2y, g, det_g, dg, sigma2, *, trig):
     """Intrinsic curvature K and |sigma2 - (1 - K)| per node, from the
     ``surface_core`` and ``connection`` outputs of spacelike nodes.
 
@@ -222,17 +225,17 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, det_g, dg, sigma2, *, trig):
     (e_v, f_v), (_, g_v) = dg[1]
     y1, y2 = dy
     (y11, y12), (_, y22) = d2y
-    y112, y122 = d3y[0, 0, 1], d3y[0, 1, 1]
 
     # E_vv, F_uv and G_uu of g_ij = -y_i y_j + cosh^2(y) sigma_ij,
-    # sigma = diag(1, sin^2 theta)
+    # sigma = diag(1, sin^2 theta), less their terms in y_001 and y_011,
+    # which cancel in F_uv - (E_vv + G_uu) / 2
     cs2 = 2.0 * c * s
     ch2 = 2.0 * (c2 + s * s)
     y12sq = y12 * y12
-    e_vv = -2.0 * (y12sq + y1 * y122) + ch2 * y2 * y2 + cs2 * y22
-    f_uv = -(y112 * y2 + y12sq + y11 * y22 + y1 * y122)
+    e_vv = -2.0 * y12sq + ch2 * y2 * y2 + cs2 * y22
+    f_uv = -(y12sq + y11 * y22)
     g_uu = (
-        -2.0 * (y12sq + y2 * y112) + (ch2 * y1 * y1 + cs2 * y11) * sig22
+        -2.0 * y12sq + (ch2 * y1 * y1 + cs2 * y11) * sig22
         + 2.0 * cs2 * y1 * (2.0 * st * ct) + c2 * (2.0 * (ct * ct - st * st))
     )
 
@@ -247,9 +250,11 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, det_g, dg, sigma2, *, trig):
     return k_norm, np.abs(sigma2 - (1.0 - k_norm))
 
 
-def newton_divergence(dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin, t, *, trig):
+def newton_divergence(dy, d2y, g_inv, w_chart, gamma, dg, margin, t, *, trig):
     """Largest component of the Newton tensor's covariant divergence per
-    node, from the ``surface_core`` and ``connection`` outputs."""
+    node, from the ``surface_core`` and ``connection`` outputs.  d_p h leaves
+    out its term (c / sqrt(margin)) y_ijp, which is totally symmetric and
+    cancels in tr(d_j W) - d_i W^i_j."""
     st, ct, sig22, c, s, c2 = trig
     dsig22 = 2.0 * st * ct
     y1, y2 = dy
@@ -270,8 +275,8 @@ def newton_divergence(dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin, t, *, tri
         y2p = d2y[1, p]
         # d_p of |grad y|^2 and of the margin
         dgrad2 = 2.0 * (y1 * y1p + y2 * y2p / sig22)
-        dhs12 = d3y[0, 1, p] - gam212 * y2p
-        dhs22 = d3y[1, 1, p] - gam122 * y1p
+        dhs12 = -gam212 * y2p
+        dhs22 = -gam122 * y1p
         dsig_t = 0.0
         if p == 0:
             dgrad2 = dgrad2 - y2 * y2 * dsig22 / (sig22 * sig22)
@@ -282,7 +287,7 @@ def newton_divergence(dy, d2y, d3y, g_inv, w_chart, gamma, dg, margin, t, *, tri
         dscale = s * yp / sqm - 0.5 * c * dmargin / (sqm * margin)
         csp = (c2 + s * s) * yp
         dsoc = yp / c2
-        dt11 = d3y[0, 0, p] + csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
+        dt11 = csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
         dt12 = dhs12 - 2.0 * (dsoc * y1 * y2 + soc * (y1p * y2 + y1 * y2p))
         dt22 = dhs22 + csp * sig22 + dsig_t - 2.0 * (dsoc * y2 * y2 + soc * 2.0 * y2 * y2p)
         dh12 = dscale * t[0][1] + scale * dt12

@@ -2,16 +2,17 @@
 
 A surface is a height function y(theta, phi) over the unit sphere; the
 numerical engine needs its chart jets at arbitrary nodes (analytic
-surfaces) or at the nodes of a fixed sampling grid (sampled surfaces):
-second order for the pair suites, third order for the curvature checks of
-the single-surface suite.  Heights are built from constant slices plus real
-spherical harmonic perturbations; each harmonic is a product of a theta
-factor and a phi factor, so every jet entry is a product of closed-form
-derivatives.
+surfaces) or at the nodes of a fixed sampling grid (sampled surfaces),
+through second order for every suite: the curvature checks of the
+single-surface suite read third derivatives of the height only in totally
+symmetric combinations that cancel.  Heights are built from constant slices
+plus real spherical harmonic perturbations; each harmonic is a product of a
+theta factor and a phi factor, so every jet entry is a product of
+closed-form derivatives.
 
 Jets are stored derivative axes first and the node axis last: ``dy`` is
-``(2, n)``, ``d2y`` ``(2, 2, n)`` and ``d3y`` ``(2, 2, 2, n)``, each
-C-contiguous, so ``d2y[i, j]`` is the node array of one component.
+``(2, n)`` and ``d2y`` ``(2, 2, n)``, each C-contiguous, so ``d2y[i, j]`` is
+the node array of one component.
 """
 
 import functools
@@ -157,28 +158,20 @@ class AnalyticSurface:
             p_theta = _legendre_theta_derivatives(l, m, x, s, order)
             c, sn = np.cos(m * phi), np.sin(m * phi) if order else None
             sines.append(sn)
-            p_phi = [c, *(a * f for a, f in zip((-m, -m * m, m**3)[:order], (sn, c, sn)))]
+            p_phi = [c, *(a * f for a, f in zip((-m, -m * m)[:order], (sn, c)))]
             for k in range(order + 1):
                 for j in range(order + 1 - k):
                     part[k][j] = part[k][j] + scale * p_theta[k] * p_phi[j]
         return part, sines
 
-    def _jets(self, theta, phi, order):
-        """Closed-form (y, dy, d2y[, d3y]) through ``order``, derivative axes
-        first and the nodes, theta-major, on one last axis."""
+    def height_jet(self, theta, phi):
+        """Closed-form second-order jet (y, dy, d2y) of the height, derivative
+        axes first and the nodes, theta-major, on one last axis."""
         shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
         check_off_poles(theta, shape)
-        part, _ = self._derivative_table(np.cos(theta), np.sin(theta), phi, order)
+        part, _ = self._derivative_table(np.cos(theta), np.sin(theta), phi, 2)
         part = [[entry.reshape(-1) for entry in row] for row in part]
-        return (part[0][0], *(_derivative_tensor(part, n) for n in range(1, order + 1)))
-
-    def height_jet(self, theta, phi):
-        """Closed-form second-order jet (y, dy, d2y) of the height."""
-        return self._jets(theta, phi, 2)
-
-    def jets(self, theta, phi):
-        """Closed-form third-order jet (y, dy, d2y, d3y) of the height."""
-        return self._jets(theta, phi, 3)
+        return part[0][0], _derivative_tensor(part, 1), _derivative_tensor(part, 2)
 
     def height(self, theta, phi):
         """Height values, shaped as theta and phi broadcast; safe at the chart poles."""
@@ -245,13 +238,14 @@ class SampledGridSurface:
         return cls(surface.height(*sampled_grid(n_theta, n_phi).mesh))
 
     def grid_jets(self):
-        """Jets (y, dy, d2y, d3y) at every grid node, flattened theta-major."""
+        """Jets (y, dy, d2y) at every grid node, flattened theta-major."""
         return grid_scalar_jets(self.values)
 
 
 def check_grid(where, n_theta, n_phi):
-    """ConfigError naming ``where`` unless the stencils run: the pole reflection
-    turns phi by pi, and ``grid_scalar_jets`` pads each pole with 3 grid rows."""
+    """ConfigError naming ``where`` unless the grid's checks run: the pole
+    reflection turns phi by pi, and ``geometry.sampled_newton_residual``
+    differences in theta at the rows between the two pole rows."""
     if n_theta < 3 or n_phi < 2 or n_phi % 2:
         raise ConfigError(f"{where}: '{n_theta}x{n_phi}' needs n_theta >= 3 "
                           "and an even n_phi >= 2")
@@ -277,11 +271,10 @@ def pole_extend(values, pad):
     return np.concatenate([top, values, bot], axis=0)
 
 
-#: central differences, second-order accurate: for k = 1..3 the (offset,
+#: central differences, second-order accurate: for k = 1, 2 the (offset,
 #: weight) terms, summed in this order from the first, and the factor c of
 #: the divisor c h^k
-STENCILS = {1: (((1, 1), (-1, -1)), 2), 2: (((1, 1), (0, -2), (-1, 1)), 1),
-            3: (((2, 1), (1, -2), (-1, 2), (-2, -1)), 2)}
+STENCILS = {1: (((1, 1), (-1, -1)), 2), 2: (((1, 1), (0, -2), (-1, 1)), 1)}
 
 
 def central(arr, axis, k, pad, h):
@@ -306,19 +299,19 @@ def grid_steps(n_theta, n_phi):
     return math.pi / n_theta, 2.0 * math.pi / n_phi
 
 
-def grid_scalar_jets(values, order=3):
-    """Jets (y, dy[, d2y[, d3y]]) of a sampled scalar field through the given
-    order (1, 2 or 3), by ``central`` differences, second-order accurate
-    everywhere; the nodes are flattened theta-major onto the last axis.
+def grid_scalar_jets(values, order=2):
+    """Jets (y, dy[, d2y]) of a sampled scalar field through the given order
+    (1 or 2), by ``central`` differences, second-order accurate everywhere;
+    the nodes are flattened theta-major onto the last axis.
     """
     ht, hp = grid_steps(*values.shape)
-    # one periodic copy: 3 pole-extended rows and 2 wrapped columns on each
+    # one periodic copy: 1 pole-extended row and 1 wrapped column on each
     # side, so every stencil is a slice; part[k][j] has k theta and j phi
     # derivatives, as in ``AnalyticSurface._derivative_table``
-    ext = pole_extend(values, 3)
-    ext = np.concatenate([ext[:, -2:], ext, ext[:, :2]], axis=1)
-    rows = [ext[3:-3]] + [central(ext, 0, k, 3, ht) for k in range(1, order + 1)]
-    part = [[row[:, 2:-2]] + [central(row, 1, j, 2, hp) for j in range(1, order + 1 - k)]
+    ext = pole_extend(values, 1)
+    ext = np.concatenate([ext[:, -1:], ext, ext[:, :1]], axis=1)
+    rows = [ext[1:-1]] + [central(ext, 0, k, 1, ht) for k in range(1, order + 1)]
+    part = [[row[:, 1:-1]] + [central(row, 1, j, 1, hp) for j in range(1, order + 1 - k)]
             for k, row in enumerate(rows)]
     y = np.ascontiguousarray(values.ravel(), dtype=float)
     return (y, *(_derivative_tensor(part, n).reshape((2,) * n + (values.size,))

@@ -7,9 +7,12 @@ stencil route written out, with ``np.roll`` shifts in phi.  The other
 functions are the broadcast and einsum forms of the sampled geometry
 residuals, of the conformal-field check and of the image height's second
 derivatives in the chart inversion.  ``tests/test_kernels.py`` requires the
-package to give the same bits as these.  ``riemann_curvature`` is not a
-bitwise form: it is the Christoffel route to K that Brioschi's formula
-replaced, and the kernel's K must agree with it to roundoff.
+package to give the same bits as these.  ``riemann_curvature`` and
+``newton_divergence`` are not bitwise forms but oracles that read third
+derivatives y_ijk of the height: the Christoffel route to K that Brioschi's
+formula replaced, and the Newton divergence with the y_ijp term of d_p h
+that the kernel leaves out.  Both cancel every totally symmetric y_ijk, so
+the kernels must agree with them to roundoff whatever y_ijk they are given.
 
 The forms compute on node-major stacks, node k at index k of the leading
 axis.  Each public function takes and returns the package's
@@ -181,23 +184,23 @@ def _det3(m):
     )
 
 
-def _brioschi(st, ct, c, s, dy, d2y, d3y, g, det_g, dg):
+def _brioschi(st, ct, c, s, dy, d2y, g, det_g, dg):
     """K = (det A - det B) / (EG - F^2)^2 in the chart (u, v) = (theta, phi),
     E, F, G the entries of g, with A and B stacked as (n, 3, 3) matrices."""
     sig22 = st * st
     c2 = c * c
     y1, y2 = dy[:, 0], dy[:, 1]
     y11, y12, y22 = d2y[:, 0, 0], d2y[:, 0, 1], d2y[:, 1, 1]
-    y112, y122 = d3y[:, 0, 0, 1], d3y[:, 0, 1, 1]
 
-    # E_vv, F_uv and G_uu of g_ij = -y_i y_j + cosh^2(y) sigma_ij
+    # E_vv, F_uv and G_uu of g_ij = -y_i y_j + cosh^2(y) sigma_ij, less the
+    # y_ijk terms that cancel in F_uv - (E_vv + G_uu) / 2
     cs2 = 2.0 * c * s
     ch2 = 2.0 * (c2 + s * s)
     y12sq = y12 * y12
-    e_vv = -2.0 * (y12sq + y1 * y122) + ch2 * y2 * y2 + cs2 * y22
-    f_uv = -(y112 * y2 + y12sq + y11 * y22 + y1 * y122)
+    e_vv = -2.0 * y12sq + ch2 * y2 * y2 + cs2 * y22
+    f_uv = -(y12sq + y11 * y22)
     g_uu = (
-        -2.0 * (y12sq + y2 * y112) + (ch2 * y1 * y1 + cs2 * y11) * sig22
+        -2.0 * y12sq + (ch2 * y1 * y1 + cs2 * y11) * sig22
         + 2.0 * cs2 * y1 * (2.0 * st * ct) + c2 * (2.0 * (ct * ct - st * st))
     )
 
@@ -216,27 +219,41 @@ def _brioschi(st, ct, c, s, dy, d2y, d3y, g, det_g, dg):
     return (_det3(a) - _det3(b)) / (det_g * det_g)
 
 
-def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg, sigma2):
+def curvature_fields(theta, y, dy, d2y, g, g_inv, det_g, w_chart, gamma, dg, sigma2):
     """Intrinsic curvature K, |sigma2 - (1 - K)| and the Newton divergence.
 
     Takes ``surface_core`` outputs for spacelike nodes; returns the three
     node arrays ``(K, gauss_residual, newton_residual)``.  K is Brioschi's
     formula; ``riemann_curvature`` is the Christoffel route to it.
     """
-    dy, d2y, d3y, g, g_inv, w_chart, gamma, dg = (
-        node_major(a) for a in (dy, d2y, d3y, g, g_inv, w_chart, gamma, dg)
+    st, ct, c, s = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
+    dy, d2y, g, g_inv, w_chart, gamma, dg = (
+        node_major(a) for a in (dy, d2y, g, g_inv, w_chart, gamma, dg)
     )
-    st = np.sin(theta)
-    ct = np.cos(theta)
+    k_norm = _brioschi(st, ct, c, s, dy, d2y, g, det_g, dg)
+    gauss = np.abs(sigma2 - (1.0 - k_norm))
+    newton = _newton_divergence(st, ct, c, s, dy, d2y, None, g_inv, w_chart, gamma, dg)
+    return k_norm, gauss, newton
+
+
+def newton_divergence(theta, y, dy, d2y, d3y, g_inv, w_chart, gamma, dg):
+    """The Newton divergence with d_p h's term (c / sqrt(margin)) y_ijp, from
+    the third derivatives ``d3y``, ``(2, 2, 2, n)``; component-first arrays in,
+    the residual out."""
+    st, ct, c, s = np.sin(theta), np.cos(theta), np.cosh(y), np.sinh(y)
+    dy, d2y, d3y, g_inv, w_chart, gamma, dg = (
+        node_major(a) for a in (dy, d2y, d3y, g_inv, w_chart, gamma, dg)
+    )
+    return _newton_divergence(st, ct, c, s, dy, d2y, d3y, g_inv, w_chart, gamma, dg)
+
+
+def _newton_divergence(st, ct, c, s, dy, d2y, d3y, g_inv, w_chart, gamma, dg):
+    """Largest component of div(sigma1(W) Id - W) per node on node-major
+    stacks; ``d3y`` None leaves out the y_ijp term of d_p h, as the kernel does."""
     sig22 = st * st
     dsig22 = 2.0 * st * ct
-    c = np.cosh(y)
-    s = np.sinh(y)
     c2 = c * c
     y1, y2 = dy[:, 0], dy[:, 1]
-
-    k_norm = _brioschi(st, ct, c, s, dy, d2y, d3y, g, det_g, dg)
-    gauss = np.abs(sigma2 - (1.0 - k_norm))
 
     # derivatives of h via h = (c/sqrt(m)) T
     margin, t = _second_form_parts(st, ct, c, s, dy, d2y)
@@ -254,8 +271,8 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
         y2p = d2y[:, 1, p]
         # d_p of |grad y|^2 and of the margin
         dgrad2 = 2.0 * (y1 * y1p + y2 * y2p / sig22)
-        dhs12 = d3y[:, 0, 1, p] - gam212 * y2p
-        dhs22 = d3y[:, 1, 1, p] - gam122 * y1p
+        dhs12 = -gam212 * y2p
+        dhs22 = -gam122 * y1p
         dsig_t = 0.0
         if p == 0:
             dgrad2 = dgrad2 - y2 * y2 * dsig22 / (sig22 * sig22)
@@ -266,10 +283,12 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
         dscale = s * yp / sqm - 0.5 * c * dmargin / (sqm * margin)
         csp = (c2 + s * s) * yp
         dsoc = yp / c2
-        dt11 = d3y[:, 0, 0, p] + csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
+        dt11 = csp - 2.0 * (dsoc * y1 * y1 + soc * 2.0 * y1 * y1p)
         dt12 = dhs12 - 2.0 * (dsoc * y1 * y2 + soc * (y1p * y2 + y1 * y2p))
         dt22 = dhs22 + csp * sig22 + dsig_t - 2.0 * (dsoc * y2 * y2 + soc * 2.0 * y2 * y2p)
         dh = dscale[:, None, None] * t + scale[:, None, None] * _sym(dt11, dt12, dt22)
+        if d3y is not None:
+            dh = dh + scale[:, None, None] * d3y[:, :, :, p]
         # dW = ginv (dh - dg W)
         dw[:, p] = _matmul(g_inv, dh - _matmul(dg[:, p], w_chart))
 
@@ -289,27 +308,25 @@ def curvature_fields(theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, dg
     for i in range(2):
         for p in range(2):
             div = div - gamma[:, p, i] * newton_t[:, i, p, None]
-    return k_norm, gauss, np.abs(div).max(axis=1)
+    return np.abs(div).max(axis=1)
 
 
 def _central(at, h, k):
-    """k-th central difference of the field ``at(offset)``, step h."""
+    """k-th central difference (k = 1 or 2) of the field ``at(offset)``, step h."""
     if k == 1:
         return (at(1) - at(-1)) / (2 * h)
-    if k == 2:
-        return (at(1) - 2 * at(0) + at(-1)) / h**2
-    return (at(2) - 2 * at(1) + 2 * at(-1) - at(-2)) / (2 * h**3)
+    return (at(1) - 2 * at(0) + at(-1)) / h**2
 
 
 def grid_scalar_jets(values, order):
-    """Central-difference jets of a sampled field: theta stencils read 3 ghost
-    rows on each side, each a grid row turned by pi in phi, and phi stencils
-    read ``np.roll`` shifts."""
+    """Central-difference jets of a sampled field: theta stencils read one
+    ghost row on each side, the first or last grid row turned by pi in phi,
+    and phi stencils read ``np.roll`` shifts."""
     n_theta, n_phi = values.shape
     ht, hp = math.pi / n_theta, 2.0 * math.pi / n_phi
     turned = np.roll(values, n_phi // 2, axis=1)
-    ext = np.concatenate([turned[[2, 1, 0]], values, turned[[-1, -2, -3]]])
-    rows = [values] + [_central(lambda o: ext[3 + o : 3 + o + n_theta], ht, k)
+    ext = np.concatenate([turned[:1], values, turned[-1:]])
+    rows = [values] + [_central(lambda o: ext[1 + o : 1 + o + n_theta], ht, k)
                        for k in range(1, order + 1)]
 
     def entry(idx):  # len(idx) - sum(idx) theta and sum(idx) phi derivatives
@@ -325,7 +342,7 @@ def grid_scalar_jets(values, order):
 def sampled_pre_integral_residual(surface, fields):
     from dsrigidity.surfaces import grid_scalar_jets
 
-    _, dp, d2p = (node_major(a) for a in grid_scalar_jets(-np.sinh(surface.values), order=2))
+    _, dp, d2p = (node_major(a) for a in grid_scalar_jets(-np.sinh(surface.values)))
     gamma, frame, w_frame = (node_major(a) for a in (fields.gamma, fields.frame, fields.w_frame))
     hp = d2p - gamma[:, 0] * dp[:, 0, None, None] - gamma[:, 1] * dp[:, 1, None, None]
     hess_frame = _sym(*_in_frame(

@@ -74,7 +74,7 @@ def test_criterion_1_umbilic_slice_closed_forms():
     rng = np.random.default_rng(10)
     theta = rng.uniform(0.1, math.pi - 0.1, 400)
     phi = rng.uniform(0.0, 2.0 * math.pi, 400)
-    f = geometry.evaluate_fields(theta, phi, AnalyticSurface(0.5).jets(theta, phi))
+    f = geometry.evaluate_fields(theta, phi, AnalyticSurface(0.5).height_jet(theta, phi))
     c = math.cosh(0.5)
     t = math.tanh(0.5)
     sigma = np.zeros((2, 2, 400))

@@ -616,7 +616,7 @@ def test_sampled_geometry_builds_no_quadrature_rule(tmp_path, capsys, monkeypatc
 def test_geometry_forms_curvature_fields_once(capsys, kernel_calls):
     # each field group is formed once, on the configured surface: the
     # reflection check reads the mirror's W only, which needs no group past
-    # the surface core and no third-order jets
+    # the surface core
     assert run(["geometry", "--config", str(REPO / "configs" / "geometry.cfg")]) == 0
     assert "reflection_parity" in capsys.readouterr().out
     nodes = 64 * 128

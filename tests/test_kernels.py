@@ -22,9 +22,9 @@ def test_surface_kernels_satisfy_their_invariants():
     theta = rng.uniform(0.15, math.pi - 0.15, n)
     phi = rng.uniform(0.0, 2 * math.pi, n)
     surf = AnalyticSurface(0.55, [(0.05, 2, 0), (0.02, 4, 3)])
-    y, dy, d2y, d3y = surf.jets(theta, phi)
+    y, dy, d2y = surf.height_jet(theta, phi)
 
-    f = geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
+    f = geometry.evaluate_fields(theta, phi, (y, dy, d2y))
     eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))
     mul = lambda a, b: np.einsum("ijn,jkn->ikn", a, b)
     frame_t = f.frame.transpose(1, 0, 2)
@@ -43,7 +43,7 @@ def test_surface_kernels_satisfy_their_invariants():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonSpacelike, match=f"at node {bad} "):
-            geometry.evaluate_fields(theta, phi, (y, dy, d2y, d3y))
+            geometry.evaluate_fields(theta, phi, (y, dy, d2y))
         # the margin-only check of the regraph names the same node; it reads
         # the nodes and their sin theta off a grid
         nodes = SimpleNamespace(theta=theta, phi=phi, trig=(np.sin(theta),))
@@ -62,7 +62,7 @@ nodes = st.integers(1, 12)
 
 @st.composite
 def spacelike_jets(draw):
-    """theta and the jets (y, dy, d2y, d3y) at a few nodes, |grad y| < cosh y."""
+    """theta and the jets (y, dy, d2y) at a few nodes, |grad y| < cosh y."""
     n = draw(nodes)
     theta = draw(arrays(float, n, elements=st.floats(0.2, math.pi - 0.2)))
     y = draw(arrays(float, n, elements=st.floats(-1.5, 1.5)))
@@ -70,8 +70,7 @@ def spacelike_jets(draw):
     # |grad y|^2 = 0.49^2 cosh^2(y) |u|^2 stays below cosh^2(y)
     dy = 0.49 * np.cosh(y) * u * np.array([np.ones(n), np.sin(theta)])
     d2y = draw(arrays(float, (2, 2, n), elements=entries))
-    d3y = draw(arrays(float, (2, 2, 2, n), elements=entries))
-    return theta, y, dy, d2y, d3y
+    return theta, y, dy, d2y
 
 
 @deterministic
@@ -79,7 +78,7 @@ def spacelike_jets(draw):
 def test_component_kernels_match_the_broadcast_kernels(node_jets):
     # the reference forms formed every field in two kernels; the package
     # splits them into the surface core and the groups formed on first read
-    theta, y, dy, d2y, d3y = node_jets
+    theta, y, dy, d2y = node_jets
     node_trig = kernels.node_trig(theta, y, None)
     core = kernels.surface_core(theta, y, dy, d2y, trig=node_trig)
     expected = reference_forms.surface_core(theta, y, dy, d2y)
@@ -104,11 +103,11 @@ def test_component_kernels_match_the_broadcast_kernels(node_jets):
         core[k] for k in ("g", "g_inv", "det_g", "w_chart", "sigma2")
     )
     want = reference_forms.curvature_fields(
-        theta, y, dy, d2y, d3y, g, g_inv, det_g, w_chart, gamma, core["dg"], sigma2
+        theta, y, dy, d2y, g, g_inv, det_g, w_chart, gamma, core["dg"], sigma2
     )
-    got = kernels.curvature_fields(theta, y, dy, d2y, d3y, g, det_g, dg, sigma2, trig=node_trig)
+    got = kernels.curvature_fields(theta, y, dy, d2y, g, det_g, dg, sigma2, trig=node_trig)
     got += (kernels.newton_divergence(
-        dy, d2y, d3y, g_inv, w_chart, gamma, dg, core["margin"], t, trig=node_trig
+        dy, d2y, g_inv, w_chart, gamma, dg, core["margin"], t, trig=node_trig
     ),)
     for name, a, b in zip(("k_norm", "gauss", "newton"), got, want, strict=True):
         assert np.array_equal(a, b), name
@@ -123,26 +122,54 @@ def drawn_surface(rng):
     return AnalyticSurface(float(rng.uniform(-1.5, 1.5)), modes)
 
 
-@pytest.mark.parametrize("n_theta", [16, 32, 64, 128, 256])
-def test_brioschi_curvature_matches_the_christoffel_route(n_theta):
-    # the kernel's K against g_1a R^a_212 / det g, which reads every d_p d_q g_ij,
-    # on drawn surfaces at the Gauss rule and sampled on the cell-centred grid.
-    # det g ~ sin^2 theta amplifies roundoff toward the poles on both routes:
-    # over 224 drawn cases from 16x32 to 512x1024 |dK| sin^2 theta was at most
-    # 6.0 eps, and 3.4 eps on the draws below.  Flipping the sign of a21 G - F a31
-    # in det A moves K by E_u F G_v / (2 det g^2), by more than 4e8 eps / sin^2 theta
-    # at some node of each
+def drawn_fields(n_theta):
+    """Fields of two drawn surfaces at the n_theta x 2 n_theta Gauss rule and
+    sampled on the cell-centred grid, each with random, totally symmetric
+    third derivatives y_ijk = y[i + j + k] of scale 10 at its nodes."""
     rng = np.random.default_rng(n_theta)
     rule = gauss_sphere_rule(n_theta, 2 * n_theta)
     for _ in range(2):
         surface = drawn_surface(rng)
         sampled = SampledGridSurface.from_height(surface, n_theta, 2 * n_theta)
         for f in (geometry.evaluate_surface(surface, rule), geometry.evaluate_on_grid(sampled)):
-            oracle = reference_forms.riemann_curvature(
-                f.theta, f.y, f.dy, f.d2y, f.d3y, f.g, f.g_inv, f.det_g, f.gamma, np.array(f.dg)
-            )
-            scaled = np.abs(f.k_norm - oracle) * np.sin(f.theta) ** 2
-            assert scaled.max() <= 16 * np.finfo(float).eps
+            by_sum = 10.0 * rng.standard_normal((4, f.theta.size))
+            d3y = np.array([by_sum[sum(idx)] for idx in np.ndindex(2, 2, 2)])
+            yield f, d3y.reshape(2, 2, 2, -1)
+
+
+@pytest.mark.parametrize("n_theta", [16, 32, 64, 128, 256])
+def test_brioschi_curvature_matches_the_christoffel_route(n_theta):
+    # the kernel's K against g_1a R^a_212 / det g, which reads every d_p d_q g_ij
+    # and so the y_ijk that Brioschi's formula cancels.  det g ~ sin^2 theta
+    # amplifies roundoff toward the poles on both routes: on the draws below
+    # |dK| sin^2 theta was at most 4.8 eps.  Flipping the sign of a21 G - F a31
+    # in det A moves K by E_u F G_v / (2 det g^2), by more than 4e8 eps / sin^2 theta
+    # at some node of each
+    for f, d3y in drawn_fields(n_theta):
+        oracle = reference_forms.riemann_curvature(
+            f.theta, f.y, f.dy, f.d2y, d3y, f.g, f.g_inv, f.det_g, f.gamma, np.array(f.dg)
+        )
+        scaled = np.abs(f.k_norm - oracle) * np.sin(f.theta) ** 2
+        assert scaled.max() <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n_theta", [16, 64, 256])
+def test_newton_divergence_cancels_symmetric_third_derivatives(n_theta):
+    # the kernel leaves out d_p h's term (c / sqrt(margin)) y_ijp; the oracle
+    # keeps it, and a totally symmetric y_ijk cancels in tr(d_j W) - d_i W^i_j.
+    # g^22 ~ 1 / sin^2 theta scales the roundoff of both: on these draws the
+    # kernel's residual was at most 3.1 eps / sin^2 theta, the oracle's
+    # 2.0 eps (1 + max |y_ijk|) / sin^2 theta.  A y_001 that differs from y_010
+    # does not cancel
+    eps = np.finfo(float).eps
+    for f, d3y in drawn_fields(n_theta):
+        args = f.theta, f.y, f.dy, f.d2y, d3y, f.g_inv, f.w_chart, f.gamma, np.array(f.dg)
+        sin2 = np.sin(f.theta) ** 2
+        assert (f.newton_residual * sin2).max() <= 16 * eps
+        size = 1.0 + np.abs(d3y).max(axis=(0, 1, 2))
+        assert (reference_forms.newton_divergence(*args) * sin2 / size).max() <= 16 * eps
+        d3y[0, 0, 1] += 1.0
+        assert reference_forms.newton_divergence(*args).min() > 1e-3
 
 
 @deterministic
@@ -174,7 +201,7 @@ def test_chart_inversion_sums_like_einsum(parts):
 
 
 @deterministic
-@given(st.integers(3, 12), st.integers(1, 8), st.integers(1, 3), st.floats(-3.0, 3.0), st.data())
+@given(st.integers(3, 12), st.integers(1, 8), st.integers(1, 2), st.floats(-3.0, 3.0), st.data())
 def test_grid_stencils_sum_like_the_rolled_forms(n_theta, half_phi, order, decade, data):
     values = 10.0**decade * data.draw(arrays(float, (n_theta, 2 * half_phi), elements=unit))
     got = grid_scalar_jets(values, order)

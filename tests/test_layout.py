@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dsrigidity"
 
 #: tensor axes of every array field; the rest are (n,) node arrays
 FIELD_AXES = {
-    "dy": (2,), "d2y": (2, 2), "d3y": (2, 2, 2), "g": (2, 2), "g_inv": (2, 2), "h": (2, 2),
+    "dy": (2,), "d2y": (2, 2), "g": (2, 2), "g_inv": (2, 2), "h": (2, 2),
     "w_chart": (2, 2), "frame": (2, 2), "w_frame": (2, 2), "hess_phi_frame": (2, 2),
     "gamma": (2, 2, 2), "nu": (3,), "nu_tangency_residual": (2,),
     "w_tilde_frame": (2, 2), "hess_phi_tilde_frame": (2, 2), "potential_d": (2,),
@@ -46,15 +46,13 @@ def _assert_fields_component_first(fields, n):
 def test_jets_put_the_node_axis_last(scattered_nodes):
     theta, phi = scattered_nodes
     surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
-    for name, value in zip(("y", "dy", "d2y", "d3y"), surface.jets(theta, phi), strict=True):
-        _assert_component_first(name, value, theta.size)
     for name, value in zip(("y", "dy", "d2y"), surface.height_jet(theta, phi), strict=True):
         _assert_component_first(name, value, theta.size)
     values = SampledGridSurface.from_height(surface, 6, 12).values
-    for order in (1, 2, 3):
+    for order in (1, 2):
         node_jets = grid_scalar_jets(values, order)
         assert len(node_jets) == order + 1
-        for name, value in zip(("y", "dy", "d2y", "d3y"), node_jets):
+        for name, value in zip(("y", "dy", "d2y"), node_jets):
             _assert_component_first(name, value, values.size)
 
 
@@ -73,7 +71,7 @@ def test_lifts_put_the_node_axis_last(scattered_nodes):
 def test_surface_fields_put_the_node_axis_last(scattered_nodes):
     theta, phi = scattered_nodes
     surface = AnalyticSurface(0.6, [(0.05, 2, 0), (0.02, 3, 1)])
-    fields = geometry.evaluate_fields(theta, phi, surface.jets(theta, phi))
+    fields = geometry.evaluate_fields(theta, phi, surface.height_jet(theta, phi))
     _assert_fields_component_first(fields, theta.size)
     grid = SampledGridSurface.from_height(surface, 12, 24)
     _assert_fields_component_first(geometry.evaluate_on_grid(grid), 12 * 24)

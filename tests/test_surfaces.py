@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+import jet_oracle
 from dsrigidity import ambient
 from dsrigidity.errors import ChartPole, ConfigError
 from dsrigidity.quadrature import gauss_sphere_rule
@@ -15,91 +16,14 @@ from dsrigidity.surfaces import (
 )
 
 
-class Jet3rd:
-    """Third-order forward-mode jet in (theta, phi), derivative axes first.
-
-    The package's jets stop at second order; this oracle keeps the product
-    and chain rules through third order, so the closed-form d3y of
-    ``AnalyticSurface.jets`` is checked against an independent route.
-    Operands share one batch shape.
-    """
-
-    def __init__(self, f, d, d2, d3):
-        self.f, self.d, self.d2, self.d3 = f, d, d2, d3
-
-    @classmethod
-    def constant(cls, value):
-        value = np.asarray(value, dtype=float)
-        shape = value.shape
-        return cls(value, np.zeros((2,) + shape), np.zeros((2, 2) + shape),
-                   np.zeros((2, 2, 2) + shape))
-
-    @classmethod
-    def variable(cls, value, index):
-        jet = cls.constant(value)
-        jet.d[index] = 1.0
-        return jet
-
-    def _chain(self, u, u1, u2, u3):
-        """A scalar function with derivatives u1, u2, u3 at self.f."""
-        d, d2 = self.d, self.d2
-        outer = d[:, None] * d[None, :]
-        sym = (
-            d2[:, :, None] * d[None, None, :]
-            + d2[:, None, :] * d[None, :, None]
-            + d2[None, :, :] * d[:, None, None]
-        )
-        return Jet3rd(
-            u, u1 * d, u2 * outer + u1 * d2,
-            u3 * outer[:, :, None] * d[None, None, :] + u2 * sym + u1 * self.d3,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, Jet3rd):
-            return Jet3rd(self.f + other, self.d, self.d2, self.d3)
-        return Jet3rd(self.f + other.f, self.d + other.d, self.d2 + other.d2,
-                      self.d3 + other.d3)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other * -1.0
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet3rd):
-            return Jet3rd(self.f * other, self.d * other, self.d2 * other, self.d3 * other)
-        s, o = self, other
-        d2 = s.d2 * o.f + s.d[:, None] * o.d[None, :] + o.d[:, None] * s.d[None, :] + s.f * o.d2
-        d3 = (
-            s.d3 * o.f
-            + s.d2[:, :, None] * o.d[None, None, :]
-            + s.d2[:, None, :] * o.d[None, :, None]
-            + s.d2[None, :, :] * o.d[:, None, None]
-            + o.d2[:, :, None] * s.d[None, None, :]
-            + o.d2[:, None, :] * s.d[None, :, None]
-            + o.d2[None, :, :] * s.d[:, None, None]
-            + s.f * o.d3
-        )
-        return Jet3rd(s.f * o.f, s.d * o.f + s.f * o.d, d2, d3)
-
-    __rmul__ = __mul__
-
-    def sin(self):
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(s, c, -s, -c)
-
-    def cos(self):
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(c, -s, -c, s)
-
-
 def harmonic_by_composed_jets(l, m, theta, phi):
-    """Third-order jet of Re Y_l^m composed from jet arithmetic: cos, sin and
-    the Legendre recurrence run on Jet3rd, independent of the closed form."""
-    jt = Jet3rd.variable(theta, 0)
-    jp = Jet3rd.variable(phi, 1)
-    x, s = jt.cos(), jt.sin()
-    pmm = Jet3rd.constant(np.full(np.shape(theta), (-1.0) ** m))
+    """Second-order jet of Re Y_l^m composed from jet arithmetic: cos, sin and
+    the Legendre recurrence run on ``jet_oracle.Jet3``, independent of the
+    closed form."""
+    jt = jet_oracle.Jet3.variable(theta, 0)
+    jp = jet_oracle.Jet3.variable(phi, 1)
+    x, s = jet_oracle.cos(jt), jet_oracle.sin(jt)
+    pmm = jet_oracle.Jet3.constant(np.full(np.shape(theta), (-1.0) ** m))
     for k in range(1, m + 1):
         pmm = pmm * s * float(2 * k - 1)
     plm = pmm
@@ -113,12 +37,12 @@ def harmonic_by_composed_jets(l, m, theta, phi):
     norm = math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
-    return norm * plm * (jp * float(m)).cos()
+    return norm * plm * jet_oracle.cos(jp * float(m))
 
 
 def _assert_jets_close(ours, ref, rel):
-    """``ours`` is (y, dy, d2y, d3y); ``ref`` a Jet3rd, laid out alike."""
-    for a, b in zip(ours, (ref.f, ref.d, ref.d2, ref.d3), strict=True):
+    """``ours`` is (y, dy, d2y); ``ref`` a ``jet_oracle.Jet3``, laid out alike."""
+    for a, b in zip(ours, (ref.f, ref.d, ref.d2), strict=True):
         a, b = np.broadcast_arrays(a, b)
         assert np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
 
@@ -151,22 +75,18 @@ def test_closed_form_jets_match_composed_jets():
     )
     surfaces.append((two_modes, two_ref))
     for surface, ref in surfaces:
-        ours = surface.jets(theta, phi)
-        _assert_jets_close(ours, ref, 1e-12)
-        # the second-order jet reads the same table
-        for a, b in zip(surface.height_jet(theta, phi), ours, strict=False):
-            assert np.array_equal(a, b)
+        _assert_jets_close(surface.height_jet(theta, phi), ref, 1e-12)
 
 
 def test_harmonic_jets_match_finite_differences():
     theta = np.linspace(0.4, 2.7, 25)
     phi = np.linspace(0.1, 6.1, 25)
     surf = AnalyticSurface(0.5, [(0.1, 3, 1), (0.05, 2, 0)])
-    y, dy, d2y, d3y = surf.jets(theta, phi)
+    y, dy, d2y = surf.height_jet(theta, phi)
     h = 1e-5
 
     def val(t, p):
-        return surf.jets(t, p)[0]
+        return surf.height_jet(t, p)[0]
 
     dt = (val(theta + h, phi) - val(theta - h, phi)) / (2 * h)
     dp = (val(theta, phi + h) - val(theta, phi - h)) / (2 * h)
@@ -174,12 +94,6 @@ def test_harmonic_jets_match_finite_differences():
     assert np.abs(dy[1] - dp).max() < 1e-9
     dtt = (val(theta + h, phi) - 2 * val(theta, phi) + val(theta - h, phi)) / h**2
     assert np.abs(d2y[0, 0] - dtt).max() < 1e-5
-
-    def hess(t, p):
-        return surf.jets(t, p)[2]
-
-    d3_fd = (hess(theta + h, phi) - hess(theta - h, phi)) / (2 * h)
-    assert np.abs(d3y[:, :, 0] - d3_fd).max() < 1e-6
 
 
 def test_height_values_agree_with_jets_and_allow_poles():
@@ -189,13 +103,11 @@ def test_height_values_agree_with_jets_and_allow_poles():
     # one table sums the series for values and jets alike
     y = surf.height(theta, phi)
     assert np.array_equal(surf.height_jet(theta, phi)[0], y)
-    assert np.array_equal(surf.jets(theta, phi)[0], y)
     # value evaluation is defined at the poles themselves
     at_pole = surf.height(np.array([0.0, math.pi]), np.array([0.3, 1.1]))
     assert np.all(np.isfinite(at_pole))
-    for jets in (surf.height_jet, surf.jets):
-        with pytest.raises(ChartPole):
-            jets(np.array([1e-9]), np.array([0.0]))
+    with pytest.raises(ChartPole):
+        surf.height_jet(np.array([1e-9]), np.array([0.0]))
 
 
 @pytest.mark.parametrize(
@@ -215,9 +127,9 @@ def test_grid_jets_have_the_bits_of_the_flat_nodes(modes):
     # once per row or column; the jets must equal those at the flat nodes
     surf = AnalyticSurface(0.6, modes)
     rule = gauss_sphere_rule(16, 24)
-    for evaluate in (surf.height_jet, surf.jets):
-        for a, b in zip(evaluate(*rule.mesh), evaluate(rule.theta, rule.phi), strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    grid_jet = surf.height_jet(*rule.mesh)
+    for a, b in zip(grid_jet, surf.height_jet(rule.theta, rule.phi), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
     sampled = SampledGridSurface.from_height(surf, 12, 20)
     flat = surf.height(sampled.grid.theta, sampled.grid.phi)
     assert sampled.values.shape == (12, 20)
@@ -229,9 +141,8 @@ def test_jets_name_the_first_node_at_a_chart_pole():
     surf = AnalyticSurface(0.4, [(0.07, 4, 2)])
     theta = np.array([1.0, 2.0, math.pi - 1e-9, 1e-9])
     phi = np.zeros(4)
-    for evaluate in (surf.height_jet, surf.jets):
-        with pytest.raises(ChartPole, match=r"node 2: theta = 3\.14 too close to a chart pole"):
-            evaluate(theta, phi)
+    with pytest.raises(ChartPole, match=r"node 2: theta = 3\.14 too close to a chart pole"):
+        surf.height_jet(theta, phi)
     # on a grid's column of row values the node is counted over the whole grid
     column = np.array([[1.0], [2.0], [1e-9]])
     with pytest.raises(ChartPole, match=r"node 8: theta = 1e-09 too close to a chart pole"):
@@ -261,7 +172,7 @@ def test_slope_matches_jets_and_stays_finite_at_the_poles():
     surf = AnalyticSurface(0.3, modes)
     theta = np.linspace(0.05, math.pi - 0.05, 23)
     phi = np.linspace(0.0, 6.2, 23)
-    y, dy, _, _ = surf.jets(theta, phi)
+    y, dy, _ = surf.height_jet(theta, phi)
     height, slope2 = surf.slope(theta, phi)
     np.testing.assert_allclose(height, y, atol=1e-14)
     np.testing.assert_allclose(
@@ -283,7 +194,7 @@ def test_slope_reads_the_height_series():
     surf = AnalyticSurface(0.3, [(0.05, 2, 0), (0.02, 5, 3), (-0.01, 4, 4)])
     assert surf.slope(theta, phi)[0].tobytes() == surf.height(theta, phi).tobytes()
     zonal = AnalyticSurface(-0.2, [(0.05, 2, 0), (0.03, 7, 0)])
-    y_theta = zonal.jets(theta, phi)[1][0]
+    y_theta = zonal.height_jet(theta, phi)[1][0]
     assert zonal.slope(theta, phi)[1].tobytes() == (y_theta**2).tobytes()
     # a mode-free surface has zero slope at every node, shaped like theta
     flat = AnalyticSurface(0.4).slope(theta, phi)
@@ -302,12 +213,12 @@ def test_reflection_negates_heights_and_round_trips():
     mirrored = surf.reflected()
     theta = np.linspace(0.3, 2.8, 11)
     phi = np.linspace(0.0, 6.0, 11)
-    y, dy, _, _ = surf.jets(theta, phi)
-    ym, dym, _, _ = mirrored.jets(theta, phi)
+    y, dy, _ = surf.height_jet(theta, phi)
+    ym, dym, _ = mirrored.height_jet(theta, phi)
     np.testing.assert_allclose(ym, -y, atol=1e-15)
     np.testing.assert_allclose(dym, -dy, atol=1e-15)
     again = mirrored.reflected()
-    np.testing.assert_allclose(again.jets(theta, phi)[0], y, atol=1e-15)
+    np.testing.assert_allclose(again.height_jet(theta, phi)[0], y, atol=1e-15)
 
 
 def test_sampled_grid_jets_converge_at_second_order():
@@ -316,8 +227,8 @@ def test_sampled_grid_jets_converge_at_second_order():
     for n in (32, 64, 128):
         grid = SampledGridSurface.from_height(surf, n, 2 * n)
         tt, pp = grid.grid.theta, grid.grid.phi
-        y_t, dy_t, d2y_t, _ = surf.jets(tt, pp)
-        y_s, dy_s, d2y_s, _ = grid.grid_jets()
+        y_t, dy_t, d2y_t = surf.height_jet(tt, pp)
+        y_s, dy_s, d2y_s = grid.grid_jets()
         np.testing.assert_allclose(y_s, y_t, atol=1e-14)
         errors.append(np.abs(d2y_s - d2y_t).max())
     assert errors[0] / errors[1] > 3.0
@@ -330,7 +241,7 @@ def test_pole_reflection_extension_is_exact_for_smooth_fields():
     _, dy, _ = grid_scalar_jets(grid.values, order=2)
     # first theta row uses ghost rows; compare against the analytic derivative
     tt, pp = grid.grid.theta, grid.grid.phi
-    _, dy_t, _, _ = surf.jets(tt, pp)
+    _, dy_t, _ = surf.height_jet(tt, pp)
     assert np.abs(dy[0] - dy_t[0]).max() < 5e-3
 
 
