@@ -5,7 +5,9 @@ The chart is (rho, theta, phi) with metric
 a Lorentzian space form of sectional curvature +1.  Points are also
 represented on the unit pseudosphere {<x, x>_eta = 1} in R^{1,3} with
 eta = diag(-1, 1, 1, 1), where isometries are plain Lorentz matrices;
-``embed`` and ``unembed`` are the map there and back that the regraph uses.
+``embed`` and ``unembed`` are the map there and back: the isometric pair's
+image points are embedded points under a Lorentz matrix, and the regraph
+moves points along the same map.
 
 The distinguished radial field is V = cosh(rho) d/d rho; its potential
 along rho is sinh(rho), and V is the metric gradient of that potential.

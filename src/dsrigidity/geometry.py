@@ -194,8 +194,8 @@ def sampled_newton_residual(surface, fields) -> np.ndarray:
     newton = symfun.d_sigma2(np.swapaxes(w, 0, 1))
     # one periodic copy in phi, grid column j at j + 1
     wrapped = np.concatenate([newton[..., -1:], newton, newton[..., :1]], axis=-1)
-    d_theta = central(newton[0], 1, 1, 1, ht)
-    d_phi = central(wrapped[1, :, 1:-1], 2, 1, 1, hp)
+    d_theta = central(newton[0], 1, 1, ht)
+    d_phi = central(wrapped[1, :, 1:-1], 2, 1, hp)
     gam = fields.gamma.reshape(2, 2, 2, nt, npk)[..., 1:-1, :]
     core = newton[:, :, 1:-1]
 

@@ -277,16 +277,16 @@ def pole_extend(values, pad):
 STENCILS = {1: (((1, 1), (-1, -1)), 2), 2: (((1, 1), (0, -2), (-1, 1)), 1)}
 
 
-def central(arr, axis, k, pad, h):
+def central(arr, axis, k, h):
     """The k-th central difference with step h along ``axis`` of ``arr``, at
-    the entries that have ``pad`` entries on each side: ``pad`` fewer at
-    each end of that axis."""
+    the entries that have a neighbour on each side: one fewer at each end of
+    that axis."""
     terms, c = STENCILS[k]
-    n = arr.shape[axis] - 2 * pad
+    n = arr.shape[axis] - 2
     index = [slice(None)] * arr.ndim
     out = None
     for offset, weight in terms:
-        index[axis] = slice(pad + offset, pad + offset + n)
+        index[axis] = slice(1 + offset, 1 + offset + n)
         # adding or subtracting |weight| times the term spends no product
         # on a unit weight and keeps the bits of the written-out formula
         term = arr[tuple(index)] if abs(weight) == 1 else abs(weight) * arr[tuple(index)]
@@ -310,8 +310,8 @@ def grid_scalar_jets(values, order=2):
     # derivatives, as in ``AnalyticSurface._derivative_table``
     ext = pole_extend(values, 1)
     ext = np.concatenate([ext[:, -1:], ext, ext[:, :1]], axis=1)
-    rows = [ext[1:-1]] + [central(ext, 0, k, 1, ht) for k in range(1, order + 1)]
-    part = [[row[:, 1:-1]] + [central(row, 1, j, 1, hp) for j in range(1, order + 1 - k)]
+    rows = [ext[1:-1]] + [central(ext, 0, k, ht) for k in range(1, order + 1)]
+    part = [[row[:, 1:-1]] + [central(row, 1, j, hp) for j in range(1, order + 1 - k)]
             for k, row in enumerate(rows)]
     y = np.ascontiguousarray(values.ravel(), dtype=float)
     return (y, *(_derivative_tensor(part, n).reshape((2,) * n + (values.size,))

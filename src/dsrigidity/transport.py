@@ -8,18 +8,21 @@ and nothing more.  ``node_data`` forms the two surface cores and W~ in the
 pushed frame; the pulled-back potential's Hessian waits for its first read
 (``verify-identities``, not ``rigidity``), and no other field is formed here.
 Every jet is a tuple (f, d, d2) of node arrays, laid out like the height jet
-(y, dy, d2y).  The embedded point x = (sinh y, cosh y omega) gets its jets in
-closed form; the Lorentz matrix maps values, gradients and Hessians by the
-same sums; rho~ = arcsinh x~_0, theta~ = atan2(|(x~_1, x~_2)|, x~_3) and
-phi~ = atan2(x~_2, x~_1) each take one chain rule (``jets``); inverting the
-chart map to second order gives the image height's jets on its own chart.
-So tilde quantities are exact, with no grid error.  Every 2x2 product is a
-sum of node arrays in a fixed order, so no digit depends on a BLAS kernel.
+(y, dy, d2y).  The image points x~ = La (sinh y, cosh y omega) are the
+pseudosphere points of ``ambient.embed`` mapped by ``_lorentz``; their
+gradients and Hessians come in closed form, one row of La at a time, from
+the height jet and the angles; rho~ = arcsinh x~_0,
+theta~ = atan2(|(x~_1, x~_2)|, x~_3) and phi~ = atan2(x~_2, x~_1) each take
+one chain rule (``jets``); inverting the chart map to second order gives the
+image height's jets on its own chart.  So tilde quantities are exact, with no
+grid error.  Every 2x2 product is a sum of node arrays in a fixed order, so
+no digit depends on a BLAS kernel.
 
 The regraphing root-finder re-expresses the image as heights over the
 standard sampled grid (and certifies the image is a graph at all); it moves
-points with ``ambient.embed``, the transport's Lorentz sums and ``ambient.unembed``,
-and each Illinois pass evaluates the unfinished lines alone.
+points with the same point map, ``ambient.embed`` and ``_lorentz``, and back
+with ``ambient.unembed``, and each Illinois pass evaluates the unfinished
+lines alone.
 The exact transport is what the integral and rigidity checks consume.
 """
 
@@ -35,62 +38,8 @@ from .geometry import node_text
 from .surfaces import AnalyticSurface, SampledGridSurface, check_grid, grid_scalar_jets, sampled_grid
 
 
-def _embedding(y_jet, trig, sp, cp):
-    """Jet tuples of the pseudosphere point x = (sinh y, cosh y omega(theta, phi))
-    of a graph surface with height jet (y, dy, d2y), in closed form, from the
-    nodes' ``kernels.node_trig`` values ``trig`` and sin and cos of phi.
-
-    Each of the 28 components is written once, as the product rule on
-    cosh(y) omega gives it: d2_ij = (d2c_ij w + (dc_i dw_j + dc_j dw_i)) + c d2w_ij
-    with dc = s dy and d2c_ij = c dy_i dy_j + s d2y_ij.  Where a component of
-    omega's jet is 0, its terms drop and ``+ 0.0`` stands for c 0 = +0, which
-    keeps the sign of a zero sum.  The height jet's d2y[1, 0] has the bits of
-    d2y[0, 1], so each Hessian's (1, 0) entry is a copy of its (0, 1) entry.
-    """
-    _, dy, d2y = y_jet
-    st, ct, _, c, s, _ = trig
-    (y00, y01), (_, y11) = d2y
-    yy = (dy[0] * dy[0], dy[0] * dy[1], dy[1] * dy[1])
-    hess = (y00, y01, y11)
-    dc = (s * dy[0], s * dy[1])
-    d2c = [c * a + s * b for a, b in zip(yy, hess)]
-
-    def jet(f, d, d2):
-        """The jet tuple of value ``f``, gradient ``d`` and Hessian entries 00, 01, 11."""
-        grad, out = np.empty((2,) + f.shape), np.empty((2, 2) + f.shape)
-        grad[0], grad[1] = d
-        out[0, 0], out[0, 1], out[1, 1] = d2
-        out[1, 0] = out[0, 1]
-        return f, grad, out
-
-    def c_omega(w, dw, d2w):
-        """cosh(y) omega by the product rule, for an omega component without zeros."""
-        return jet(
-            c * w,
-            [dc[i] * w + c * dw[i] for i in range(2)],
-            [(d2c[k] * w + (dc[i] * dw[j] + dc[j] * dw[i])) + c * d2w[k]
-             for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 1)))],
-        )
-
-    stcp, stsp, ctcp, ctsp = st * cp, st * sp, ct * cp, ct * sp
-    mstcp, mstsp, mst = -stcp, -stsp, -st
-    return [
-        jet(s, [c * dy[0], c * dy[1]], [s * a + c * b for a, b in zip(yy, hess)]),
-        c_omega(stcp, (ctcp, mstsp), (mstcp, -ctsp, mstcp)),
-        c_omega(stsp, (ctsp, stcp), (mstsp, ctcp, mstsp)),
-        # omega_3 = cos theta: its phi derivatives vanish
-        jet(
-            c * ct,
-            [dc[0] * ct + c * mst, dc[1] * ct + 0.0],
-            [(d2c[0] * ct + (dc[0] * mst + dc[0] * mst)) + c * -ct,
-             (d2c[1] * ct + dc[1] * mst) + 0.0,
-             d2c[2] * ct + 0.0],
-        ),
-    ]
-
-
 def _lorentz(lam, x):
-    """Components of lam x for four equally shaped arrays ``x[b]``, each
+    """Components of lam x for the pseudosphere points ``x`` on axis 0, each
     summed from b = 0 in order, so no digit depends on the memory layout."""
     return [sum((x[b] * lam[a, b] for b in range(1, 4)), x[0] * lam[a, 0]) for a in range(4)]
 
@@ -162,13 +111,47 @@ def _pair_data_from_parts(base, tilde, jac, pot_d, pot_d2):
     )
 
 
+def _image_points(y_jet, trig, sp, cp, lam):
+    """Jet tuples of the image points x~ = lam x over a graph surface with
+    height jet (y, dy, d2y), from the nodes' ``kernels.node_trig`` values
+    ``trig`` and sin and cos of phi.  The values are the regraph's point map,
+    ``_lorentz`` of ``ambient.embed``.  Row a of ``lam`` gives
+    x~_a = L_a0 sinh y + cosh y Om with Om = L_ai omega_i, a function of the
+    angles alone; with A = L_a1 cos phi + L_a2 sin phi and B = dA / d phi,
+    Om = st A + L_a3 ct, Om_i = (ct A - L_a3 st, st B), Om_ij = (-Om, ct B, -st A),
+    and with P = L_a0 cosh y + sinh y Om, d_i x~_a = P y_i + cosh y Om_i and
+    d_ij x~_a = x~_a y_i y_j + P y_ij + sinh y (y_i Om_j + y_j Om_i) + cosh y Om_ij.
+    Each Hessian's (1, 0) entry is a copy of its (0, 1) entry.
+    """
+    y, (y0, y1), ((y00, y01), (_, y11)) = y_jet
+    st, ct, _, c, s, _ = trig
+    yy = (y0 * y0, y0 * y1, y1 * y1)
+    points = _lorentz(lam, ambient.embed(y, np.stack([st * cp, st * sp, ct])))
+    out = []
+    for (l0, l1, l2, l3), x in zip(lam.tolist(), points):
+        a, b = l1 * cp + l2 * sp, l2 * cp - l1 * sp
+        sa = st * a
+        om = sa + l3 * ct
+        om0, om1 = ct * a - l3 * st, st * b
+        p = l0 * c + s * om
+        d, d2 = np.empty((2,) + x.shape), np.empty((2, 2) + x.shape)
+        d[0] = p * y0 + c * om0
+        d[1] = p * y1 + c * om1
+        d2[0, 0] = x * yy[0] + p * y00 + s * (2.0 * (y0 * om0)) - c * om
+        d2[0, 1] = x * yy[1] + p * y01 + s * (y0 * om1 + y1 * om0) + c * (ct * b)
+        d2[1, 1] = x * yy[2] + p * y11 + s * (2.0 * (y1 * om1)) - c * sa
+        d2[1, 0] = d2[0, 1]
+        out.append((x, d, d2))
+    return out
+
+
 def _image_jets(y_jet, trig, sp, cp, lam):
     """Image chart points and height jets under the Lorentz matrix ``lam``,
     the chart map's Jacobian and the pulled-back potential -x~_0's chart jets
-    on M: only these outlive the call, so the embedded points and the lifts
+    on M: only these outlive the call, so the image points' jets and the lifts
     are freed before the image surface is evaluated."""
-    # the Lorentz matrix maps the values, gradients and Hessians alike
-    xt = list(zip(*(_lorentz(lam, p) for p in zip(*_embedding(y_jet, trig, sp, cp)))))
+    # the points' loop temporaries die with their own call, before the lifts
+    xt = _image_points(y_jet, trig, sp, cp, lam)
     rho_t = jets.arcsinh(xt[0])
     # atan2 keeps theta~ and its derivatives accurate next to the image
     # chart poles, where arccos(z / r) loses digits like 1 / sin^2(theta~)

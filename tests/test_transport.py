@@ -140,6 +140,9 @@ def test_closed_form_transport_matches_the_jet_oracle(rho0, mode_list, iso, seed
         expected = oracle[name]
         assert np.abs(value - expected).max() <= 1e-11 * max(1.0, np.abs(expected).max()), name
     assert np.abs(data.tilde.theta - oracle["theta"]).max() <= 1e-13
+    # the isometry invariant W~ = +-W, which leans on no rounding shared with the oracle
+    sign = np.sign(iso.matrix[0, 0])
+    assert np.abs(data.w_tilde_frame - sign * data.base.w_frame).max() <= 2e-9
 
 
 def test_identity_pair_collapses(perturbed_surface, scattered_nodes):
@@ -234,7 +237,7 @@ def test_pair_node_data_forms_no_curvature_fields(
 def test_pair_node_data_frees_the_transport_before_the_image_is_evaluated(
     perturbed_surface, rule_32
 ):
-    # the embedded points and the lifted jets die with the transport helper,
+    # the image points' jets and the lifted jets die with the transport helper,
     # so the image surface's kernel does not run on top of them
     pair = transport.IsometryCorrespondence(perturbed_surface, ambient.boost(0.25, [1.0, 0, 0]))
     pair.node_data(rule_32.theta, rule_32.phi)
